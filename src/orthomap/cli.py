@@ -73,10 +73,12 @@ def _config_from_args(args, extra=None):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         mapping.pop("package_version", None)
+        # Recorded outputs, and "threads", which older manifests recorded
+        # but replay never applied.
         for key in ("seed_used", "iterations", "final_objective", "mean_cosine",
                     "test_p_at_1", "alphabet_size", "synthetic_pairs", "candidates",
                     "untransliterable", "boosted_pairs", "edit_model_path",
-                    "selected_scale"):
+                    "selected_scale", "threads"):
             mapping.pop(key, None)
     for flag, name in _FLAG_TO_FIELD.items():
         value = getattr(args, flag, None)
@@ -86,7 +88,6 @@ def _config_from_args(args, extra=None):
         "output_dir", "mode", "scale", "max_vocab", "oov_mode", "train_cutoff",
         "csls_k", "stall_window", "p_init", "p_factor", "objective_eps",
         "max_iterations", "em_iterations", "synth_pairs", "delete_k", "alphabet_k",
-        "threads",
     ):
         value = getattr(args, name, None)
         if value is not None:

@@ -6,7 +6,7 @@ then one word per line followed by `dim` decimal numbers. Lexicon files are
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,15 +109,6 @@ class SparseDictionary:
         if len(np.unique(codes)) != len(codes):
             raise ValueError("duplicate (source, target) pair")
 
-    @classmethod
-    def from_pairs(cls, pairs, n_src=None, n_tgt=None):
-        pairs = list(pairs)
-        if pairs:
-            src, tgt, weight = zip(*pairs)
-        else:
-            src, tgt, weight = (), (), ()
-        return cls(src, tgt, weight, n_src=n_src, n_tgt=n_tgt)
-
     def __len__(self):
         return len(self.src)
 
@@ -141,14 +132,9 @@ class SparseDictionary:
 
 @dataclass
 class RefLexicon:
-    """Reference translations grouped by source word.
-
-    ``flagged_sources`` lists source words that were absent from the
-    embedding vocabulary at load time; evaluation decides how to count them.
-    """
+    """Reference translations grouped by source word."""
 
     pairs: dict
-    flagged_sources: set = field(default_factory=set)
 
     def __len__(self):
         return len(self.pairs)
@@ -225,14 +211,14 @@ def write_embeddings(emb, path):
             fh.write(word + " " + " ".join(format(v, ".17g") for v in row) + "\n")
 
 
-def load_ref_lexicon(path, src_vocab=None, tgt_vocab=None):
+def load_ref_lexicon(path):
     """Read a reference lexicon, grouping translations by source word.
 
-    Entries whose source word is missing from src_vocab are kept but
-    recorded in ``flagged_sources``. Duplicate lines collapse to one entry.
+    Every entry is kept whatever the embedding vocabularies hold; evaluation
+    decides how to count sources without a prediction. Duplicate lines
+    collapse to one entry.
     """
     pairs = {}
-    flagged = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -244,9 +230,7 @@ def load_ref_lexicon(path, src_vocab=None, tgt_vocab=None):
                 )
             src, tgt = tokens
             pairs.setdefault(src, set()).add(tgt)
-            if src_vocab is not None and src not in src_vocab:
-                flagged.add(src)
-    return RefLexicon(pairs, flagged)
+    return RefLexicon(pairs)
 
 
 def build_pivot_lexicon(x_to_e, e_to_z):

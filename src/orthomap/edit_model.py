@@ -229,13 +229,6 @@ def edit_forward(x, z, model):
     return np.array(table), table[len(x)][len(z)]
 
 
-def edit_backward(x, z, model):
-    """Backward table; its (0, 0) entry equals the forward probability."""
-    _check_coverage(x, model.alphabets.src_chars, "source")
-    _check_coverage(z, model.alphabets.tgt_chars, "target")
-    return np.array(_backward_table(x, z, model))
-
-
 def log_edit_probability(x, z, model):
     """log p(x, z), -inf when no operation sequence generates the pair."""
     _check_coverage(x, model.alphabets.src_chars, "source")

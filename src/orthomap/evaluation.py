@@ -141,7 +141,8 @@ def select_scaling_constant(runner, grid, criterion, runs_per_c=1, seeds=None, d
     word mapping and a ``mean_cosine`` float. The dev-accuracy criterion
     scores predictions against ``dev``; the objective criterion uses the
     mean cosine and reads no reference data at all. Ties go to the smaller
-    constant.
+    constant. A failing run is logged with its constant, and its exception
+    propagates unchanged so callers see the typed error.
     """
     grid = sorted(grid)
     if not grid:
@@ -165,8 +166,9 @@ def select_scaling_constant(runner, grid, criterion, runs_per_c=1, seeds=None, d
         for run in range(runs_per_c):
             try:
                 outcome = runner(scale, seeds[run])
-            except Exception as exc:
-                raise RuntimeError(f"pipeline run failed at scale c={scale}") from exc
+            except Exception:
+                logger.error("pipeline run failed at scale c=%g, seed %d", scale, seeds[run])
+                raise
             if criterion == "dev-accuracy":
                 values.append(precision_at_1(outcome.predictions, dev).p_at_1)
             else:

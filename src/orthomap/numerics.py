@@ -89,27 +89,3 @@ def weighted_cross_svd(x, z, dictionary):
     m = xs.T @ z[dictionary.tgt]
     u, s, vt = np.linalg.svd(m)
     return u, s, vt
-
-
-def procrustes_solve(src_emb, tgt_emb, dictionary):
-    """Orthogonal maps maximizing the weighted sum of mapped dot products.
-
-    Returns (w_src, w_tgt); the optimum value equals the trace of the
-    singular values of the weighted cross-covariance.
-    """
-    u, _, vt = weighted_cross_svd(src_emb.data, tgt_emb.data, dictionary)
-    return u, vt.T
-
-
-def similarity_block(src_emb, w_src, tgt_emb, w_tgt, row_range, col_range):
-    """Exact block of the mapped similarity matrix for the given ranges.
-
-    Ranges are (start, stop) pairs; the full matrix never needs to exist.
-    """
-    r0, r1 = row_range
-    c0, c1 = col_range
-    if not (0 <= r0 <= r1 <= src_emb.data.shape[0]):
-        raise ValueError(f"row range {row_range} out of bounds")
-    if not (0 <= c0 <= c1 <= tgt_emb.data.shape[0]):
-        raise ValueError(f"column range {col_range} out of bounds")
-    return (src_emb.data[r0:r1] @ w_src) @ (tgt_emb.data[c0:c1] @ w_tgt).T

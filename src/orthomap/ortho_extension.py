@@ -37,12 +37,6 @@ class NgramAlphabet:
         return item in self.index
 
 
-def count_occurrences(ngram, word):
-    """Occurrences of ngram in word, counting overlaps ("aaa" has "aa" twice)."""
-    n = len(ngram)
-    return sum(1 for i in range(len(word) - n + 1) if word[i : i + n] == ngram)
-
-
 def ngram_frequencies(words):
     """Unigram and bigram occurrence counts over a list of word types."""
     unigrams = Counter()

@@ -82,7 +82,6 @@ class RunConfig:
     synth_pairs: int = 5_000
     delete_k: int = 2
     alphabet_k: int = 100
-    threads: int | None = None
 
     def loop_config(self, seed):
         return LoopConfig(
@@ -236,7 +235,7 @@ def _run_boosted(src_raw, tgt_raw, cfg, seed, extras):
         np.array(boost_src, np.int64), np.array(boost_tgt, np.int64), np.array(boost_val)
     )
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_BOOSTED))
-    return run_self_learning(src, tgt, loop_cfg, boosts=[boost])
+    return run_self_learning(src, tgt, loop_cfg, boost=boost)
 
 
 def execute_run(cfg, seed):

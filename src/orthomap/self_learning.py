@@ -88,38 +88,18 @@ class SimilarityBoost:
     def __len__(self):
         return len(self.src)
 
-    @classmethod
-    def merge(cls, boosts):
-        """Sum several boosts into one, combining duplicate pairs."""
-        boosts = [b for b in boosts if len(b)]
-        if not boosts:
-            return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        src = np.concatenate([b.src for b in boosts])
-        tgt = np.concatenate([b.tgt for b in boosts])
-        val = np.concatenate([b.values for b in boosts])
-        codes = src * (tgt.max() + 1) + tgt
-        uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        summed = np.zeros(len(uniq))
-        np.add.at(summed, inverse, val)
-        return cls(src[first], tgt[first], summed)
-
     def restricted(self, n_src, n_tgt):
         keep = (self.src < n_src) & (self.tgt < n_tgt)
         return SimilarityBoost(self.src[keep], self.tgt[keep], self.values[keep])
 
-    def row_supplier(self, n_cols):
-        """Callable mapping a row range to a dense addend block."""
-        src, tgt, values = self.src, self.tgt, self.values
+    def add_to(self, block, lo):
+        """Add the boost in place to ``block``, which holds rows [lo, lo + len(block)).
 
-        def rows(lo, hi):
-            block = np.zeros((hi - lo, n_cols))
-            a = np.searchsorted(src, lo)
-            b = np.searchsorted(src, hi)
-            if b > a:
-                np.add.at(block, (src[a:b] - lo, tgt[a:b]), values[a:b])
-            return block
-
-        return rows
+        Entries of rows outside the block are skipped; duplicate pairs sum.
+        """
+        a = np.searchsorted(self.src, lo)
+        b = np.searchsorted(self.src, lo + block.shape[0])
+        np.add.at(block, (self.src[a:b] - lo, self.tgt[a:b]), self.values[a:b])
 
 
 def topk_row_mean(sim, k):
@@ -149,15 +129,16 @@ def _keep_mask(seed, iteration, row, n, p_keep):
     return gen.random(n) < p_keep
 
 
-def induce_dictionary(sim_rows, shape, state, boost_rows=None):
-    """Bidirectional dictionary from adjusted similarity rows.
+def induce_dictionary(scores, state):
+    """Bidirectional dictionary from an adjusted similarity matrix.
 
-    ``sim_rows(lo, hi)`` must yield the rescaled, boost-augmented block for
-    source rows [lo, hi). Entries are zeroed with probability 1 - p_keep
-    (seeded per row); each source picks its best kept target and vice versa,
-    and mutual choices get weight 2.
+    ``scores`` holds the rescaled, boost-augmented similarities of every
+    source (row) to every target (column); it is read in row blocks and
+    never modified. Entries are zeroed with probability 1 - p_keep (seeded
+    per row); each source picks its best kept target and vice versa, and
+    mutual choices get weight 2.
     """
-    n_src, n_tgt = shape
+    n_src, n_tgt = scores.shape
     if n_src == 0 or n_tgt == 0:
         raise ValueError("empty vocabulary")
     forward = np.full(n_src, -1, np.int64)
@@ -166,9 +147,8 @@ def induce_dictionary(sim_rows, shape, state, boost_rows=None):
     stochastic = state.p_keep < 1.0
     for lo in range(0, n_src, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_src)
-        block = np.array(sim_rows(lo, hi), dtype=np.float64)
-        if boost_rows is not None:
-            block = block + boost_rows(lo, hi)
+        # A copy: the keep mask below writes into it.
+        block = np.array(scores[lo:hi], dtype=np.float64)
         if stochastic:
             for r in range(lo, hi):
                 keep = _keep_mask(state.rng_seed, state.iteration, r, n_tgt, state.p_keep)
@@ -211,21 +191,7 @@ def init_dictionary_unsupervised(src_emb, tgt_emb, cutoff):
         signatures.append(normalize_rows(sim))
     sim = signatures[0] @ signatures[1].T
     state = TrainState(p_keep=1.0, rng_seed=0, iteration=0)
-    return induce_dictionary(lambda lo, hi: sim[lo:hi], (cutoff, cutoff), state)
-
-
-def objective_value(src_emb, tgt_emb, w_src, w_tgt, dictionary):
-    """Weighted mean dot product of mapped dictionary pairs.
-
-    Lies in [-1, 1] for unit rows and orthogonal maps; equals
-    trace(Sigma) / total weight right after a Procrustes solve.
-    """
-    if len(dictionary) == 0:
-        raise ValueError("dictionary is empty")
-    xs = src_emb.data[dictionary.src] @ w_src
-    zs = tgt_emb.data[dictionary.tgt] @ w_tgt
-    dots = np.einsum("ij,ij->i", xs, zs)
-    return float((dots * dictionary.weight).sum() / dictionary.weight_sum)
+    return induce_dictionary(sim, state)
 
 
 def run_schedule(cfg, step_fn, seed=None):
@@ -276,7 +242,6 @@ class SelfLearningResult:
     w_src: np.ndarray
     w_tgt: np.ndarray
     lexicon: SparseDictionary
-    lexicon_csls: np.ndarray
     lexicon_cosine: np.ndarray
     trace: list
     loop_dictionary: SparseDictionary
@@ -284,21 +249,14 @@ class SelfLearningResult:
     state: TrainState = field(repr=False, default=None)
 
 
-def _adjusted_similarity(x_cut, z_cut, w_src, w_tgt, cfg, boost_rows):
-    sim = (x_cut @ w_src) @ (z_cut @ w_tgt).T
-    row_means, col_means = csls_means(sim, cfg.csls_k)
-    adjusted = csls_adjust(sim, row_means, col_means)
-    if boost_rows is not None:
-        adjusted += boost_rows(0, adjusted.shape[0])
-    return adjusted
-
-
-def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boosts=(), loop_seed=None):
+def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, loop_seed=None):
     """Full unsupervised run: init, loop to convergence, whitened final pass.
 
     ``n_extension_cols`` trailing columns are stripped from both matrices
     before the final iteration (0 when no orthographic extension is active).
-    ``boosts`` are sparse similarity addends over the cutoff block.
+    ``boost`` is an optional SimilarityBoost; its entries inside the cutoff
+    block are added to the adjusted similarities of every iteration and of
+    the final retrieval.
     """
     n_src = len(src_emb.vocab)
     n_tgt = len(tgt_emb.vocab)
@@ -307,14 +265,10 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boosts=(), l
     z = tgt_emb.data
     x_cut = x[:cutoff]
     z_cut = z[:cutoff]
+    if boost is not None:
+        boost = boost.restricted(cutoff, cutoff)
 
-    boost = SimilarityBoost.merge(boosts).restricted(cutoff, cutoff) if boosts else None
-    boost_rows = boost.row_supplier(cutoff) if boost is not None and len(boost) else None
-
-    holder = {
-        "dict": init_dictionary_unsupervised(src_emb, tgt_emb, cutoff),
-        "maps": None,
-    }
+    holder = {"dict": init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)}
 
     def step(state):
         d = holder["dict"]
@@ -324,23 +278,16 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boosts=(), l
         sim = (x_cut @ w_src) @ (z_cut @ w_tgt).T
         row_means, col_means = csls_means(sim, cfg.csls_k)
         adjusted = csls_adjust(sim, row_means, col_means)
-        new_d = induce_dictionary(
-            lambda lo, hi: adjusted[lo:hi],
-            (cutoff, cutoff),
-            state,
-            boost_rows=boost_rows,
-        )
+        if boost is not None:
+            boost.add_to(adjusted, 0)
+        new_d = induce_dictionary(adjusted, state)
         holder["dict"] = new_d
-        holder["maps"] = (w_src, w_tgt)
+        holder["scores"] = adjusted[new_d.src, new_d.tgt]
         state.dictionary = new_d
         return objective
 
     state, trace = run_schedule(cfg, step, seed=loop_seed)
     loop_dict = holder["dict"]
-    loop_w_src, loop_w_tgt = holder["maps"]
-    adjusted = _adjusted_similarity(x_cut, z_cut, loop_w_src, loop_w_tgt, cfg, boost_rows)
-    loop_scores = adjusted[loop_dict.src, loop_dict.tgt].copy()
-    del adjusted
 
     # Modified final iteration: strip any extension, whiten both sides over
     # the training rows, solve, reweight by sqrt of the singular values and
@@ -357,7 +304,7 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boosts=(), l
     w_src = wh_src.forward @ ((u * root) @ u.T) @ wh_src.inverse @ u
     w_tgt = wh_tgt.forward @ ((v * root) @ v.T) @ wh_tgt.inverse @ v
 
-    lexicon, csls_scores, cosines = retrieve_lexicon(
+    lexicon, cosines = retrieve_lexicon(
         src_final, tgt_final, w_src, w_tgt, cfg, boost=boost
     )
     logger.info(
@@ -369,11 +316,10 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boosts=(), l
         w_src=w_src,
         w_tgt=w_tgt,
         lexicon=lexicon,
-        lexicon_csls=csls_scores,
         lexicon_cosine=cosines,
         trace=trace,
         loop_dictionary=loop_dict,
-        loop_dictionary_scores=loop_scores,
+        loop_dictionary_scores=holder["scores"],
         state=state,
     )
 
@@ -383,7 +329,9 @@ def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None):
 
     Neighbourhood statistics for the hubness correction come from the top
     train_cutoff words of the other language; ranking covers every target.
-    Mapped rows are length-normalized so scores are cosines.
+    Mapped rows are length-normalized so scores are cosines. ``boost`` is
+    added to the ranking scores. Returns the lexicon (one entry per source
+    word, weight 1) and the cosine of each source to its chosen target.
     """
     xm = normalize_rows(src_emb.data @ w_src)
     zm = normalize_rows(tgt_emb.data @ w_tgt)
@@ -397,24 +345,18 @@ def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None):
         hi = min(lo + _ROW_BLOCK, n_tgt)
         col_means[lo:hi] = topk_row_mean((x_cut @ zm[lo:hi].T).T, k)
 
-    boost_rows = boost.row_supplier(n_tgt) if boost is not None and len(boost) else None
-    z_cut_t = zm[:cutoff].T
     tgt_idx = np.empty(n_src, np.int64)
-    csls_scores = np.empty(n_src)
     cosines = np.empty(n_src)
     for lo in range(0, n_src, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_src)
         sim = xm[lo:hi] @ zm.T
-        row_means = topk_row_mean(xm[lo:hi] @ z_cut_t, k)
         scores = 2.0 * sim - col_means[None, :]
-        if boost_rows is not None:
-            scores += boost_rows(lo, hi)
+        if boost is not None:
+            boost.add_to(scores, lo)
         arg = scores.argmax(axis=1)
-        rows = np.arange(hi - lo)
         tgt_idx[lo:hi] = arg
-        cosines[lo:hi] = sim[rows, arg]
-        csls_scores[lo:hi] = scores[rows, arg] - row_means
+        cosines[lo:hi] = sim[np.arange(hi - lo), arg]
     lexicon = SparseDictionary(
         np.arange(n_src), tgt_idx, np.ones(n_src, np.int64), n_src, n_tgt
     )
-    return lexicon, csls_scores, cosines
+    return lexicon, cosines

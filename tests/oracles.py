@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the dynamic programs and index
 structures it checks: probabilities come from explicit path enumeration,
-transliterations from enumerating segmentations, candidate pairs from the
-quadratic definition.
+transliterations from enumerating segmentations, candidate pairs and
+n-gram counts from their definitions, the loop objective from explicit dot
+products. The dense scoring path at the end is the reference the sparse,
+single-pass self-learning code is checked against.
 """
 
 import math
@@ -135,3 +137,108 @@ def random_theta(rng, alphabets):
     raw = rng.random(len(ops)) + 1e-3
     raw /= raw.sum()
     return dict(zip(ops, raw))
+
+
+def count_occurrences(ngram, word):
+    """Occurrences of ngram in word, counting overlaps ("aaa" has "aa" twice)."""
+    n = len(ngram)
+    return sum(1 for i in range(len(word) - n + 1) if word[i : i + n] == ngram)
+
+
+def objective_value(src_emb, tgt_emb, w_src, w_tgt, dictionary):
+    """Weighted mean dot product of mapped dictionary pairs.
+
+    Lies in [-1, 1] for unit rows and orthogonal maps; equals
+    trace(Sigma) / total weight right after a Procrustes solve.
+    """
+    if len(dictionary) == 0:
+        raise ValueError("dictionary is empty")
+    xs = src_emb.data[dictionary.src] @ w_src
+    zs = tgt_emb.data[dictionary.tgt] @ w_tgt
+    dots = np.einsum("ij,ij->i", xs, zs)
+    return float((dots * dictionary.weight).sum() / dictionary.weight_sum)
+
+
+def similarity_block(src_emb, w_src, tgt_emb, w_tgt, row_range, col_range):
+    """Exact block of the mapped similarity matrix for the given ranges.
+
+    Ranges are (start, stop) pairs; the full matrix never needs to exist.
+    """
+    r0, r1 = row_range
+    c0, c1 = col_range
+    if not (0 <= r0 <= r1 <= src_emb.data.shape[0]):
+        raise ValueError(f"row range {row_range} out of bounds")
+    if not (0 <= c0 <= c1 <= tgt_emb.data.shape[0]):
+        raise ValueError(f"column range {col_range} out of bounds")
+    return (src_emb.data[r0:r1] @ w_src) @ (tgt_emb.data[c0:c1] @ w_tgt).T
+
+
+# The dense scoring path that self_learning replaced: a boost materialized
+# as a dense addend, the adjusted matrix recomputed from the final loop
+# maps, and retrieval in 1024-row blocks. Differential tests compare the
+# sparse, single-pass code against it with exact equality.
+
+_ROW_BLOCK = 1024
+
+
+def dense_boost(boost, lo, hi, n_cols):
+    """Dense addend for source rows [lo, hi); duplicate pairs sum."""
+    block = np.zeros((hi - lo, n_cols))
+    a = np.searchsorted(boost.src, lo)
+    b = np.searchsorted(boost.src, hi)
+    if b > a:
+        np.add.at(block, (boost.src[a:b] - lo, boost.tgt[a:b]), boost.values[a:b])
+    return block
+
+
+def adjusted_similarity(x_cut, z_cut, w_src, w_tgt, csls_k, boost=None):
+    """Rescaled, boosted similarity matrix over the training cutoff."""
+    from orthomap.self_learning import csls_adjust, csls_means
+
+    sim = (x_cut @ w_src) @ (z_cut @ w_tgt).T
+    row_means, col_means = csls_means(sim, csls_k)
+    adjusted = csls_adjust(sim, row_means, col_means)
+    if boost is not None and len(boost):
+        adjusted += dense_boost(boost, 0, adjusted.shape[0], adjusted.shape[1])
+    return adjusted
+
+
+def dense_induction(scores):
+    """Bidirectional dictionary by full argmax over rows and columns.
+
+    Returns {(source, target): weight}; mutual choices weigh 2.
+    """
+    pairs = {}
+    for i, j in enumerate(scores.argmax(axis=1)):
+        pairs[(i, int(j))] = pairs.get((i, int(j)), 0) + 1
+    for j, i in enumerate(scores.argmax(axis=0)):
+        pairs[(int(i), j)] = pairs.get((int(i), j), 0) + 1
+    return pairs
+
+
+def dense_retrieval(src_emb, tgt_emb, w_src, w_tgt, train_cutoff, csls_k, boost=None):
+    """Full-vocabulary retrieval; returns (target index, cosine) per source."""
+    from orthomap.numerics import normalize_rows
+    from orthomap.self_learning import topk_row_mean
+
+    xm = normalize_rows(src_emb.data @ w_src)
+    zm = normalize_rows(tgt_emb.data @ w_tgt)
+    n_src, n_tgt = xm.shape[0], zm.shape[0]
+    k = min(csls_k, train_cutoff, n_src, n_tgt)
+    x_cut = xm[: min(train_cutoff, n_src, n_tgt)]
+    col_means = np.empty(n_tgt)
+    for lo in range(0, n_tgt, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n_tgt)
+        col_means[lo:hi] = topk_row_mean((x_cut @ zm[lo:hi].T).T, k)
+    tgt_idx = np.empty(n_src, np.int64)
+    cosines = np.empty(n_src)
+    for lo in range(0, n_src, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n_src)
+        sim = xm[lo:hi] @ zm.T
+        scores = 2.0 * sim - col_means[None, :]
+        if boost is not None and len(boost):
+            scores += dense_boost(boost, lo, hi, n_tgt)
+        arg = scores.argmax(axis=1)
+        tgt_idx[lo:hi] = arg
+        cosines[lo:hi] = sim[np.arange(hi - lo), arg]
+    return tgt_idx, cosines

@@ -104,11 +104,9 @@ class TestRefLexicon:
         with pytest.raises(InputFormatError, match="2 fields"):
             load_ref_lexicon(p)
 
-    def test_oov_sources_flagged_but_kept(self, tmp_path):
+    def test_every_source_kept(self, tmp_path):
         p = write(tmp_path / "l.txt", "dog собака\ncat кот\n")
-        ref = load_ref_lexicon(p, src_vocab=Vocabulary(["dog"]))
-        assert set(ref.pairs) == {"dog", "cat"}
-        assert ref.flagged_sources == {"cat"}
+        assert set(load_ref_lexicon(p).pairs) == {"dog", "cat"}
 
 
 class TestPivotLexicon:

@@ -8,9 +8,9 @@ import pytest
 from orthomap.edit_model import (
     EditAlphabets,
     EditModel,
+    _backward_table,
     boost_from_log_prob,
     build_edit_alphabets,
-    edit_backward,
     edit_forward,
     edit_operations,
     edit_similarity_boost,
@@ -76,7 +76,7 @@ class TestForwardBackward:
         model = uniform_ab_model()
         _, p = edit_forward("", "", model)
         assert p == 1.0
-        beta = edit_backward("", "", model)
+        beta = _backward_table("", "", model)
         assert beta[0][0] == 1.0
 
     def test_forced_single_path(self):
@@ -87,7 +87,7 @@ class TestForwardBackward:
 
     def test_backward_table_values(self):
         model = uniform_ab_model()
-        beta = edit_backward("a", "b", model)
+        beta = _backward_table("a", "b", model)
         assert beta[1][1] == 1.0
         assert beta[0][1] == pytest.approx(1 / 3, abs=1e-12)  # remaining ("a", "")
         assert beta[1][0] == pytest.approx(1 / 3, abs=1e-12)
@@ -100,7 +100,7 @@ class TestForwardBackward:
         model = EditModel(alphabets, theta)
         for x, z in [("abc", "xy"), ("a", "zzz"), ("cab", "x"), ("", "zy")]:
             _, p = edit_forward(x, z, model)
-            beta = edit_backward(x, z, model)
+            beta = _backward_table(x, z, model)
             assert beta[0][0] == pytest.approx(p, abs=1e-12)
 
     def test_matches_path_enumeration(self):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from orthomap.corpus_io import RefLexicon
-from orthomap.errors import InputFormatError
+from orthomap.errors import ConvergenceError, InputFormatError
 from orthomap.evaluation import (
     ScorerTable,
     external_scorer_boost,
@@ -143,12 +143,15 @@ class TestSelection:
         assert best == 0.5
         assert points[1].values == [0.5, 0.6, 0.7]
 
-    def test_runner_failure_names_the_scale(self):
+    def test_runner_failure_names_the_scale(self, caplog):
+        # The typed error propagates unchanged (the CLI maps it to its exit
+        # code); the log names the failing constant.
         def runner(scale, seed):
-            raise RuntimeError("boom")
+            raise ConvergenceError("boom")
 
-        with pytest.raises(RuntimeError, match="c=0.3"):
+        with pytest.raises(ConvergenceError, match="boom"):
             select_scaling_constant(runner, [0.3], "objective")
+        assert "c=0.3" in caplog.text
 
     def test_reproducible_selection(self):
         def runner(scale, seed):

@@ -8,11 +8,11 @@ from orthomap.numerics import normalize_embeddings
 from orthomap.ortho_extension import (
     NgramAlphabet,
     build_ngram_alphabet,
-    count_occurrences,
     extend_embeddings,
     extension_matrix,
     strip_extension,
 )
+from oracles import count_occurrences
 
 
 def emb(data, prefix="w"):
@@ -69,6 +69,10 @@ class TestExtensionMatrix:
         assert count_occurrences("aa", "aaa") == 2
         alphabet = NgramAlphabet(["aa"])
         np.testing.assert_allclose(extension_matrix(["aaa"], alphabet, 0.3), [[0.6]])
+        words = ["aaa", "abab", "ba", "b", ""]
+        alphabet = NgramAlphabet(["a", "b", "aa", "ab", "ba", "bb"])
+        expected = [[count_occurrences(g, w) for g in alphabet.items] for w in words]
+        np.testing.assert_array_equal(extension_matrix(words, alphabet, 1.0), expected)
 
 
 class TestExtendAndStrip:

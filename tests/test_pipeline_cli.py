@@ -257,11 +257,16 @@ class TestCli:
             "--output-dir", first,
             "--seed", 6,
         ) == 0
-        second = tmp_path / "two"
-        assert self.run_cli(
-            "induce", "--config", first / "manifest.json", "--output-dir", second
-        ) == 0
-        assert (first / "lexicon.tsv").read_bytes() == (second / "lexicon.tsv").read_bytes()
+        # Older manifests also recorded "threads", which replay ignores.
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "threads" not in manifest
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(dict(manifest, threads=2)), encoding="utf-8")
+        for k, config in enumerate((first / "manifest.json", old)):
+            second = tmp_path / f"replay{k}"
+            assert self.run_cli("induce", "--config", config, "--output-dir", second) == 0
+            assert (first / "lexicon.tsv").read_bytes() == (second / "lexicon.tsv").read_bytes()
+            assert "threads" not in json.loads((second / "manifest.json").read_text())
 
     def test_train_and_transliterate_roundtrip(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -312,6 +317,30 @@ class TestCli:
         assert code == 0
         assert "selected c=" in capsys.readouterr().out
         assert (tmp_path / "sweep" / "sweep_report.tsv").is_file()
+
+    def sweep_exit_code(self, bench, src_emb, tmp_path, *extra):
+        return self.run_cli(
+            "sweep",
+            "--src-emb", src_emb,
+            "--tgt-emb", bench.tgt_embeddings,
+            "--output-dir", tmp_path / "sweep",
+            "--mode", "ortho-ext",
+            "--criterion", "objective",
+            "--grid", "0.1",
+            *extra,
+        )
+
+    def test_sweep_nonconvergence_exit_code(self, tiny_benchmark, tmp_path):
+        code = self.sweep_exit_code(
+            tiny_benchmark, tiny_benchmark.src_embeddings, tmp_path, "--max-iterations", 2
+        )
+        assert code == 4
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_malformed_embeddings_exit_code(self, tiny_benchmark, tmp_path):
+        bad = tmp_path / "bad.vec"
+        bad.write_text("2 3\nw0 0 1 x\nw1 1 0 0\n", encoding="utf-8")
+        assert self.sweep_exit_code(tiny_benchmark, bad, tmp_path) == 3
 
 
 def test_predictions_agree_with_lexicon_file(tiny_benchmark, tmp_path):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from orthomap import self_learning
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
 from orthomap.errors import ConvergenceError
 from orthomap.numerics import normalize_embeddings, weighted_cross_svd
+from orthomap.ortho_extension import strip_extension
 from orthomap.self_learning import (
     LoopConfig,
     SimilarityBoost,
@@ -14,12 +16,17 @@ from orthomap.self_learning import (
     csls_means,
     induce_dictionary,
     init_dictionary_unsupervised,
-    objective_value,
     run_schedule,
     run_self_learning,
     topk_row_mean,
 )
-from oracles import random_orthogonal
+from oracles import (
+    adjusted_similarity,
+    dense_induction,
+    dense_retrieval,
+    objective_value,
+    random_orthogonal,
+)
 
 
 def emb(data, prefix="w"):
@@ -27,12 +34,10 @@ def emb(data, prefix="w"):
     return EmbeddingMatrix(Vocabulary([f"{prefix}{i}" for i in range(len(data))]), data)
 
 
-def induce(sim, p_keep=1.0, seed=0, iteration=1, boost_rows=None):
+def induce(sim, p_keep=1.0, seed=0, iteration=1):
     sim = np.asarray(sim, dtype=float)
     state = TrainState(p_keep=p_keep, rng_seed=seed, iteration=iteration)
-    return induce_dictionary(
-        lambda lo, hi: sim[lo:hi], sim.shape, state, boost_rows=boost_rows
-    )
+    return induce_dictionary(sim, state)
 
 
 class TestCslsAdjust:
@@ -115,8 +120,16 @@ class TestInduceDictionary:
     def test_boost_changes_argmax(self):
         sim = np.array([[0.6, 0.5], [0.2, 0.3]])
         boost = SimilarityBoost(np.array([0]), np.array([1]), np.array([0.4]))
-        d = induce(sim, boost_rows=boost.row_supplier(2))
+        boost.add_to(sim, 0)
+        d = induce(sim)
         assert (0, 1, 2) in set(d.pairs())
+
+    def test_scores_left_unmasked(self):
+        rng = np.random.default_rng(8)
+        sim = rng.standard_normal((30, 30))
+        before = sim.copy()
+        induce(sim, p_keep=0.3, seed=4, iteration=2)
+        np.testing.assert_array_equal(sim, before)
 
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -265,18 +278,73 @@ class TestRunSelfLearning:
 
 
 class TestSimilarityBoost:
-    def test_merge_sums_duplicates(self):
-        a = SimilarityBoost(np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.25]))
-        b = SimilarityBoost(np.array([0]), np.array([1]), np.array([0.25]))
-        merged = SimilarityBoost.merge([a, b])
-        entries = {(int(s), int(t)): v for s, t, v in zip(merged.src, merged.tgt, merged.values)}
-        assert entries == {(0, 1): 0.75, (1, 2): 0.25}
+    def test_add_to_sums_duplicates(self):
+        boost = SimilarityBoost(
+            np.array([1, 0, 1]), np.array([2, 1, 2]), np.array([0.5, 0.25, 0.25])
+        )
+        block = np.zeros((2, 3))
+        boost.add_to(block, 0)
+        np.testing.assert_array_equal(block, [[0, 0.25, 0], [0, 0, 0.75]])
 
-    def test_row_supplier_places_values(self):
-        boost = SimilarityBoost(np.array([2, 0]), np.array([1, 3]), np.array([0.5, 0.7]))
-        block = boost.row_supplier(4)(2, 3)
-        np.testing.assert_array_equal(block, [[0, 0.5, 0, 0]])
+    def test_add_to_places_values(self):
+        # Only source row 2 lies in the block of rows [2, 3); the entries of
+        # rows 0 and 3 fall outside it and are skipped.
+        boost = SimilarityBoost(
+            np.array([2, 0, 3]), np.array([1, 3, 0]), np.array([0.5, 0.7, 0.9])
+        )
+        block = np.ones((1, 4))
+        boost.add_to(block, 2)
+        np.testing.assert_array_equal(block, [[1, 1.5, 1, 1]])
 
     def test_restricted_drops_out_of_range(self):
         boost = SimilarityBoost(np.array([0, 5]), np.array([1, 1]), np.array([1.0, 1.0]))
         assert len(boost.restricted(3, 3)) == 1
+
+
+def run_with_loop_maps(monkeypatch, src, tgt, cfg, boost=None):
+    """Run the loop and also return the maps of its last iteration."""
+    solves = []
+
+    def recording_svd(x, z, dictionary):
+        out = weighted_cross_svd(x, z, dictionary)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(self_learning, "weighted_cross_svd", recording_svd)
+    result = run_self_learning(src, tgt, cfg, boost=boost)
+    u, _, vt = solves[-2]  # solves[-1] is the whitened final solve
+    return result, u, vt.T
+
+
+class TestDenseOracle:
+    """The single scoring pass against the dense path it replaced."""
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    def test_matches_dense_path(self, monkeypatch, boosted):
+        rng = np.random.default_rng(31)
+        src, tgt, inverse = cipher_pair(rng, 150, 12, noise=0.3)
+        src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
+        cfg = LoopConfig(train_cutoff=120, stall_window=5, rng_seed=3)
+        boost = None
+        if boosted:
+            rows = rng.choice(120, size=40, replace=False)
+            cols = np.where(rng.random(40) < 0.5, inverse[rows], rng.integers(0, 120, 40))
+            boost = SimilarityBoost(rows, cols, rng.uniform(0.5, 3.0, 40))
+        result, w_src, w_tgt = run_with_loop_maps(monkeypatch, src, tgt, cfg, boost)
+        if boosted:
+            boost = boost.restricted(120, 120)  # some true targets lie past the cutoff
+
+        adjusted = adjusted_similarity(
+            src.data[:120], tgt.data[:120], w_src, w_tgt, cfg.csls_k, boost
+        )
+        d = result.loop_dictionary
+        assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_induction(adjusted)
+        assert np.array_equal(result.loop_dictionary_scores, adjusted[d.src, d.tgt])
+
+        # The final pass retrieves over rows renormalized by strip_extension.
+        tgt_idx, cosines = dense_retrieval(
+            strip_extension(src, 0), strip_extension(tgt, 0),
+            result.w_src, result.w_tgt, cfg.train_cutoff, cfg.csls_k, boost,
+        )
+        assert np.array_equal(result.lexicon.tgt, tgt_idx)
+        assert np.array_equal(result.lexicon_cosine, cosines)
