@@ -5,6 +5,11 @@ self-learning loop; "ortho-ext" extends the embeddings with character
 n-gram counts; "edit-dist" learns a stochastic edit distance on induced
 pairs and boosts candidate similarities; "external-scorer" boosts the same
 candidates with file-fed conditional probabilities instead.
+
+A sweep over the scaling constant c loads the inputs once. In the boosted
+modes it also runs the stage that does not depend on c (main loop, edit
+model, candidates scored at c = 1) once per seed, then one boosted loop per
+(c, seed).
 """
 
 import dataclasses
@@ -165,11 +170,22 @@ class PipelineResult:
     extras: dict = field(default_factory=dict)
 
 
-def _run_plain(src_raw, tgt_raw, cfg, seed):
-    src = normalize_embeddings(src_raw)
-    tgt = normalize_embeddings(tgt_raw)
+def load_inputs(cfg):
+    """Both embedding matrices as the configured mode's loops consume them.
+
+    ortho-ext appends its c-scaled n-gram columns before normalizing, so it
+    keeps the matrices as loaded; every other mode normalizes here.
+    """
+    src = load_embeddings(cfg.src_embeddings, cfg.max_vocab)
+    tgt = load_embeddings(cfg.tgt_embeddings, cfg.max_vocab)
+    if cfg.mode == "ortho-ext":
+        return src, tgt
+    return normalize_embeddings(src), normalize_embeddings(tgt)
+
+
+def _run_plain(src, tgt, cfg, seed):
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(src, tgt, loop_cfg), src, tgt
+    return run_self_learning(src, tgt, loop_cfg)
 
 
 def _run_extended(src_raw, tgt_raw, cfg, seed, extras):
@@ -198,10 +214,26 @@ def _synthetic_pairs(base_result, src_vocab, tgt_vocab, n):
     ]
 
 
-def _run_boosted(src_raw, tgt_raw, cfg, seed, extras):
-    base_result, src, tgt = _run_plain(src_raw, tgt_raw, cfg, seed)
+@dataclass
+class BoostStage:
+    """The part of a boosted run that does not depend on the scaling constant.
+
+    Candidate pairs in sorted order with their boost at c = 1. Both boost
+    formulas end in ``scale * max(0.0, ...)``, so the boost at c is
+    ``c * unit``, bit for bit.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    unit: np.ndarray
+    extras: dict
+
+
+def boost_stage(src, tgt, cfg, seed):
+    """Main loop, edit model and unit-scale candidate boosts for one seed."""
+    base_result = _run_plain(src, tgt, cfg, seed)
     pairs = _synthetic_pairs(base_result, src.vocab, tgt.vocab, cfg.synth_pairs)
-    extras["synthetic_pairs"] = len(pairs)
+    extras = {"synthetic_pairs": len(pairs)}
 
     cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
     src_words = src.vocab.top(cutoff)
@@ -217,40 +249,51 @@ def _run_boosted(src_raw, tgt_raw, cfg, seed, extras):
     if not cands:
         raise CandidateError("candidate filtering produced no pairs")
 
-    table = load_scorer_table(cfg.scorer_table) if cfg.mode == "external-scorer" else None
-    boost_src = []
-    boost_tgt = []
-    boost_val = []
-    for i, j in sorted(cands):
-        if cfg.mode == "edit-dist":
-            value = edit_similarity_boost(src_words[i], tgt_words[j], model, cfg.scale)
-        else:
-            value = external_scorer_boost(src_words[i], tgt_words[j], table, cfg.scale)
-        if value > 0.0:
-            boost_src.append(i)
-            boost_tgt.append(j)
-            boost_val.append(value)
-    extras["boosted_pairs"] = len(boost_val)
-    boost = SimilarityBoost(
-        np.array(boost_src, np.int64), np.array(boost_tgt, np.int64), np.array(boost_val)
-    )
+    cands = sorted(cands)
+    words = [(src_words[i], tgt_words[j]) for i, j in cands]
+    if cfg.mode == "edit-dist":
+        unit = [edit_similarity_boost(x, z, model, 1.0) for x, z in words]
+    else:
+        table = load_scorer_table(cfg.scorer_table)
+        unit = [external_scorer_boost(x, z, table, 1.0) for x, z in words]
+    logger.info("seed %d: %d candidate pairs scored at c=1", seed, len(cands))
+    index = np.array(cands, np.int64)
+    return BoostStage(index[:, 0], index[:, 1], np.array(unit), extras)
+
+
+def _run_boosted(src, tgt, cfg, seed, stage, extras):
+    if cfg.scale < 0:
+        raise ValueError("scale must be non-negative")
+    values = cfg.scale * stage.unit
+    keep = values > 0.0
+    extras.update(stage.extras, boosted_pairs=int(keep.sum()))
+    boost = SimilarityBoost(stage.src[keep], stage.tgt[keep], values[keep])
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_BOOSTED))
     return run_self_learning(src, tgt, loop_cfg, boost=boost)
 
 
-def execute_run(cfg, seed):
-    """Run the configured mode and return the in-memory outcome."""
-    src_raw = load_embeddings(cfg.src_embeddings, cfg.max_vocab)
-    tgt_raw = load_embeddings(cfg.tgt_embeddings, cfg.max_vocab)
+def execute_run(cfg, seed, inputs=None, stages=None):
+    """Run the configured mode and return the in-memory outcome.
+
+    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, and
+    ``stages``, a dict from seed to the BoostStage of that seed, so that
+    calls differing only in ``cfg.scale`` load the inputs once and run the
+    c-independent stages once per seed. Without them everything is computed
+    afresh.
+    """
+    src, tgt = load_inputs(cfg) if inputs is None else inputs
     extras = {}
     if cfg.mode == "baseline":
-        result, _, _ = _run_plain(src_raw, tgt_raw, cfg, seed)
+        result = _run_plain(src, tgt, cfg, seed)
     elif cfg.mode == "ortho-ext":
-        result = _run_extended(src_raw, tgt_raw, cfg, seed, extras)
+        result = _run_extended(src, tgt, cfg, seed, extras)
     else:
-        result = _run_boosted(src_raw, tgt_raw, cfg, seed, extras)
-    src_words = src_raw.vocab.words
-    tgt_words = tgt_raw.vocab.words
+        stages = {} if stages is None else stages
+        if seed not in stages:
+            stages[seed] = boost_stage(src, tgt, cfg, seed)
+        result = _run_boosted(src, tgt, cfg, seed, stages[seed], extras)
+    src_words = src.vocab.words
+    tgt_words = tgt.vocab.words
     predictions = {
         src_words[int(i)]: tgt_words[int(j)]
         for i, j in zip(result.lexicon.src, result.lexicon.tgt)
@@ -259,8 +302,8 @@ def execute_run(cfg, seed):
         predictions=predictions,
         mean_cosine=float(result.lexicon_cosine.mean()),
         result=result,
-        src_vocab=src_raw.vocab,
-        tgt_vocab=tgt_raw.vocab,
+        src_vocab=src.vocab,
+        tgt_vocab=tgt.vocab,
         extras=extras,
     )
 
@@ -358,8 +401,13 @@ def run_sweep(cfg):
         raise ConfigError("output_dir is required")
     dev = load_ref_lexicon(cfg.dev_lexicon) if cfg.dev_lexicon else None
 
+    # Only the scale varies between the runs of a sweep: the inputs and,
+    # in the boosted modes, each seed's c-independent stage are shared.
+    inputs = load_inputs(cfg)
+    stages = {}
+
     def runner(scale, seed):
-        return execute_run(replace(cfg, scale=scale), seed)
+        return execute_run(replace(cfg, scale=scale), seed, inputs, stages)
 
     best, points = select_scaling_constant(
         runner,

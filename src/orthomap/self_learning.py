@@ -9,6 +9,7 @@ iteration with whitening produces the output maps and lexicon.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,15 +119,31 @@ def csls_adjust(block, row_means, col_means):
     return 2.0 * block - row_means[:, None] - col_means[None, :]
 
 
-def _keep_mask(seed, iteration, row, n, p_keep):
-    # Counter-based generator keyed per (seed, iteration, row): results do
-    # not depend on how rows are grouped into blocks. The 128-bit key packs
-    # iteration and row into the second word (both stay far below 2**32).
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, (iteration << 32) | row], dtype=np.uint64
-    )
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(n) < p_keep
+def _row_uniforms(seed, iteration):
+    """Return ``fill(lo, out)``, which writes row ``lo + r``'s uniforms into ``out[r]``.
+
+    Each row draws from a counter-based generator keyed per (seed,
+    iteration, row), starting at counter 0, so results do not depend on how
+    rows are grouped into blocks. The 128-bit key packs iteration and row
+    into the second word (both stay far below 2**32). One Philox is re-keyed
+    per row through its public state: a fresh one per row costs twice as
+    much, because each construction also reads OS entropy.
+    """
+    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], np.uint64))
+    gen = np.random.Generator(bitgen)
+    # A freshly keyed state: counter zeros, buffer empty (buffer_pos 4).
+    # Assigning it copies the values, so the dict itself stays fresh.
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+
+    def fill(lo, out):
+        for r in range(out.shape[0]):
+            key[1] = (iteration << 32) | (lo + r)
+            bitgen.state = fresh
+            gen.random(out=out[r])
+        return out
+
+    return fill
 
 
 def induce_dictionary(scores, state):
@@ -145,14 +162,15 @@ def induce_dictionary(scores, state):
     col_best = np.full(n_tgt, -np.inf)
     backward = np.full(n_tgt, -1, np.int64)
     stochastic = state.p_keep < 1.0
+    if stochastic:
+        fill = _row_uniforms(state.rng_seed, state.iteration)
+        draws = np.empty((min(_ROW_BLOCK, n_src), n_tgt))
     for lo in range(0, n_src, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_src)
         # A copy: the keep mask below writes into it.
         block = np.array(scores[lo:hi], dtype=np.float64)
         if stochastic:
-            for r in range(lo, hi):
-                keep = _keep_mask(state.rng_seed, state.iteration, r, n_tgt, state.p_keep)
-                block[r - lo, ~keep] = -np.inf
+            block[fill(lo, draws[: hi - lo]) >= state.p_keep] = -np.inf
         row_max = block.max(axis=1)
         valid = row_max > -np.inf
         forward[lo:hi][valid] = block[valid].argmax(axis=1)
@@ -215,6 +233,10 @@ def run_schedule(cfg, step_fn, seed=None):
                 f"no convergence within {cfg.max_iterations} iterations"
             )
         objective = step_fn(state)
+        if not math.isfinite(objective):
+            raise ConvergenceError(
+                f"non-finite objective {objective} at iteration {state.iteration}"
+            )
         state.objective = objective
         trace.append(TraceEntry(state.iteration, state.p_keep, objective))
         if objective - best >= cfg.objective_eps:

@@ -173,6 +173,14 @@ def similarity_block(src_emb, w_src, tgt_emb, w_tgt, row_range, col_range):
     return (src_emb.data[r0:r1] @ w_src) @ (tgt_emb.data[c0:c1] @ w_tgt).T
 
 
+def keep_mask(seed, iteration, row, n, p_keep):
+    """Keep mask of one row from a freshly constructed Philox keyed per
+    (seed, iteration, row): the reference for the re-keyed generator."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (iteration << 32) | row], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.random(n) < p_keep
+
+
 # The dense scoring path that self_learning replaced: a boost materialized
 # as a dense addend, the adjusted matrix recomputed from the final loop
 # maps, and retrieval in 1024-row blocks. Differential tests compare the

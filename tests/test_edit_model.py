@@ -242,6 +242,24 @@ class TestBoost:
             v = boost_from_log_prob(lp, int(rng.integers(1, 9)), 50, 70, 0.8)
             assert 0.0 <= v <= 0.8
 
+    def test_scale_factors_out_bitwise(self):
+        # A sweep scores each candidate once at c = 1 and multiplies by c;
+        # that must give the boost at c exactly, c = 0 included.
+        rng = np.random.default_rng(6)
+        cipher = dict(zip("abcdef", "uvwxyz"))
+        words = [
+            "".join(rng.choice(list("abcdef"), size=rng.integers(2, 7))) for _ in range(60)
+        ]
+        pairs = [(w, "".join(cipher[c] for c in w)) for w in words]
+        model = em_train(pairs, build_edit_alphabets(words, [z for _, z in pairs]), 2)
+        tests = pairs + [(x, z) for (x, _), (_, z) in zip(pairs, reversed(pairs))]
+        grid = [0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.4, 3.7]
+        units = [edit_similarity_boost(x, z, model, 1.0) for x, z in tests]
+        assert 0 < sum(u > 0.0 for u in units) < len(units)
+        for (x, z), unit in zip(tests, units):
+            for c in grid:
+                assert c * unit == edit_similarity_boost(x, z, model, c)
+
 
 class TestTransliterate:
     def test_forced_unigram_path(self):

@@ -80,6 +80,17 @@ class TestScorerBoost:
         table = ScorerTable({("a", "b"): 1e-12}, tgt_unigram_count=5)
         assert external_scorer_boost("a", "b", table, 0.4) == 0.0
 
+    def test_scale_factors_out_bitwise(self):
+        # A sweep scores each candidate once at c = 1 and multiplies by c;
+        # that must give the boost at c exactly, c = 0 included.
+        probs = [1e-9, 0.01, 0.02, 0.1, 0.3, 0.5, 0.77, 0.9, 1.0]
+        for count in (2, 7, 50):
+            table = ScorerTable({("a", f"t{k}"): p for k, p in enumerate(probs)}, count)
+            for k in range(len(probs) + 1):  # t{len(probs)} is absent
+                unit = external_scorer_boost("a", f"t{k}", table, 1.0)
+                for c in (0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.4, 3.7):
+                    assert c * unit == external_scorer_boost("a", f"t{k}", table, c)
+
     def test_load_table(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("dog\tсобака\t0.5\ncat\tкот\t1.0\n", encoding="utf-8")

@@ -1,13 +1,21 @@
 """Pipeline orchestration and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import orthomap
+from orthomap import pipeline
 from orthomap.cli import main
 from orthomap.corpus_io import load_ref_lexicon
 from orthomap.errors import ConfigError
-from orthomap.evaluation import precision_at_1
+from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
     DEFAULT_GRID,
     RunConfig,
@@ -15,6 +23,7 @@ from orthomap.pipeline import (
     execute_run,
     run_pipeline,
     run_sweep,
+    sweep_seeds,
 )
 
 
@@ -27,6 +36,16 @@ def base_config(bench, out_dir, **overrides):
     )
     cfg.update(overrides)
     return RunConfig(**cfg)
+
+
+def gold_scorer_table(bench, path):
+    """Scorer table giving every gold pair probability 0.9."""
+    gold = load_ref_lexicon(bench.gold_lexicon)
+    with open(path, "w", encoding="utf-8") as fh:
+        for src, targets in gold.pairs.items():
+            for tgt in targets:
+                fh.write(f"{src}\t{tgt}\t0.9\n")
+    return path
 
 
 class TestRunConfig:
@@ -132,18 +151,12 @@ class TestRunPipeline:
         assert outcome.eval_report.p_at_1 >= 0.95
 
     def test_external_scorer_mode(self, tiny_benchmark, tmp_path):
-        gold = load_ref_lexicon(tiny_benchmark.gold_lexicon)
-        table = tmp_path / "scores.tsv"
-        with open(table, "w", encoding="utf-8") as fh:
-            for src, targets in gold.pairs.items():
-                for tgt in targets:
-                    fh.write(f"{src}\t{tgt}\t0.9\n")
         cfg = base_config(
             tiny_benchmark,
             tmp_path / "run",
             mode="external-scorer",
             scale=0.4,
-            scorer_table=str(table),
+            scorer_table=str(gold_scorer_table(tiny_benchmark, tmp_path / "scores.tsv")),
             test_lexicon=str(tiny_benchmark.gold_lexicon),
         )
         outcome = run_pipeline(cfg)
@@ -187,6 +200,84 @@ class TestSweep:
         best, points = run_sweep(cfg)
         assert best in (0.1, 0.2)
         assert all(len(p.values) == 1 for p in points)
+
+
+class TestStagedSweep:
+    """A sweep computes the c-independent stages of a boosted run once per seed."""
+
+    @pytest.mark.parametrize("mode", ["edit-dist", "external-scorer"])
+    def test_matches_fresh_runs(self, tiny_benchmark, tmp_path, monkeypatch, mode):
+        table = gold_scorer_table(tiny_benchmark, tmp_path / "scores.tsv")
+        cfg = base_config(
+            tiny_benchmark,
+            tmp_path / "sweep",
+            mode=mode,
+            scorer_table=str(table),
+            dev_lexicon=str(tiny_benchmark.gold_lexicon),
+            grid=[0.0, 0.4],
+            runs_per_c=2,
+        )
+        swept = {}
+
+        def recording_run(run_cfg, seed, *shared):
+            swept[run_cfg.scale, seed] = execute_run(run_cfg, seed, *shared)
+            return swept[run_cfg.scale, seed]
+
+        monkeypatch.setattr(pipeline, "execute_run", recording_run)
+        _, points = run_sweep(cfg)
+
+        fresh = {
+            (c, seed): execute_run(replace(cfg, scale=c), seed)
+            for c in cfg.grid
+            for seed in sweep_seeds(cfg)
+        }
+        assert swept.keys() == fresh.keys()
+        for key, outcome in fresh.items():
+            got = swept[key]
+            assert got.predictions == outcome.predictions
+            assert got.result.trace == outcome.result.trace
+            assert (got.result.lexicon.tgt == outcome.result.lexicon.tgt).all()
+            assert (got.result.lexicon_cosine == outcome.result.lexicon_cosine).all()
+            assert got.extras.pop("edit_model").theta == outcome.extras.pop("edit_model").theta
+            assert got.extras == outcome.extras
+        assert swept[0.0, 4].extras["boosted_pairs"] == 0 < fresh[0.4, 4].extras["boosted_pairs"]
+        _, expected = select_scaling_constant(
+            lambda c, seed: fresh[c, seed],
+            cfg.grid,
+            cfg.criterion,
+            runs_per_c=2,
+            seeds=sweep_seeds(cfg),
+            dev=load_ref_lexicon(cfg.dev_lexicon),
+        )
+        assert points == expected
+
+    def test_stages_run_once_per_seed(self, tiny_benchmark, tmp_path, monkeypatch):
+        # Counting wrappers on the module globals, where the benchmark's
+        # spans also wrap these calls.
+        calls = Counter()
+        for name in ("execute_run", "load_embeddings", "em_train", "candidate_pairs",
+                     "run_self_learning"):
+            def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        cfg = base_config(
+            tiny_benchmark,
+            tmp_path / "sweep",
+            mode="edit-dist",
+            criterion="objective",
+            grid=[0.2, 0.5],
+            runs_per_c=2,
+        )
+        run_sweep(cfg)
+        assert calls == {
+            "execute_run": 4,
+            "load_embeddings": 2,
+            "em_train": 2,
+            "candidate_pairs": 2,
+            "run_self_learning": 2 + 4,
+        }
 
 
 class TestCli:
@@ -341,6 +432,18 @@ class TestCli:
         bad = tmp_path / "bad.vec"
         bad.write_text("2 3\nw0 0 1 x\nw1 1 0 0\n", encoding="utf-8")
         assert self.sweep_exit_code(tiny_benchmark, bad, tmp_path) == 3
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # The CLI sets the BLAS thread variables in main(); numpy must not have
+    # started its backend before then.
+    code = (
+        "import sys, orthomap.cli; assert 'numpy' not in sys.modules; "
+        "from orthomap import LoopConfig, load_embeddings, run_self_learning"
+    )
+    src = str(Path(orthomap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_predictions_agree_with_lexicon_file(tiny_benchmark, tmp_path):

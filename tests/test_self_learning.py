@@ -1,5 +1,7 @@
 """Dictionary induction, the rescaling discount, scheduling, and full runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from oracles import (
     adjusted_similarity,
     dense_induction,
     dense_retrieval,
+    keep_mask,
     objective_value,
     random_orthogonal,
 )
@@ -135,6 +138,26 @@ class TestInduceDictionary:
         with pytest.raises(ValueError):
             induce(np.zeros((0, 0)))
 
+    def test_row_uniforms_match_per_row_generators(self):
+        # Rows on both sides of the 1024-row block boundary, seeds past 2**63.
+        for seed in (0, 77, 2**63, 2**64 - 1):
+            for iteration in (1, 2, 613):
+                draws = self_learning._row_uniforms(seed, iteration)(1000, np.empty((40, 33)))
+                for p_keep in (0.1, 0.4, 0.8):
+                    for r in range(40):
+                        expected = keep_mask(seed, iteration, 1000 + r, 33, p_keep)
+                        assert np.array_equal(draws[r] < p_keep, expected)
+
+    @pytest.mark.parametrize("p_keep", [0.1, 0.5, 0.8])
+    def test_masked_induction_matches_per_row_masks(self, p_keep):
+        rng = np.random.default_rng(9)
+        sim = rng.standard_normal((1100, 150))
+        masked = sim.copy()
+        for r in range(len(sim)):
+            masked[r, ~keep_mask(2**63 + 5, 4, r, 150, p_keep)] = -np.inf
+        d = induce(sim, p_keep=p_keep, seed=2**63 + 5, iteration=4)
+        assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_induction(masked)
+
 
 class TestInitDictionary:
     def test_identical_spaces_give_identity(self):
@@ -232,6 +255,14 @@ class TestSchedule:
         cfg = LoopConfig(max_iterations=30)
         with pytest.raises(ConvergenceError):
             run_schedule(cfg, lambda s: float(s.iteration))  # always improving
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_raises(self, bad):
+        # Without the check, NaN would count as a stall and the run would
+        # finish on it.
+        cfg = LoopConfig(stall_window=2, p_init=1.0)
+        with pytest.raises(ConvergenceError, match="at iteration 3"):
+            run_schedule(cfg, lambda s: bad if s.iteration == 3 else 1.0)
 
 
 def cipher_pair(rng, n, dim, noise=0.0):
