@@ -111,11 +111,15 @@ def _cmd_induce(args):
 
 
 def _cmd_sweep(args):
+    from .errors import ConfigError
     from .pipeline import run_sweep
 
     extra = {}
     if args.grid:
-        extra["grid"] = [float(v) for v in args.grid.split(",") if v.strip()]
+        try:
+            extra["grid"] = [float(v) for v in args.grid.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"malformed --grid {args.grid!r}") from None
     if args.criterion:
         extra["criterion"] = args.criterion
     if args.runs_per_c is not None:

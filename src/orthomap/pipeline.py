@@ -15,6 +15,7 @@ model, candidates scored at c = 1) once per seed, then one boosted loop per
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,6 +57,10 @@ def derive_seed(master, phase):
     """Stable per-phase seed so reruns of any mode share their main loop."""
     state = np.random.SeedSequence([int(master), int(phase)]).generate_state(1, np.uint64)
     return int(state[0])
+
+
+def _valid_scale(c):
+    return math.isfinite(c) and c >= 0.0
 
 
 @dataclass
@@ -103,8 +108,8 @@ class RunConfig:
     def validate(self, for_sweep=False):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.scale < 0:
-            raise ConfigError("scale must be non-negative")
+        if not _valid_scale(self.scale):
+            raise ConfigError(f"scale must be finite and non-negative, got {self.scale}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
@@ -136,6 +141,9 @@ class RunConfig:
         if for_sweep:
             if not self.grid:
                 raise ConfigError("sweep requires a non-empty grid")
+            bad = [c for c in self.grid if not _valid_scale(c)]
+            if bad:
+                raise ConfigError(f"grid values must be finite and non-negative, got {bad}")
             if self.criterion not in CRITERIA:
                 raise ConfigError(f"unknown criterion {self.criterion!r}")
             if self.criterion == "dev-accuracy" and not self.dev_lexicon:

@@ -6,6 +6,13 @@ bidirectional dictionary from it, zeroing entries stochastically to force
 exploration. The keep probability starts small and doubles whenever the
 objective stalls; once it reaches 1 and stalls again, a modified final
 iteration with whitening produces the output maps and lexicon.
+
+The initial dictionary, every iteration and the final retrieval share one
+nearest-neighbour kernel. It never holds a whole score matrix: ScoreTiles
+builds the matrix one row tile at a time from its factors, csls_means reads
+the tiles once for the hubness statistics (pass 1), and _best_entries
+rebuilds them, adjusts, boosts and masks each one, and reduces it to the
+best entry of every row and column (pass 2).
 """
 
 import logging
@@ -21,7 +28,9 @@ from .ortho_extension import strip_extension
 
 logger = logging.getLogger(__name__)
 
-_ROW_BLOCK = 1024
+# Bytes of float64 scores per row tile: the kernel's working set is a few
+# tiles plus O(n * csls_k), whatever the vocabulary sizes.
+_TILE_BYTES = 4 << 20
 
 
 @dataclass
@@ -52,7 +61,11 @@ class LoopConfig:
 
 @dataclass
 class TrainState:
-    """Mutable loop state; the induction step reads it for seeding."""
+    """Mutable loop state; the induction step reads it for seeding.
+
+    induce_dictionary records its dictionary here, with the adjusted score
+    of each entry before masking.
+    """
 
     p_keep: float
     rng_seed: int
@@ -60,6 +73,7 @@ class TrainState:
     stall_counter: int = 0
     objective: float = float("-inf")
     dictionary: SparseDictionary | None = None
+    dictionary_scores: np.ndarray | None = None
 
 
 @dataclass
@@ -103,20 +117,101 @@ class SimilarityBoost:
         np.add.at(block, (self.src[a:b] - lo, self.tgt[a:b]), self.values[a:b])
 
 
+def _tile_rows(n_cols):
+    return max(1, _TILE_BYTES // (8 * n_cols))
+
+
+class ScoreTiles:
+    """A score matrix that exists one row tile at a time.
+
+    ``build(lo, hi, out)`` writes rows [lo, hi) into ``out``. Tiles have
+    _tile_rows(n_cols) rows and share one buffer, so a matrix that fits one
+    tile is built once however many passes read it.
+    """
+
+    def __init__(self, n_rows, n_cols, build):
+        if n_rows == 0 or n_cols == 0:
+            raise ValueError("empty vocabulary")
+        self.shape = (n_rows, n_cols)
+        self.tile_shape = (min(n_rows, _tile_rows(n_cols)), n_cols)
+        self._build = build
+        self._buffer = np.empty(self.tile_shape)
+        self._held = None  # first row of the tile the buffer holds as built
+
+    def tiles(self, stop=None, consume=False):
+        """Yield (lo, hi, tile) for every row tile that starts below ``stop``.
+
+        A tile is valid until the next one is yielded; with ``consume`` the
+        caller may overwrite it.
+        """
+        n_rows, step = self.shape[0], self.tile_shape[0]
+        for lo in range(0, n_rows if stop is None else stop, step):
+            hi = min(lo + step, n_rows)
+            tile = self._buffer[: hi - lo]
+            if self._held != lo:
+                self._build(lo, hi, tile)
+            self._held = None if consume else lo
+            yield lo, hi, tile
+
+
+def _product(left, right):
+    """ScoreTiles of ``left @ right.T``."""
+    right_t = right.T
+    return ScoreTiles(
+        len(left), len(right), lambda lo, hi, out: np.matmul(left[lo:hi], right_t, out=out)
+    )
+
+
 def topk_row_mean(sim, k):
     """Mean of the k largest entries of each row."""
     k = min(k, sim.shape[1])
     return np.partition(sim, -k, axis=1)[:, -k:].mean(axis=1)
 
 
-def csls_means(sim, k):
-    """Per-source and per-target nearest-neighbour mean similarities."""
-    return topk_row_mean(sim, k), topk_row_mean(sim.T, k)
+def _top_rows(block, k):
+    """The k largest entries of each column of ``block`` (all of them when
+    it has at most k rows), in the order np.partition leaves them."""
+    k = min(k, len(block))
+    return np.partition(block, -k, axis=0)[-k:].copy()
 
 
-def csls_adjust(block, row_means, col_means):
-    """Hubness-corrected similarities: 2*S(i,j) - row_mean_i - col_mean_j."""
-    return 2.0 * block - row_means[:, None] - col_means[None, :]
+def csls_means(scores, k, stats_rows=None, row_means=True):
+    """Pass 1: per-source and per-target nearest-neighbour mean similarities.
+
+    Returns (row means, column means) of the ScoreTiles ``scores``. A row
+    mean averages the k largest entries of the full row (None unless
+    ``row_means``); a column mean those among the column's first
+    ``stats_rows`` rows (all rows by default): each tile's top k per column
+    merges into a running (k x n_cols) array. When those rows lie in one
+    tile, this partitions and sums exactly as topk_row_mean on the dense
+    transposed matrix; across tiles it sums the same values in another
+    order.
+    """
+    n_rows = scores.shape[0]
+    stop = n_rows if stats_rows is None else stats_rows
+    col_k = min(k, stop)
+    rows = np.empty(n_rows) if row_means else None
+    top = None
+    for lo, hi, tile in scores.tiles(None if row_means else stop):
+        if rows is not None:
+            rows[lo:hi] = topk_row_mean(tile, k)
+        if lo < stop:
+            part = _top_rows(tile[: stop - lo], col_k)
+            top = part if top is None else _top_rows(np.concatenate([top, part]), col_k)
+    return rows, top.mean(axis=0)
+
+
+def csls_adjust(block, row_means, col_means, out=None):
+    """Hubness-corrected similarities: 2*S(i,j) - row_mean_i - col_mean_j.
+
+    ``row_means`` may be None, as a per-row constant does not move a row's
+    argmax. The result goes to ``out`` (which may be ``block``) when given.
+    """
+    out = np.multiply(block, 2.0, out=out)
+    if row_means is not None:
+        out -= row_means[:, None]
+    out -= col_means[None, :]
+    return out
 
 
 def _row_uniforms(seed, iteration):
@@ -124,7 +219,7 @@ def _row_uniforms(seed, iteration):
 
     Each row draws from a counter-based generator keyed per (seed,
     iteration, row), starting at counter 0, so results do not depend on how
-    rows are grouped into blocks. The 128-bit key packs iteration and row
+    rows are grouped into tiles. The 128-bit key packs iteration and row
     into the second word (both stay far below 2**32). One Philox is re-keyed
     per row through its public state: a fresh one per row costs twice as
     much, because each construction also reads OS entropy.
@@ -146,48 +241,90 @@ def _row_uniforms(seed, iteration):
     return fill
 
 
-def induce_dictionary(scores, state):
-    """Bidirectional dictionary from an adjusted similarity matrix.
+def _best_entries(scores, means=None, boost=None, state=None, backward=True, cosines=False):
+    """Pass 2: the best entry of every row and of every column.
 
-    ``scores`` holds the rescaled, boost-augmented similarities of every
-    source (row) to every target (column); it is read in row blocks and
-    never modified. Entries are zeroed with probability 1 - p_keep (seeded
-    per row); each source picks its best kept target and vice versa, and
-    mutual choices get weight 2.
+    Each tile of the ScoreTiles ``scores`` is rebuilt, adjusted by
+    ``means`` (row means or None, column means), boosted, and masked: with
+    state.p_keep < 1, entries are dropped with probability 1 - p_keep,
+    seeded per row. Returns (row argmax, row max, column argmax, column max,
+    cosines). Columns merge across tiles with a strict ``>``, so the
+    earliest row wins a tie, as in a dense argmax; a column with every
+    entry dropped keeps argmax -1. With ``backward`` False the column
+    arrays are not computed (-1 and -inf throughout); with ``cosines`` the
+    last array holds each row's unadjusted score at its argmax, else it is
+    None.
     """
-    n_src, n_tgt = scores.shape
-    if n_src == 0 or n_tgt == 0:
-        raise ValueError("empty vocabulary")
-    forward = np.full(n_src, -1, np.int64)
-    col_best = np.full(n_tgt, -np.inf)
-    backward = np.full(n_tgt, -1, np.int64)
-    stochastic = state.p_keep < 1.0
+    n_rows, n_cols = scores.shape
+    forward = np.empty(n_rows, np.int64)
+    row_best = np.empty(n_rows)
+    col_arg = np.full(n_cols, -1, np.int64)
+    col_best = np.full(n_cols, -np.inf)
+    cos = np.empty(n_rows) if cosines else None
+    adjusted = np.empty(scores.tile_shape) if cosines else None
+    stochastic = state is not None and state.p_keep < 1.0
     if stochastic:
         fill = _row_uniforms(state.rng_seed, state.iteration)
-        draws = np.empty((min(_ROW_BLOCK, n_src), n_tgt))
-    for lo in range(0, n_src, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n_src)
-        # A copy: the keep mask below writes into it.
-        block = np.array(scores[lo:hi], dtype=np.float64)
+        draws = np.empty(scores.tile_shape)
+    for lo, hi, tile in scores.tiles(consume=True):
+        block = tile
+        if means is not None:
+            row_means, col_means = means
+            block = csls_adjust(
+                tile,
+                None if row_means is None else row_means[lo:hi],
+                col_means,
+                out=tile if adjusted is None else adjusted[: hi - lo],
+            )
+        if boost is not None:
+            boost.add_to(block, lo)
         if stochastic:
             block[fill(lo, draws[: hi - lo]) >= state.p_keep] = -np.inf
-        row_max = block.max(axis=1)
-        valid = row_max > -np.inf
-        forward[lo:hi][valid] = block[valid].argmax(axis=1)
-        blk_arg = block.argmax(axis=0)
-        blk_max = block[blk_arg, np.arange(n_tgt)]
-        better = blk_max > col_best
-        col_best[better] = blk_max[better]
-        backward[better] = blk_arg[better] + lo
-    src_fwd = np.nonzero(forward >= 0)[0]
+        rows = np.arange(hi - lo)
+        arg = block.argmax(axis=1)
+        forward[lo:hi] = arg
+        row_best[lo:hi] = block[rows, arg]
+        if cos is not None:
+            cos[lo:hi] = tile[rows, arg]
+        if backward:
+            blk_arg = block.argmax(axis=0)
+            blk_max = block[blk_arg, np.arange(n_cols)]
+            better = blk_max > col_best
+            col_best[better] = blk_max[better]
+            col_arg[better] = blk_arg[better] + lo
+    return forward, row_best, col_arg, col_best, cos
+
+
+def induce_dictionary(scores, state, means=None, boost=None):
+    """Bidirectional dictionary from a ScoreTiles matrix.
+
+    Scores are adjusted by ``means``, boosted and masked as in
+    _best_entries; each source picks its best kept target and vice versa,
+    and mutual choices get weight 2. The dictionary and each entry's score
+    before masking are also stored in ``state``.
+    """
+    n_src, n_tgt = scores.shape
+    forward, row_best, backward, col_best, _ = _best_entries(scores, means, boost, state)
+    src_fwd = np.nonzero(row_best > -np.inf)[0]
     tgt_bwd = np.nonzero(backward >= 0)[0]
     src = np.concatenate([src_fwd, backward[tgt_bwd]])
     tgt = np.concatenate([forward[src_fwd], tgt_bwd])
     if len(src) == 0:
         raise ValueError("no dictionary entries induced (all similarities zeroed)")
+    best = np.concatenate([row_best[src_fwd], col_best[tgt_bwd]])
     codes = src * n_tgt + tgt
-    uniq, weight = np.unique(codes, return_counts=True)
-    return SparseDictionary(uniq // n_tgt, uniq % n_tgt, weight, n_src, n_tgt)
+    uniq, first, weight = np.unique(codes, return_index=True, return_counts=True)
+    state.dictionary = SparseDictionary(uniq // n_tgt, uniq % n_tgt, weight, n_src, n_tgt)
+    state.dictionary_scores = best[first]
+    return state.dictionary
+
+
+def _signatures(rows, block):
+    """Similarities of ``rows`` to every row of ``block``, each row sorted
+    in descending order and length-normalized."""
+    sim = rows @ block.T
+    sim.sort(axis=1)
+    return normalize_rows(sim[:, ::-1])
 
 
 def init_dictionary_unsupervised(src_emb, tgt_emb, cutoff):
@@ -196,20 +333,26 @@ def init_dictionary_unsupervised(src_emb, tgt_emb, cutoff):
     Each word is described by the sorted, length-normalized vector of its
     within-language similarities over the top-cutoff words; words are then
     matched across languages by nearest neighbour on these signatures.
+    The target signatures are the one cutoff x cutoff array held; source
+    signatures are built per tile.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     if cutoff > len(src_emb.vocab) or cutoff > len(tgt_emb.vocab):
         raise ValueError("cutoff exceeds a vocabulary size")
-    signatures = []
-    for emb in (src_emb, tgt_emb):
-        block = emb.data[:cutoff]
-        sim = block @ block.T
-        sim = np.sort(sim, axis=1)[:, ::-1]
-        signatures.append(normalize_rows(sim))
-    sim = signatures[0] @ signatures[1].T
+    x_cut = src_emb.data[:cutoff]
+    z_cut = tgt_emb.data[:cutoff]
+    tgt_sig = np.empty((cutoff, cutoff))
+    step = _tile_rows(cutoff)
+    for lo in range(0, cutoff, step):
+        tgt_sig[lo : lo + step] = _signatures(z_cut[lo : lo + step], z_cut)
+    tgt_sig_t = tgt_sig.T
+
+    def build(lo, hi, out):
+        np.matmul(_signatures(x_cut[lo:hi], x_cut), tgt_sig_t, out=out)
+
     state = TrainState(p_keep=1.0, rng_seed=0, iteration=0)
-    return induce_dictionary(sim, state)
+    return induce_dictionary(ScoreTiles(cutoff, cutoff, build), state)
 
 
 def run_schedule(cfg, step_fn, seed=None):
@@ -290,26 +433,18 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, 
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
 
-    holder = {"dict": init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)}
+    init = init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
 
     def step(state):
-        d = holder["dict"]
+        d = init if state.dictionary is None else state.dictionary
         u, s, vt = weighted_cross_svd(x, z, d)
-        w_src, w_tgt = u, vt.T
         objective = float(s.sum() / d.weight_sum)
-        sim = (x_cut @ w_src) @ (z_cut @ w_tgt).T
-        row_means, col_means = csls_means(sim, cfg.csls_k)
-        adjusted = csls_adjust(sim, row_means, col_means)
-        if boost is not None:
-            boost.add_to(adjusted, 0)
-        new_d = induce_dictionary(adjusted, state)
-        holder["dict"] = new_d
-        holder["scores"] = adjusted[new_d.src, new_d.tgt]
-        state.dictionary = new_d
+        scores = _product(x_cut @ u, z_cut @ vt.T)
+        induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost)
         return objective
 
     state, trace = run_schedule(cfg, step, seed=loop_seed)
-    loop_dict = holder["dict"]
+    loop_dict = state.dictionary
 
     # Modified final iteration: strip any extension, whiten both sides over
     # the training rows, solve, reweight by sqrt of the singular values and
@@ -341,7 +476,7 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, 
         lexicon_cosine=cosines,
         trace=trace,
         loop_dictionary=loop_dict,
-        loop_dictionary_scores=holder["scores"],
+        loop_dictionary_scores=state.dictionary_scores,
         state=state,
     )
 
@@ -359,25 +494,13 @@ def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None):
     zm = normalize_rows(tgt_emb.data @ w_tgt)
     n_src, n_tgt = xm.shape[0], zm.shape[0]
     cutoff = min(cfg.train_cutoff, n_src, n_tgt)
-    k = min(cfg.csls_k, cutoff)
-
-    x_cut = xm[:cutoff]
-    col_means = np.empty(n_tgt)
-    for lo in range(0, n_tgt, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n_tgt)
-        col_means[lo:hi] = topk_row_mean((x_cut @ zm[lo:hi].T).T, k)
-
-    tgt_idx = np.empty(n_src, np.int64)
-    cosines = np.empty(n_src)
-    for lo in range(0, n_src, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n_src)
-        sim = xm[lo:hi] @ zm.T
-        scores = 2.0 * sim - col_means[None, :]
-        if boost is not None:
-            boost.add_to(scores, lo)
-        arg = scores.argmax(axis=1)
-        tgt_idx[lo:hi] = arg
-        cosines[lo:hi] = sim[np.arange(hi - lo), arg]
+    scores = _product(xm, zm)
+    _, col_means = csls_means(
+        scores, min(cfg.csls_k, cutoff), stats_rows=cutoff, row_means=False
+    )
+    tgt_idx, _, _, _, cosines = _best_entries(
+        scores, (None, col_means), boost, backward=False, cosines=True
+    )
     lexicon = SparseDictionary(
         np.arange(n_src), tgt_idx, np.ones(n_src, np.int64), n_src, n_tgt
     )

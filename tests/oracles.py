@@ -181,12 +181,34 @@ def keep_mask(seed, iteration, row, n, p_keep):
     return gen.random(n) < p_keep
 
 
-# The dense scoring path that self_learning replaced: a boost materialized
-# as a dense addend, the adjusted matrix recomputed from the final loop
-# maps, and retrieval in 1024-row blocks. Differential tests compare the
-# sparse, single-pass code against it with exact equality.
+# The dense scoring path that self_learning replaced: whole cutoff x
+# cutoff matrices, a boost materialized as a dense addend, and retrieval in
+# 1024-row blocks. Differential tests compare the tiled kernel against it.
+# It imports nothing from self_learning, so the reference does not move
+# with the code it checks.
 
 _ROW_BLOCK = 1024
+
+
+def normalize_rows(matrix):
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return matrix / np.where(norms > 0.0, norms, 1.0)
+
+
+def topk_row_mean(sim, k):
+    """Mean of the k largest entries of each row."""
+    k = min(k, sim.shape[1])
+    return np.partition(sim, -k, axis=1)[:, -k:].mean(axis=1)
+
+
+def csls_means(sim, k):
+    """Per-source and per-target nearest-neighbour mean similarities."""
+    return topk_row_mean(sim, k), topk_row_mean(sim.T, k)
+
+
+def csls_adjust(block, row_means, col_means):
+    """Hubness-corrected similarities: 2*S(i,j) - row_mean_i - col_mean_j."""
+    return 2.0 * block - row_means[:, None] - col_means[None, :]
 
 
 def dense_boost(boost, lo, hi, n_cols):
@@ -201,8 +223,6 @@ def dense_boost(boost, lo, hi, n_cols):
 
 def adjusted_similarity(x_cut, z_cut, w_src, w_tgt, csls_k, boost=None):
     """Rescaled, boosted similarity matrix over the training cutoff."""
-    from orthomap.self_learning import csls_adjust, csls_means
-
     sim = (x_cut @ w_src) @ (z_cut @ w_tgt).T
     row_means, col_means = csls_means(sim, csls_k)
     adjusted = csls_adjust(sim, row_means, col_means)
@@ -214,21 +234,31 @@ def adjusted_similarity(x_cut, z_cut, w_src, w_tgt, csls_k, boost=None):
 def dense_induction(scores):
     """Bidirectional dictionary by full argmax over rows and columns.
 
-    Returns {(source, target): weight}; mutual choices weigh 2.
+    Returns {(source, target): weight}; mutual choices weigh 2. Rows and
+    columns whose entries are all -inf (masked out) choose nothing.
     """
     pairs = {}
     for i, j in enumerate(scores.argmax(axis=1)):
-        pairs[(i, int(j))] = pairs.get((i, int(j)), 0) + 1
+        if scores[i, j] > -np.inf:
+            pairs[(i, int(j))] = pairs.get((i, int(j)), 0) + 1
     for j, i in enumerate(scores.argmax(axis=0)):
-        pairs[(int(i), j)] = pairs.get((int(i), j), 0) + 1
+        if scores[i, j] > -np.inf:
+            pairs[(int(i), j)] = pairs.get((int(i), j), 0) + 1
     return pairs
+
+
+def dense_init(src_data, tgt_data, cutoff):
+    """Signature-matching seed dictionary over whole cutoff x cutoff matrices."""
+    signatures = []
+    for data in (src_data, tgt_data):
+        block = data[:cutoff]
+        sim = np.sort(block @ block.T, axis=1)[:, ::-1]
+        signatures.append(normalize_rows(sim))
+    return dense_induction(signatures[0] @ signatures[1].T)
 
 
 def dense_retrieval(src_emb, tgt_emb, w_src, w_tgt, train_cutoff, csls_k, boost=None):
     """Full-vocabulary retrieval; returns (target index, cosine) per source."""
-    from orthomap.numerics import normalize_rows
-    from orthomap.self_learning import topk_row_mean
-
     xm = normalize_rows(src_emb.data @ w_src)
     zm = normalize_rows(tgt_emb.data @ w_tgt)
     n_src, n_tgt = xm.shape[0], zm.shape[0]

@@ -428,6 +428,38 @@ class TestCli:
         assert code == 4
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("sweep", ("--mode", "edit-dist", "--grid=-0.1,0.2")),
+            ("sweep", ("--mode", "edit-dist", "--grid=0.2,abc")),
+            ("sweep", ("--mode", "edit-dist", "--grid=nan")),
+            ("induce", ("--mode", "ortho-ext", "--scale", "nan")),
+            ("induce", ("--mode", "ortho-ext", "--scale", "inf")),
+            ("induce", ("--mode", "edit-dist", "--scale", "nan")),
+        ],
+        ids=["grid-negative", "grid-unparsable", "grid-nan", "ortho-ext-scale-nan",
+             "ortho-ext-scale-inf", "edit-dist-scale-nan"],
+    )
+    def test_bad_scale_exits_before_reading_input(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, command, options
+    ):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input read before the configuration was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        code = self.run_cli(
+            command,
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--dev", tiny_benchmark.gold_lexicon,
+            "--output-dir", tmp_path / "out",
+            *options,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_malformed_embeddings_exit_code(self, tiny_benchmark, tmp_path):
         bad = tmp_path / "bad.vec"
         bad.write_text("2 3\nw0 0 1 x\nw1 1 0 0\n", encoding="utf-8")

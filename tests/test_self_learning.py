@@ -1,6 +1,7 @@
 """Dictionary induction, the rescaling discount, scheduling, and full runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from orthomap.numerics import normalize_embeddings, weighted_cross_svd
 from orthomap.ortho_extension import strip_extension
 from orthomap.self_learning import (
     LoopConfig,
+    ScoreTiles,
     SimilarityBoost,
     TrainState,
     csls_adjust,
@@ -24,7 +26,11 @@ from orthomap.self_learning import (
 )
 from oracles import (
     adjusted_similarity,
+    csls_adjust as dense_csls_adjust,
+    csls_means as dense_csls_means,
+    dense_boost,
     dense_induction,
+    dense_init,
     dense_retrieval,
     keep_mask,
     objective_value,
@@ -37,16 +43,21 @@ def emb(data, prefix="w"):
     return EmbeddingMatrix(Vocabulary([f"{prefix}{i}" for i in range(len(data))]), data)
 
 
-def induce(sim, p_keep=1.0, seed=0, iteration=1):
+def dense_tiles(sim):
+    """ScoreTiles whose tiles are copied out of a whole matrix."""
     sim = np.asarray(sim, dtype=float)
+    return ScoreTiles(*sim.shape, lambda lo, hi, out: np.copyto(out, sim[lo:hi]))
+
+
+def induce(sim, p_keep=1.0, seed=0, iteration=1):
     state = TrainState(p_keep=p_keep, rng_seed=seed, iteration=iteration)
-    return induce_dictionary(sim, state)
+    return induce_dictionary(dense_tiles(sim), state)
 
 
 class TestCslsAdjust:
     def test_worked_example(self):
         sim = np.array([[1.0, 0.5], [0.5, 1.0]])
-        row_means, col_means = csls_means(sim, 1)
+        row_means, col_means = csls_means(dense_tiles(sim), 1)
         np.testing.assert_array_equal(row_means, [1, 1])
         np.testing.assert_array_equal(col_means, [1, 1])
         adjusted = csls_adjust(sim, row_means, col_means)
@@ -55,7 +66,7 @@ class TestCslsAdjust:
 
     def test_constant_matrix_stays_constant(self):
         sim = np.full((3, 3), 0.25)
-        adjusted = csls_adjust(sim, *csls_means(sim, 2))
+        adjusted = csls_adjust(sim, *csls_means(dense_tiles(sim), 2))
         assert np.ptp(adjusted) == 0.0
 
     def test_row_shift_cancels(self):
@@ -64,10 +75,10 @@ class TestCslsAdjust:
         # argmax stays put.
         rng = np.random.default_rng(0)
         sim = rng.standard_normal((4, 5))
-        row_means, col_means = csls_means(sim, 2)
+        row_means, col_means = csls_means(dense_tiles(sim), 2)
         shifted = sim.copy()
         shifted[2] += 0.7
-        row_means2, _ = csls_means(shifted, 2)
+        row_means2, _ = csls_means(dense_tiles(shifted), 2)
         assert row_means2[2] == pytest.approx(row_means[2] + 0.7, abs=1e-12)
         a = csls_adjust(sim, row_means, col_means)
         b = csls_adjust(shifted, row_means2, col_means)
@@ -149,12 +160,12 @@ class TestInduceDictionary:
                         assert np.array_equal(draws[r] < p_keep, expected)
 
     @pytest.mark.parametrize("p_keep", [0.1, 0.5, 0.8])
-    def test_masked_induction_matches_per_row_masks(self, p_keep):
+    def test_masked_induction_matches_per_row_masks(self, monkeypatch, p_keep):
+        # Tiles of 1024 rows: the last one holds rows 1024-1099.
+        monkeypatch.setattr(self_learning, "_TILE_BYTES", 1024 * 8 * 150)
         rng = np.random.default_rng(9)
         sim = rng.standard_normal((1100, 150))
-        masked = sim.copy()
-        for r in range(len(sim)):
-            masked[r, ~keep_mask(2**63 + 5, 4, r, 150, p_keep)] = -np.inf
+        masked = masked_like_kernel(sim, TrainState(p_keep=p_keep, rng_seed=2**63 + 5, iteration=4))
         d = induce(sim, p_keep=p_keep, seed=2**63 + 5, iteration=4)
         assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_induction(masked)
 
@@ -347,11 +358,55 @@ def run_with_loop_maps(monkeypatch, src, tgt, cfg, boost=None):
     return result, u, vt.T
 
 
-class TestDenseOracle:
-    """The single scoring pass against the dense path it replaced."""
+def whole_product(left, right):
+    """ScoreTiles of ``left @ right.T`` computed as one product.
 
-    @pytest.mark.parametrize("boosted", [False, True])
-    def test_matches_dense_path(self, monkeypatch, boosted):
+    BLAS may round an entry differently depending on the row count of the
+    product it belongs to, so tiles copied out of one product are what
+    makes exact comparisons with the dense oracle meaningful.
+    """
+    full = left @ right.T
+    return ScoreTiles(len(left), len(right), lambda lo, hi, out: np.copyto(out, full[lo:hi]))
+
+
+def tile_budget(monkeypatch, n_cols, tile_rows):
+    """Give matrices with ``n_cols`` columns tiles of ``tile_rows`` rows."""
+    if tile_rows is not None:
+        monkeypatch.setattr(self_learning, "_TILE_BYTES", 8 * n_cols * tile_rows)
+
+
+def masked_like_kernel(adjusted, state):
+    """A copy of ``adjusted`` with the entries the keep mask of ``state``
+    drops set to -inf, drawn from the oracle's per-row generators."""
+    masked = adjusted.copy()
+    if state.p_keep < 1.0:
+        for r in range(len(masked)):
+            keep = keep_mask(state.rng_seed, state.iteration, r, masked.shape[1], state.p_keep)
+            masked[r, ~keep] = -np.inf
+    return masked
+
+
+class TestDenseOracle:
+    """The tiled kernel against the dense path it replaced.
+
+    ``tile_rows`` None leaves every matrix in one tile; 7 gives tiles with
+    fewer rows than csls_k and 13 tiles with more, each call splitting into
+    at least three tiles with a ragged last one.
+    """
+
+    # Budgets giving the loop's 120-wide matrices tiles of 9 rows and
+    # retrieval's 150-wide ones tiles of 7, or tiles of 46 and 37 rows.
+    @pytest.mark.parametrize(
+        "boosted, tile_bytes",
+        [
+            pytest.param(False, None, id="False"),
+            pytest.param(True, None, id="True"),
+            pytest.param(False, 9000, id="False-small-tiles"),
+            pytest.param(True, 9000, id="True-small-tiles"),
+            pytest.param(True, 45000, id="True-large-tiles"),
+        ],
+    )
+    def test_matches_dense_path(self, monkeypatch, boosted, tile_bytes):
         rng = np.random.default_rng(31)
         src, tgt, inverse = cipher_pair(rng, 150, 12, noise=0.3)
         src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
@@ -361,6 +416,9 @@ class TestDenseOracle:
             rows = rng.choice(120, size=40, replace=False)
             cols = np.where(rng.random(40) < 0.5, inverse[rows], rng.integers(0, 120, 40))
             boost = SimilarityBoost(rows, cols, rng.uniform(0.5, 3.0, 40))
+        if tile_bytes is not None:
+            monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(self_learning, "_product", whole_product)
         result, w_src, w_tgt = run_with_loop_maps(monkeypatch, src, tgt, cfg, boost)
         if boosted:
             boost = boost.restricted(120, 120)  # some true targets lie past the cutoff
@@ -370,7 +428,11 @@ class TestDenseOracle:
         )
         d = result.loop_dictionary
         assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_induction(adjusted)
-        assert np.array_equal(result.loop_dictionary_scores, adjusted[d.src, d.tgt])
+        expected = adjusted[d.src, d.tgt]
+        if tile_bytes is None:
+            assert np.array_equal(result.loop_dictionary_scores, expected)
+        else:  # merged column top-k means sum in another order
+            np.testing.assert_allclose(result.loop_dictionary_scores, expected, rtol=0, atol=1e-12)
 
         # The final pass retrieves over rows renormalized by strip_extension.
         tgt_idx, cosines = dense_retrieval(
@@ -379,3 +441,88 @@ class TestDenseOracle:
         )
         assert np.array_equal(result.lexicon.tgt, tgt_idx)
         assert np.array_equal(result.lexicon_cosine, cosines)
+
+    @pytest.mark.parametrize("tile_rows", [None, 7, 13])
+    @pytest.mark.parametrize("p_keep", [0.1, 1.0])
+    @pytest.mark.parametrize("n_cols", [6, 40])
+    def test_kernel_pass_matches_dense(self, monkeypatch, tile_rows, p_keep, n_cols):
+        # With 6 columns and p_keep 0.1 about half of the rows lose every
+        # entry to the mask and choose nothing.
+        rng = np.random.default_rng(n_cols)
+        sim = rng.standard_normal((45, n_cols))
+        sim[20] = sim[2]  # column ties across tiles go to the earlier row
+        tile_budget(monkeypatch, n_cols, tile_rows)
+        # Entries on both sides of tile boundaries (6|7, 12|13, 13|14) and a
+        # duplicate pair, which sums.
+        rows = np.array([0, 6, 7, 12, 13, 13, 14, 44])
+        cols = np.array([1, 2, 3, 0, 5, 5, 4, 2]) % n_cols
+        boost = SimilarityBoost(rows, cols, rng.uniform(0.5, 3.0, len(rows)))
+        state = TrainState(p_keep=p_keep, rng_seed=2**63 + 1, iteration=5)
+
+        scores = dense_tiles(sim)
+        means = csls_means(scores, 10)
+        d = induce_dictionary(scores, state, means, boost)
+
+        dense_rows, dense_cols = dense_csls_means(sim, 10)
+        adjusted = dense_csls_adjust(sim, dense_rows, dense_cols)
+        adjusted += dense_boost(boost, 0, len(sim), n_cols)
+        assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_induction(
+            masked_like_kernel(adjusted, state)
+        )
+        assert state.dictionary is d
+        assert np.array_equal(means[0], dense_rows)
+        expected = adjusted[d.src, d.tgt]
+        if tile_rows is None:
+            assert np.array_equal(means[1], dense_cols)
+            assert np.array_equal(state.dictionary_scores, expected)
+        else:  # merged column top-k means sum in another order
+            np.testing.assert_allclose(means[1], dense_cols, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.dictionary_scores, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tile_rows", [None, 7, 13])
+    def test_retrieval_matches_dense(self, monkeypatch, tile_rows):
+        # 71 sources, 90 targets, statistics over the first 50 sources.
+        rng = np.random.default_rng(41)
+        src = normalize_embeddings(emb(rng.standard_normal((71, 8))))
+        tgt = normalize_embeddings(emb(rng.standard_normal((90, 8)), prefix="t"))
+        w_src, w_tgt = random_orthogonal(rng, 8), random_orthogonal(rng, 8)
+        cfg = LoopConfig(train_cutoff=50, csls_k=10)
+        boost = SimilarityBoost(
+            np.array([6, 7, 13, 13, 69]), np.array([5, 80, 3, 3, 89]), np.full(5, 0.7)
+        )
+        tile_budget(monkeypatch, 90, tile_rows)
+        monkeypatch.setattr(self_learning, "_product", whole_product)
+        lexicon, cosines = self_learning.retrieve_lexicon(src, tgt, w_src, w_tgt, cfg, boost)
+        tgt_idx, expected = dense_retrieval(src, tgt, w_src, w_tgt, 50, 10, boost)
+        assert np.array_equal(lexicon.tgt, tgt_idx)
+        assert np.array_equal(cosines, expected)
+
+    @pytest.mark.parametrize("tile_rows", [None, 7, 13])
+    def test_init_matches_dense(self, monkeypatch, tile_rows):
+        rng = np.random.default_rng(43)
+        src, tgt, _ = cipher_pair(rng, 60, 8, noise=0.2)
+        src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
+        tile_budget(monkeypatch, 50, tile_rows)
+        d = init_dictionary_unsupervised(src, tgt, 50)
+        assert dict(((s, t), w) for s, t, w in d.pairs()) == dense_init(
+            src.data, tgt.data, 50
+        )
+
+    def test_pass_memory_is_bounded_by_tiles(self):
+        # The dense step held sim, the adjusted matrix and two partition
+        # copies: at least 3 * 3000**2 * 8 bytes, about 206 MiB.
+        n, d, k = 3000, 50, 10
+        rng = np.random.default_rng(47)
+        left, right = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        boost = SimilarityBoost(
+            rng.integers(0, n, 3000), rng.integers(0, n, 3000), rng.uniform(0.1, 1.0, 3000)
+        )
+        state = TrainState(p_keep=0.4, rng_seed=7, iteration=3)
+        tracemalloc.start()
+        try:
+            scores = self_learning._product(left, right)
+            induce_dictionary(scores, state, csls_means(scores, k), boost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * self_learning._TILE_BYTES + 64 * n * k

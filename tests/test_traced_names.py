@@ -9,8 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from orthomap import self_learning
+from orthomap.corpus_io import EmbeddingMatrix, Vocabulary
+from orthomap.numerics import normalize_embeddings
 from orthomap.self_learning import LoopConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,3 +45,35 @@ def test_run_schedule_accepts_traced_signature():
 
     state, trace = module.run_schedule(cfg, step_fn, seed=7)
     assert seeds == [7, 7] and len(trace) == state.iteration == 2
+
+
+KERNEL_NAMES = (
+    "init_dictionary_unsupervised",
+    "csls_means",
+    "csls_adjust",
+    "induce_dictionary",
+    "retrieve_lexicon",
+)
+
+
+def test_run_calls_every_traced_kernel_function(monkeypatch):
+    # spans.py times these names by replacing self_learning's attributes; a
+    # run that bypassed them would leave their per-layer metrics at 0.
+    calls = dict.fromkeys(KERNEL_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in KERNEL_NAMES:
+        monkeypatch.setattr(self_learning, name, counting(name, getattr(self_learning, name)))
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((40, 6))
+    src = normalize_embeddings(EmbeddingMatrix(Vocabulary([f"s{i}" for i in range(40)]), data))
+    tgt = normalize_embeddings(EmbeddingMatrix(Vocabulary([f"t{i}" for i in range(40)]), data))
+    cfg = LoopConfig(train_cutoff=40, stall_window=1, p_init=1.0)
+    self_learning.run_self_learning(src, tgt, cfg)
+    assert all(count >= 1 for count in calls.values()), calls
