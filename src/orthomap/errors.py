@@ -18,7 +18,8 @@ class InputFormatError(OrthomapError):
 
 
 class ConvergenceError(OrthomapError):
-    """Self-learning failed to terminate within the iteration cap."""
+    """Self-learning failed: no convergence within the iteration cap, a
+    non-finite objective, or an iteration that induced no dictionary."""
 
 
 class CandidateError(OrthomapError):

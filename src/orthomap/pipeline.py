@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .candidates import candidate_pairs
-from .corpus_io import load_embeddings, load_ref_lexicon, write_lexicon
+from .corpus_io import SparseDictionary, load_embeddings, load_ref_lexicon, write_lexicon
 from .edit_model import build_edit_alphabets, edit_similarity_boost, em_train
-from .errors import CandidateError, ConfigError
+from .errors import CandidateError, ConfigError, InputFormatError
 from .evaluation import (
     external_scorer_boost,
     load_scorer_table,
@@ -35,7 +35,12 @@ from .evaluation import (
 )
 from .numerics import normalize_embeddings
 from .ortho_extension import build_ngram_alphabet, extend_embeddings, extension_matrix
-from .self_learning import LoopConfig, SimilarityBoost, run_self_learning
+from .self_learning import (
+    LoopConfig,
+    SimilarityBoost,
+    init_dictionary_unsupervised,
+    run_self_learning,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -134,6 +139,8 @@ class RunConfig:
             raise ConfigError("delete_k must be non-negative")
         if self.max_vocab is not None and self.max_vocab < 2:
             raise ConfigError("max_vocab must be at least 2")
+        if self.train_cutoff < 2:
+            raise ConfigError("train_cutoff must be at least 2")
         try:
             self.loop_config(self.seeds[0])
         except ValueError as exc:
@@ -182,18 +189,22 @@ def load_inputs(cfg):
     """Both embedding matrices as the configured mode's loops consume them.
 
     ortho-ext appends its c-scaled n-gram columns before normalizing, so it
-    keeps the matrices as loaded; every other mode normalizes here.
+    keeps the matrices as loaded; every other mode normalizes here. The
+    initial dictionary matches at least two words per side.
     """
     src = load_embeddings(cfg.src_embeddings, cfg.max_vocab)
     tgt = load_embeddings(cfg.tgt_embeddings, cfg.max_vocab)
+    for path, emb in ((cfg.src_embeddings, src), (cfg.tgt_embeddings, tgt)):
+        if len(emb.vocab) < 2:
+            raise InputFormatError(f"{path}: at least 2 words needed, found {len(emb.vocab)}")
     if cfg.mode == "ortho-ext":
         return src, tgt
     return normalize_embeddings(src), normalize_embeddings(tgt)
 
 
-def _run_plain(src, tgt, cfg, seed):
+def _run_plain(src, tgt, cfg, seed, init=None):
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(src, tgt, loop_cfg)
+    return run_self_learning(src, tgt, loop_cfg, init=init)
 
 
 def _run_extended(src_raw, tgt_raw, cfg, seed, extras):
@@ -228,22 +239,26 @@ class BoostStage:
 
     Candidate pairs in sorted order with their boost at c = 1. Both boost
     formulas end in ``scale * max(0.0, ...)``, so the boost at c is
-    ``c * unit``, bit for bit.
+    ``c * unit``, bit for bit. ``init`` is the initial dictionary, which
+    both loops of the seed share.
     """
 
     src: np.ndarray
     tgt: np.ndarray
     unit: np.ndarray
     extras: dict
+    init: SparseDictionary
 
 
 def boost_stage(src, tgt, cfg, seed):
-    """Main loop, edit model and unit-scale candidate boosts for one seed."""
-    base_result = _run_plain(src, tgt, cfg, seed)
+    """Initial dictionary, main loop, edit model and unit-scale candidate
+    boosts for one seed."""
+    cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
+    init = init_dictionary_unsupervised(src, tgt, cutoff)
+    base_result = _run_plain(src, tgt, cfg, seed, init)
     pairs = _synthetic_pairs(base_result, src.vocab, tgt.vocab, cfg.synth_pairs)
     extras = {"synthetic_pairs": len(pairs)}
 
-    cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
     src_words = src.vocab.top(cutoff)
     tgt_words = tgt.vocab.top(cutoff)
     alphabets = build_edit_alphabets(src_words, tgt_words)
@@ -266,7 +281,7 @@ def boost_stage(src, tgt, cfg, seed):
         unit = [external_scorer_boost(x, z, table, 1.0) for x, z in words]
     logger.info("seed %d: %d candidate pairs scored at c=1", seed, len(cands))
     index = np.array(cands, np.int64)
-    return BoostStage(index[:, 0], index[:, 1], np.array(unit), extras)
+    return BoostStage(index[:, 0], index[:, 1], np.array(unit), extras, init)
 
 
 def _run_boosted(src, tgt, cfg, seed, stage, extras):
@@ -277,7 +292,7 @@ def _run_boosted(src, tgt, cfg, seed, stage, extras):
     extras.update(stage.extras, boosted_pairs=int(keep.sum()))
     boost = SimilarityBoost(stage.src[keep], stage.tgt[keep], values[keep])
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_BOOSTED))
-    return run_self_learning(src, tgt, loop_cfg, boost=boost)
+    return run_self_learning(src, tgt, loop_cfg, boost=boost, init=stage.init)
 
 
 def execute_run(cfg, seed, inputs=None, stages=None):

@@ -5,7 +5,9 @@ the rescaled similarity matrix over the training cutoff, and induces a new
 bidirectional dictionary from it, zeroing entries stochastically to force
 exploration. The keep probability starts small and doubles whenever the
 objective stalls; once it reaches 1 and stalls again, a modified final
-iteration with whitening produces the output maps and lexicon.
+iteration with whitening produces the output maps and lexicon. Iterations
+at p_keep 1 that would replay a fixed point of the induction return its
+objective without recomputing it.
 
 The initial dictionary, every iteration and the final retrieval share one
 nearest-neighbour kernel. It never holds a whole score matrix: ScoreTiles
@@ -310,7 +312,10 @@ def induce_dictionary(scores, state, means=None, boost=None):
     src = np.concatenate([src_fwd, backward[tgt_bwd]])
     tgt = np.concatenate([forward[src_fwd], tgt_bwd])
     if len(src) == 0:
-        raise ValueError("no dictionary entries induced (all similarities zeroed)")
+        raise ConvergenceError(
+            f"no dictionary entries induced at iteration {state.iteration}"
+            f" (p_keep {state.p_keep:.4g}): every similarity was masked out"
+        )
     best = np.concatenate([row_best[src_fwd], col_best[tgt_bwd]])
     codes = src * n_tgt + tgt
     uniq, first, weight = np.unique(codes, return_index=True, return_counts=True)
@@ -392,7 +397,7 @@ def run_schedule(cfg, step_fn, seed=None):
                 break
             state.p_keep = min(1.0, state.p_keep * cfg.p_factor)
             state.stall_counter = 0
-            logger.debug(
+            logger.info(
                 "iteration %d: objective stalled, p_keep -> %.4g",
                 state.iteration,
                 state.p_keep,
@@ -414,14 +419,18 @@ class SelfLearningResult:
     state: TrainState = field(repr=False, default=None)
 
 
-def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, loop_seed=None):
+def run_self_learning(
+    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, loop_seed=None, init=None
+):
     """Full unsupervised run: init, loop to convergence, whitened final pass.
 
     ``n_extension_cols`` trailing columns are stripped from both matrices
     before the final iteration (0 when no orthographic extension is active).
     ``boost`` is an optional SimilarityBoost; its entries inside the cutoff
     block are added to the adjusted similarities of every iteration and of
-    the final retrieval.
+    the final retrieval. ``init`` is the initial dictionary when the caller
+    already holds init_dictionary_unsupervised's result for these matrices
+    and cutoff; it is computed here otherwise.
     """
     n_src = len(src_emb.vocab)
     n_tgt = len(tgt_emb.vocab)
@@ -433,14 +442,26 @@ def run_self_learning(src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, 
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
 
-    init = init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
+    if init is None:
+        init = init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
+    # Once p_keep is 1 a step depends only on its input dictionary. When its
+    # induction returns that input, every later step would recompute the
+    # same objective, dictionary and scores, and state already holds the
+    # last two: such steps return the recorded objective at once.
+    fixed = None  # (dictionary, objective) of the fixed point
 
     def step(state):
+        nonlocal fixed
         d = init if state.dictionary is None else state.dictionary
+        if fixed is not None and d is fixed[0]:
+            return fixed[1]
         u, s, vt = weighted_cross_svd(x, z, d)
         objective = float(s.sum() / d.weight_sum)
         scores = _product(x_cut @ u, z_cut @ vt.T)
-        induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost)
+        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost)
+        if state.p_keep >= 1.0 and new_d == d:
+            fixed = new_d, objective
+            logger.info("iteration %d: dictionary reached its fixed point", state.iteration)
         return objective
 
     state, trace = run_schedule(cfg, step, seed=loop_seed)

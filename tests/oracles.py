@@ -4,8 +4,9 @@ Everything here deliberately avoids the dynamic programs and index
 structures it checks: probabilities come from explicit path enumeration,
 transliterations from enumerating segmentations, candidate pairs and
 n-gram counts from their definitions, the loop objective from explicit dot
-products. The dense scoring path at the end is the reference the sparse,
-single-pass self-learning code is checked against.
+products. The dense scoring path near the end is the reference the sparse,
+single-pass self-learning code is checked against, and the reference loop
+after it solves and induces at every iteration, replays included.
 """
 
 import math
@@ -280,3 +281,65 @@ def dense_retrieval(src_emb, tgt_emb, w_src, w_tgt, train_cutoff, csls_k, boost=
         tgt_idx[lo:hi] = arg
         cosines[lo:hi] = sim[np.arange(hi - lo), arg]
     return tgt_idx, cosines
+
+
+def reference_self_learning(src_emb, tgt_emb, cfg, boost=None):
+    """run_self_learning, without extension columns, with a step that always
+    solves, scores and induces.
+
+    The package's kernel and schedule are reused; only the step differs:
+    it never skips an iteration that replays a fixed point. Returns the
+    SelfLearningResult and the per-iteration history of (p_keep, input
+    dictionary, induced dictionary).
+    """
+    from orthomap import self_learning as sl
+    from orthomap.numerics import compute_whitening, weighted_cross_svd
+    from orthomap.ortho_extension import strip_extension
+
+    cutoff = min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
+    x, z = src_emb.data, tgt_emb.data
+    if boost is not None:
+        boost = boost.restricted(cutoff, cutoff)
+    init = sl.init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
+    history = []
+
+    def step(state):
+        d = init if state.dictionary is None else state.dictionary
+        u, s, vt = weighted_cross_svd(x, z, d)
+        objective = float(s.sum() / d.weight_sum)
+        scores = sl._product(x[:cutoff] @ u, z[:cutoff] @ vt.T)
+        new_d = sl.induce_dictionary(scores, state, sl.csls_means(scores, cfg.csls_k), boost)
+        history.append((state.p_keep, d, new_d))
+        return objective
+
+    state, trace = sl.run_schedule(cfg, step)
+    src_final, tgt_final = strip_extension(src_emb, 0), strip_extension(tgt_emb, 0)
+    wh_src = compute_whitening(src_final, slice(0, cutoff))
+    wh_tgt = compute_whitening(tgt_final, slice(0, cutoff))
+    u, s, vt = weighted_cross_svd(
+        src_final.data @ wh_src.forward, tgt_final.data @ wh_tgt.forward, state.dictionary
+    )
+    v = vt.T
+    root = np.sqrt(s)
+    w_src = wh_src.forward @ ((u * root) @ u.T) @ wh_src.inverse @ u
+    w_tgt = wh_tgt.forward @ ((v * root) @ v.T) @ wh_tgt.inverse @ v
+    lexicon, cosines = sl.retrieve_lexicon(src_final, tgt_final, w_src, w_tgt, cfg, boost=boost)
+    result = sl.SelfLearningResult(
+        w_src=w_src,
+        w_tgt=w_tgt,
+        lexicon=lexicon,
+        lexicon_cosine=cosines,
+        trace=trace,
+        loop_dictionary=state.dictionary,
+        loop_dictionary_scores=state.dictionary_scores,
+        state=state,
+    )
+    return result, history
+
+
+def fixed_point_iteration(history):
+    """First iteration at p_keep 1 whose induction returned its input, or None."""
+    for iteration, (p_keep, before, after) in enumerate(history, start=1):
+        if p_keep >= 1.0 and after == before:
+            return iteration
+    return None

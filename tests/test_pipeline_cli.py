@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orthomap
-from orthomap import pipeline
+from orthomap import pipeline, self_learning
 from orthomap.cli import main
 from orthomap.corpus_io import load_ref_lexicon
 from orthomap.errors import ConfigError
@@ -253,15 +253,19 @@ class TestStagedSweep:
 
     def test_stages_run_once_per_seed(self, tiny_benchmark, tmp_path, monkeypatch):
         # Counting wrappers on the module globals, where the benchmark's
-        # spans also wrap these calls.
+        # spans also wrap these calls; the init also in self_learning, where
+        # run_self_learning computes it when not given one.
         calls = Counter()
         for name in ("execute_run", "load_embeddings", "em_train", "candidate_pairs",
-                     "run_self_learning"):
+                     "run_self_learning", "init_dictionary_unsupervised"):
             def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counting)
+        monkeypatch.setattr(
+            self_learning, "init_dictionary_unsupervised", pipeline.init_dictionary_unsupervised
+        )
         cfg = base_config(
             tiny_benchmark,
             tmp_path / "sweep",
@@ -277,6 +281,7 @@ class TestStagedSweep:
             "em_train": 2,
             "candidate_pairs": 2,
             "run_self_learning": 2 + 4,
+            "init_dictionary_unsupervised": 2,
         }
 
 
@@ -458,6 +463,48 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, n_words, options, expected",
+        [
+            ("induce", (2, 2), ("--mode", "baseline"), 4),
+            ("sweep", (2, 2), ("--mode", "ortho-ext", "--criterion", "objective",
+                               "--grid", "0.1"), 4),
+            ("induce", (3, 3), ("--train-cutoff", "1"), 2),
+            ("induce", (1, 3), (), 3),
+            ("sweep", (1, 3), ("--mode", "edit-dist", "--criterion", "objective"), 3),
+        ],
+        ids=["two-words-induce", "two-words-ortho-ext-sweep", "cutoff-one",
+             "one-word-induce", "one-word-sweep"],
+    )
+    def test_degenerate_inputs_exit_with_typed_error(
+        self, tmp_path, monkeypatch, capsys, command, n_words, options, expected
+    ):
+        # With two words per side the first keep mask (p_keep 0.1) drops all
+        # four similarities; one word leaves no signature to match.
+        for side, n in zip(("src", "tgt"), n_words):
+            rows = [f"{side}{i} " + " ".join("1" if j == i else "0" for j in range(3))
+                    for i in range(n)]
+            (tmp_path / f"{side}.vec").write_text(f"{n} 3\n" + "\n".join(rows) + "\n")
+        if expected == 2:
+            def no_loading(*args, **kwargs):
+                raise AssertionError("input read before the configuration was checked")
+
+            monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        code = self.run_cli(
+            command,
+            "--src-emb", tmp_path / "src.vec",
+            "--tgt-emb", tmp_path / "tgt.vec",
+            "--output-dir", tmp_path / "out",
+            "--seed", 1,
+            *options,
+        )
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error: ") and "Traceback" not in err
+        if expected == 4:
+            assert "no dictionary entries induced at iteration 1 " in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_malformed_embeddings_exit_code(self, tiny_benchmark, tmp_path):

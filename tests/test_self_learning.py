@@ -32,9 +32,11 @@ from oracles import (
     dense_induction,
     dense_init,
     dense_retrieval,
+    fixed_point_iteration,
     keep_mask,
     objective_value,
     random_orthogonal,
+    reference_self_learning,
 )
 
 
@@ -317,6 +319,97 @@ class TestRunSelfLearning:
         )
         assert len(result.loop_dictionary_scores) == len(result.loop_dictionary)
         assert np.isfinite(result.loop_dictionary_scores).all()
+
+
+def fast_forward_case(name):
+    """(src, tgt, cfg, boost) of one fast-forward differential case."""
+    if name == "init-fixed":  # noiseless: the init is already the fixed point
+        rng = np.random.default_rng(0)
+        src, tgt, _ = cipher_pair(rng, 40, 6)
+        cfg = LoopConfig(train_cutoff=40, stall_window=3, p_init=1.0)
+    elif name == "repeat-under-mask":  # dictionaries repeat at p_keep 0.9
+        rng = np.random.default_rng(0)
+        src, tgt, _ = cipher_pair(rng, 6, 3, noise=0.3)
+        cfg = LoopConfig(train_cutoff=6, stall_window=6, p_init=0.9, rng_seed=2)
+    else:
+        rng = np.random.default_rng(0)
+        src, tgt, inverse = cipher_pair(rng, 60, 8, noise=0.3)
+        cfg = LoopConfig(train_cutoff=60, stall_window=5, rng_seed=3)
+    boost = None
+    if name == "boosted":
+        rows = rng.choice(60, size=20, replace=False)
+        boost = SimilarityBoost(rows, inverse[rows], rng.uniform(0.2, 1.0, 20))
+    return normalize_embeddings(src), normalize_embeddings(tgt), cfg, boost
+
+
+class TestFastForward:
+    """Iterations that replay a fixed point are skipped, and nothing else changes.
+
+    The reference loop in tests/oracles.py solves, scores and induces at
+    every iteration.
+    """
+
+    @pytest.mark.parametrize("name", ["unboosted", "boosted", "init-fixed", "repeat-under-mask"])
+    def test_matches_reference_loop(self, monkeypatch, name):
+        src, tgt, cfg, boost = fast_forward_case(name)
+        expected, history = reference_self_learning(src, tgt, cfg, boost)
+        fixed = fixed_point_iteration(history)
+        iterations = len(history)
+        assert fixed is not None and fixed < iterations  # at least one replay
+        if name == "init-fixed":
+            assert fixed == 1
+        if name == "repeat-under-mask":
+            # A dictionary repeats under the keep mask and the loop then
+            # moves on from it, so a stochastic step is no fixed point.
+            repeats = [i for i, (p, d, new_d) in enumerate(history) if p < 1.0 and new_d == d]
+            assert any(history[j][2] != history[i][2] for i in repeats for j in range(i, fixed))
+
+        calls = dict.fromkeys(
+            ("weighted_cross_svd", "_product", "csls_means", "induce_dictionary"), 0
+        )
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn_name in calls:
+            monkeypatch.setattr(
+                self_learning, fn_name, counting(fn_name, getattr(self_learning, fn_name))
+            )
+        result = run_self_learning(src, tgt, cfg, boost=boost)
+
+        assert result.trace == expected.trace
+        assert result.state.iteration == iterations
+        assert result.loop_dictionary == expected.loop_dictionary
+        assert np.array_equal(result.loop_dictionary_scores, expected.loop_dictionary_scores)
+        assert result.lexicon == expected.lexicon
+        assert np.array_equal(result.lexicon_cosine, expected.lexicon_cosine)
+        # One solve per computed iteration plus the whitened final solve; the
+        # init induces once, and retrieval takes one product and its means.
+        replays = iterations - fixed
+        assert calls == dict.fromkeys(calls, iterations - replays + 1)
+
+    def test_phase_lines_logged(self, caplog):
+        # -v shows every p_keep doubling and, once, the fixed point.
+        src, tgt, cfg, _ = fast_forward_case("unboosted")
+        _, history = reference_self_learning(src, tgt, cfg)
+        with caplog.at_level("INFO", logger="orthomap.self_learning"):
+            result = run_self_learning(src, tgt, cfg)
+        info = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        doublings = [
+            f"iteration {a.iteration}: objective stalled, p_keep -> {b.p_keep:.4g}"
+            for a, b in zip(result.trace, result.trace[1:])
+            if b.p_keep != a.p_keep
+        ]
+        assert len(doublings) == 4  # 0.1 -> 0.2 -> 0.4 -> 0.8 -> 1
+        assert [m for m in info if "p_keep ->" in m] == doublings
+        fixed = fixed_point_iteration(history)
+        assert [m for m in info if "fixed point" in m] == [
+            f"iteration {fixed}: dictionary reached its fixed point"
+        ]
 
 
 class TestSimilarityBoost:

@@ -7,12 +7,13 @@ failure. This reads perfbench/ and changes nothing in it.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthomap import self_learning
+from orthomap import pipeline, self_learning
 from orthomap.corpus_io import EmbeddingMatrix, Vocabulary
 from orthomap.numerics import normalize_embeddings
 from orthomap.self_learning import LoopConfig
@@ -20,11 +21,15 @@ from orthomap.self_learning import LoopConfig
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def traced_names():
+def spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TRACED
+    return spans
+
+
+def traced_names():
+    return spans_module().TRACED
 
 
 @pytest.mark.parametrize("module_name, func_name", traced_names())
@@ -77,3 +82,29 @@ def test_run_calls_every_traced_kernel_function(monkeypatch):
     cfg = LoopConfig(train_cutoff=40, stall_window=1, p_init=1.0)
     self_learning.run_self_learning(src, tgt, cfg)
     assert all(count >= 1 for count in calls.values()), calls
+
+
+def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
+    # A boosted run computes the init once, in pipeline.boost_stage, for
+    # both of its loops. The spans must still see that call, or
+    # self_learning.init_dictionary.s would read 0 on a boosted workload.
+    spans = spans_module()
+    modules = [m for n, m in sys.modules.items() if n.startswith("orthomap.")]
+    for module in modules:  # install() replaces these; monkeypatch restores them
+        for _, func_name in spans.TRACED:
+            if func_name in module.__dict__:
+                monkeypatch.setattr(module, func_name, module.__dict__[func_name])
+    tracer = spans.Tracer()
+    tracer.install()
+    cfg = pipeline.RunConfig(
+        src_embeddings=str(tiny_benchmark.src_embeddings),
+        tgt_embeddings=str(tiny_benchmark.tgt_embeddings),
+        mode="edit-dist",
+        scale=0.3,
+        stall_window=5,
+    )
+    pipeline.execute_run(cfg, 0)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("self_learning.init_dictionary_unsupervised") == 1
+    assert names.count("self_learning.run_schedule") == 2
+    assert spans.layer_metrics(tracer.spans)["self_learning.init_dictionary.s"] > 0.0
