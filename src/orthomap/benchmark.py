@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus_io import EmbeddingMatrix, Vocabulary, write_embeddings
+from .errors import ConfigError
 
 SOURCE_ALPHABET = "abcdefghijklmnopqrst"
 TARGET_ALPHABET = "αβγδεζηθικλμνξοπρστυ"
@@ -61,11 +62,13 @@ def generate_cipher_benchmark(n_words, dim, seed, noise, out_dir):
     Rerunning with the same arguments reproduces the files byte for byte.
     """
     if n_words < 10:
-        raise ValueError("n_words must be at least 10")
+        raise ConfigError("n_words must be at least 10")
     if dim < 2:
-        raise ValueError("dim must be at least 2")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+        raise ConfigError("dim must be at least 2")
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError("noise must be finite and non-negative")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

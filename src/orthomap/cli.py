@@ -4,8 +4,8 @@ Subcommands: induce, evaluate, sweep, transliterate, train-edit-model,
 gen-benchmark. Heavy imports happen inside main() so the thread limit can
 be applied to the numerical backend before it loads.
 
-Exit codes: 0 success, 2 configuration error, 3 input error, 4
-non-convergence, 5 no usable candidate pairs, 6 untrainable edit model.
+Exit codes: 0 success; a command ended by an error exits with the
+error class's exit_code (see errors.py).
 """
 
 import argparse
@@ -18,9 +18,11 @@ THREADS_ENV_VAR = "ORTHOMAP_THREADS"
 
 
 def _add_run_options(parser):
-    # Paths may come from --config, so they are validated later, not here.
-    parser.add_argument("--src-emb", help="source embedding file")
-    parser.add_argument("--tgt-emb", help="target embedding file")
+    # Each dest is a RunConfig field, except --seed, which sets the one-seed
+    # list "seeds". Paths may come from --config, so they are validated
+    # later, not here.
+    parser.add_argument("--src-emb", dest="src_embeddings", help="source embedding file")
+    parser.add_argument("--tgt-emb", dest="tgt_embeddings", help="target embedding file")
     parser.add_argument("--output-dir", help="artifact directory")
     parser.add_argument(
         "--mode",
@@ -28,9 +30,9 @@ def _add_run_options(parser):
         help="pipeline configuration (default baseline)",
     )
     parser.add_argument("--scale", type=float, help="orthographic scaling constant c")
-    parser.add_argument("--seed", type=int, dest="seed", help="master random seed")
-    parser.add_argument("--dev", dest="dev", help="development lexicon file")
-    parser.add_argument("--test", dest="test", help="test lexicon file")
+    parser.add_argument("--seed", type=int, help="master random seed")
+    parser.add_argument("--dev", dest="dev_lexicon", help="development lexicon file")
+    parser.add_argument("--test", dest="test_lexicon", help="test lexicon file")
     parser.add_argument("--scorer-table", help="conditional probability table (TSV)")
     parser.add_argument("--max-vocab", type=int, help="truncate both vocabularies")
     parser.add_argument("--train-cutoff", type=int, help="words used for training")
@@ -50,53 +52,33 @@ def _add_run_options(parser):
     parser.add_argument("--config", help="JSON config file; explicit flags win")
 
 
-_FLAG_TO_FIELD = {
-    "src_emb": "src_embeddings",
-    "tgt_emb": "tgt_embeddings",
-    "dev": "dev_lexicon",
-    "test": "test_lexicon",
-    "scorer_table": "scorer_table",
-}
+def _config_from_args(args):
+    from dataclasses import fields, replace
 
-
-def _config_from_args(args, extra=None):
     from .errors import ConfigError
     from .pipeline import RunConfig
 
-    mapping = {}
-    if getattr(args, "config", None):
+    cfg = RunConfig()
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                mapping.update(json.load(fh))
+                mapping = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
-        mapping.pop("package_version", None)
-        # Recorded outputs, and "threads", which older manifests recorded
-        # but replay never applied.
-        for key in ("seed_used", "iterations", "final_objective", "mean_cosine",
-                    "test_p_at_1", "alphabet_size", "synthetic_pairs", "candidates",
-                    "untransliterable", "boosted_pairs", "edit_model_path",
-                    "selected_scale", "threads"):
-            mapping.pop(key, None)
-    for flag, name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            mapping[name] = value
-    for name in (
-        "output_dir", "mode", "scale", "max_vocab", "oov_mode", "train_cutoff",
-        "csls_k", "stall_window", "p_init", "p_factor", "objective_eps",
-        "max_iterations", "em_iterations", "synth_pairs", "delete_k", "alphabet_k",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            mapping[name] = value
-    if getattr(args, "seed", None) is not None:
-        mapping["seeds"] = [args.seed]
-    if extra:
-        mapping.update(extra)
-    return RunConfig.from_mapping(mapping)
+        cfg = RunConfig.from_mapping(mapping)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    if args.seed is not None:
+        flags["seeds"] = [args.seed]
+    grid = flags.pop("grid", None)
+    if grid:
+        try:
+            flags["grid"] = [float(v) for v in grid.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"malformed --grid {grid!r}") from None
+    return replace(cfg, **flags)
 
 
 def _cmd_induce(args):
@@ -111,21 +93,9 @@ def _cmd_induce(args):
 
 
 def _cmd_sweep(args):
-    from .errors import ConfigError
     from .pipeline import run_sweep
 
-    extra = {}
-    if args.grid:
-        try:
-            extra["grid"] = [float(v) for v in args.grid.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"malformed --grid {args.grid!r}") from None
-    if args.criterion:
-        extra["criterion"] = args.criterion
-    if args.runs_per_c is not None:
-        extra["runs_per_c"] = args.runs_per_c
-    cfg = _config_from_args(args, extra)
-    best, points = run_sweep(cfg)
+    best, points = run_sweep(_config_from_args(args))
     for point in points:
         print(f"c={point.scale:g}\t{point.mean:.6f}")
     print(f"selected c={best:g}")
@@ -165,8 +135,10 @@ def _cmd_transliterate(args):
 def _cmd_train_edit_model(args):
     from .corpus_io import load_embeddings
     from .edit_model import build_edit_alphabets, em_train
-    from .errors import InputFormatError
+    from .errors import ConfigError, InputFormatError
 
+    if args.iterations < 1:
+        raise ConfigError("--iterations must be at least 1")
     pairs = []
     with open(args.pairs, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -176,6 +148,8 @@ def _cmd_train_edit_model(args):
             if len(tokens) != 2:
                 raise InputFormatError(f"{args.pairs}:{lineno}: expected 2 fields")
             pairs.append((tokens[0], tokens[1]))
+    if not pairs:
+        raise InputFormatError(f"{args.pairs}: no word pairs")
     if args.src_vocab and args.tgt_vocab:
         src_words = load_embeddings(args.src_vocab).vocab.words
         tgt_words = load_embeddings(args.tgt_vocab).vocab.words
@@ -270,7 +244,7 @@ def _apply_thread_limit(threads):
     if not threads:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
 
 
 def main(argv=None):
@@ -281,31 +255,14 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
 
-    from .errors import (
-        CandidateError,
-        ConfigError,
-        ConvergenceError,
-        EmTrainingError,
-        InputFormatError,
-    )
+    from .errors import InputFormatError, OrthomapError
 
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (OrthomapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CandidateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except EmTrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        # An OSError is an unreadable input file.
+        return getattr(exc, "exit_code", InputFormatError.exit_code)
 
 
 if __name__ == "__main__":

@@ -81,12 +81,11 @@ class SparseDictionary:
 
     __slots__ = ("src", "tgt", "weight")
 
-    def __init__(self, src, tgt, weight, n_src=None, n_tgt=None, validate=True):
+    def __init__(self, src, tgt, weight, n_src=None, n_tgt=None):
         self.src = np.ascontiguousarray(src, dtype=np.int64)
         self.tgt = np.ascontiguousarray(tgt, dtype=np.int64)
         self.weight = np.ascontiguousarray(weight, dtype=np.int64)
-        if validate:
-            self._validate(n_src, n_tgt)
+        self._validate(n_src, n_tgt)
 
     def _validate(self, n_src, n_tgt):
         if not (self.src.shape == self.tgt.shape == self.weight.shape):

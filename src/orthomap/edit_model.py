@@ -12,8 +12,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AlphabetCoverageError,
     EmTrainingError,
@@ -219,14 +217,6 @@ def _backward_table(x, z, model):
                         total += p * table[n + j][m + k]
             table[n][m] = total
     return table
-
-
-def edit_forward(x, z, model):
-    """Forward table and joint probability p(x, z) under the model."""
-    _check_coverage(x, model.alphabets.src_chars, "source")
-    _check_coverage(z, model.alphabets.tgt_chars, "target")
-    table = _forward_table(x, z, model)
-    return np.array(table), table[len(x)][len(z)]
 
 
 def log_edit_probability(x, z, model):

@@ -158,18 +158,31 @@ class RunConfig:
             if self.runs_per_c < 1:
                 raise ConfigError("runs_per_c must be at least 1")
 
-    def to_manifest(self):
-        manifest = dataclasses.asdict(self)
-        manifest["package_version"] = __version__
-        return manifest
+    def to_manifest(self, **outputs):
+        """The manifest of a run: this configuration as one "config" object,
+        with the package version and the run's outputs beside it."""
+        return {"config": dataclasses.asdict(self), "package_version": __version__, **outputs}
 
     @classmethod
     def from_mapping(cls, mapping):
+        """The configuration a config file holds.
+
+        A manifest holds it as its "config" object. A manifest written
+        before the configuration was nested is flat and carries
+        "package_version" but no "config"; its fields are kept and the
+        outputs beside them dropped. Any other mapping lists fields only.
+        """
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - known - {"package_version"}
+        if isinstance(mapping, dict) and "config" in mapping:
+            mapping = mapping["config"]
+        elif isinstance(mapping, dict) and "package_version" in mapping:
+            mapping = {k: v for k, v in mapping.items() if k in known}
+        if not isinstance(mapping, dict):
+            raise ConfigError("a configuration must be a JSON object")
+        unknown = set(mapping) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: v for k, v in mapping.items() if k in known})
+        return cls(**mapping)
 
 
 @dataclass
@@ -386,26 +399,27 @@ def run_pipeline(cfg):
         model.save(out_dir / "edit_model.tsv")
         outcome.extras["edit_model_path"] = str(out_dir / "edit_model.tsv")
 
-    manifest = cfg.to_manifest()
-    manifest["seed_used"] = seed
-    manifest["iterations"] = result.state.iteration
-    manifest["final_objective"] = result.state.objective
-    manifest["mean_cosine"] = outcome.mean_cosine
-    manifest.update(
+    outputs = {
+        "seed_used": seed,
+        "iterations": result.state.iteration,
+        "final_objective": result.state.objective,
+        "mean_cosine": outcome.mean_cosine,
+    }
+    outputs.update(
         {k: v for k, v in outcome.extras.items() if isinstance(v, (int, float, str))}
     )
 
     if test is not None:
         report = precision_at_1(outcome.predictions, test, cfg.oov_mode)
         outcome.eval_report = report
-        manifest["test_p_at_1"] = report.p_at_1
+        outputs["test_p_at_1"] = report.p_at_1
         with open(out_dir / "eval_summary.txt", "w", encoding="utf-8") as fh:
             fh.write(report.summary() + "\n")
         write_predictions_tsv(report, out_dir / "predictions.tsv")
         logger.info("test %s", report.summary())
 
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(cfg.to_manifest(**outputs), fh, indent=2, sort_keys=True)
     return outcome
 
 
@@ -447,9 +461,7 @@ def run_sweep(cfg):
         for point in points:
             runs = ",".join(f"{v:.6f}" for v in point.values)
             fh.write(f"{point.scale:g}\t{point.mean:.6f}\t{runs}\n")
-    manifest = cfg.to_manifest()
-    manifest["selected_scale"] = best
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(cfg.to_manifest(selected_scale=best), fh, indent=2, sort_keys=True)
     logger.info("selected scaling constant c=%g by %s", best, cfg.criterion)
     return best, points

@@ -9,6 +9,7 @@ from orthomap.benchmark import (
     generate_cipher_benchmark,
 )
 from orthomap.corpus_io import load_embeddings, load_ref_lexicon
+from orthomap.errors import ConfigError
 
 
 def test_cipher_is_a_bijection(tiny_benchmark):
@@ -50,7 +51,7 @@ def test_same_seed_reproduces_files(tmp_path):
 
 
 def test_argument_validation(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_cipher_benchmark(5, 4, seed=0, noise=0.0, out_dir=tmp_path)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_cipher_benchmark(30, 1, seed=0, noise=0.0, out_dir=tmp_path)

@@ -9,12 +9,13 @@ from orthomap.edit_model import (
     EditAlphabets,
     EditModel,
     _backward_table,
+    _forward_table,
     boost_from_log_prob,
     build_edit_alphabets,
-    edit_forward,
     edit_operations,
     edit_similarity_boost,
     em_train,
+    log_edit_probability,
     transliterate,
 )
 from orthomap.errors import (
@@ -68,22 +69,20 @@ class TestAlphabets:
 class TestForwardBackward:
     def test_uniform_example(self):
         model = uniform_ab_model()
-        alpha, p = edit_forward("a", "b", model)
-        assert p == pytest.approx(5 / 9, abs=1e-12)
+        alpha = _forward_table("a", "b", model)
         np.testing.assert_allclose(alpha, [[1, 1 / 3], [1 / 3, 5 / 9]], atol=1e-12)
 
     def test_empty_pair(self):
         model = uniform_ab_model()
-        _, p = edit_forward("", "", model)
-        assert p == 1.0
+        assert _forward_table("", "", model)[0][0] == 1.0
         beta = _backward_table("", "", model)
         assert beta[0][0] == 1.0
 
     def test_forced_single_path(self):
         alphabets = unigram_alphabets("a", "b")
         model = EditModel(alphabets, {("a", "b"): 1.0})
-        assert edit_forward("a", "b", model)[1] == 1.0
-        assert edit_forward("aa", "b", model)[1] == 0.0
+        assert _forward_table("a", "b", model)[1][1] == 1.0
+        assert _forward_table("aa", "b", model)[2][1] == 0.0
 
     def test_backward_table_values(self):
         model = uniform_ab_model()
@@ -99,7 +98,7 @@ class TestForwardBackward:
         theta = random_theta(rng, alphabets)
         model = EditModel(alphabets, theta)
         for x, z in [("abc", "xy"), ("a", "zzz"), ("cab", "x"), ("", "zy")]:
-            _, p = edit_forward(x, z, model)
+            p = _forward_table(x, z, model)[len(x)][len(z)]
             beta = _backward_table(x, z, model)
             assert beta[0][0] == pytest.approx(p, abs=1e-12)
 
@@ -114,13 +113,15 @@ class TestForwardBackward:
                     expected = enumerate_edit_probability(
                         x, z, theta, alphabets.max_src_len, alphabets.max_tgt_len
                     )
-                    _, p = edit_forward(x, z, model)
+                    p = _forward_table(x, z, model)[len(x)][len(z)]
                     assert p == pytest.approx(expected, abs=1e-12)
 
     def test_uncovered_character_rejected(self):
         model = uniform_ab_model()
         with pytest.raises(AlphabetCoverageError):
-            edit_forward("q", "b", model)
+            log_edit_probability("q", "b", model)
+        with pytest.raises(AlphabetCoverageError):
+            log_edit_probability("a", "q", model)
 
 
 class TestEmTrain:
@@ -130,8 +131,7 @@ class TestEmTrain:
         assert model.theta[("a", "b")] == pytest.approx(3 / 7, abs=1e-12)
         assert model.theta[("a", "")] == pytest.approx(2 / 7, abs=1e-12)
         assert model.theta[("", "b")] == pytest.approx(2 / 7, abs=1e-12)
-        _, p = edit_forward("a", "b", model)
-        assert p == pytest.approx(29 / 49, abs=1e-12)
+        assert _forward_table("a", "b", model)[1][1] == pytest.approx(29 / 49, abs=1e-12)
         assert math.exp(model.training_stats.log_likelihoods[0]) == pytest.approx(5 / 9)
 
     def test_log_likelihood_non_decreasing(self):

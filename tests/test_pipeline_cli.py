@@ -12,8 +12,9 @@ import pytest
 
 import orthomap
 from orthomap import pipeline, self_learning
-from orthomap.cli import main
+from orthomap.cli import THREADS_ENV_VAR, _apply_thread_limit, build_parser, main
 from orthomap.corpus_io import load_ref_lexicon
+from orthomap.edit_model import EditModel, build_edit_alphabets, edit_operations
 from orthomap.errors import ConfigError
 from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
@@ -74,8 +75,9 @@ class TestRunConfig:
 
     def test_manifest_roundtrip(self, tiny_benchmark, tmp_path):
         cfg = base_config(tiny_benchmark, tmp_path, mode="ortho-ext", scale=0.25)
-        manifest = cfg.to_manifest()
+        manifest = cfg.to_manifest(iterations=3)
         assert manifest["package_version"]
+        assert manifest["config"]["scale"] == 0.25
         back = RunConfig.from_mapping(manifest)
         assert back == cfg
 
@@ -99,7 +101,7 @@ class TestRunPipeline:
         assert (out / "trace.tsv").is_file()
         assert (out / "predictions.tsv").is_file()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["mode"] == "baseline"
+        assert manifest["config"]["mode"] == "baseline"
         assert manifest["test_p_at_1"] == outcome.eval_report.p_at_1
         assert outcome.eval_report.p_at_1 >= 0.95
         trace_lines = (out / "trace.tsv").read_text().splitlines()
@@ -118,14 +120,12 @@ class TestRunPipeline:
         cfg = base_config(tiny_benchmark, tmp_path / "first")
         run_pipeline(cfg)
         manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
-        replay = RunConfig.from_mapping(
-            {k: v for k, v in manifest.items() if k in RunConfig.__dataclass_fields__}
-        )
+        replay = RunConfig.from_mapping(manifest)
         replay.output_dir = str(tmp_path / "second")
         run_pipeline(replay)
-        first = (tmp_path / "first" / "lexicon.tsv").read_bytes()
-        second = (tmp_path / "second" / "lexicon.tsv").read_bytes()
-        assert first == second
+        for name in ("lexicon.tsv", "trace.tsv"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "second" / name).read_bytes()
 
     def test_dev_test_overlap_rejected(self, tiny_benchmark, tmp_path):
         cfg = base_config(
@@ -342,7 +342,7 @@ class TestCli:
         assert (tmp_path / "flag-wins" / "lexicon.tsv").is_file()
         assert not (tmp_path / "from-file").exists()
         manifest = json.loads((tmp_path / "flag-wins" / "manifest.json").read_text())
-        assert manifest["train_cutoff"] == 50
+        assert manifest["config"]["train_cutoff"] == 50
 
     def test_rerun_from_manifest_cli(self, tiny_benchmark, tmp_path):
         first = tmp_path / "one"
@@ -353,16 +353,65 @@ class TestCli:
             "--output-dir", first,
             "--seed", 6,
         ) == 0
-        # Older manifests also recorded "threads", which replay ignores.
         manifest = json.loads((first / "manifest.json").read_text())
-        assert "threads" not in manifest
+        # Older manifests were flat: the fields, the outputs a run could
+        # record, and "threads", which replay never applied.
+        outputs = dict.fromkeys(
+            ("seed_used", "iterations", "final_objective", "mean_cosine", "test_p_at_1",
+             "alphabet_size", "synthetic_pairs", "candidates", "untransliterable",
+             "boosted_pairs", "edit_model_path", "selected_scale"),
+            1,
+        )
         old = tmp_path / "old-manifest.json"
-        old.write_text(json.dumps(dict(manifest, threads=2)), encoding="utf-8")
+        old.write_text(json.dumps({**outputs, **manifest.pop("config"), **manifest, "threads": 2}))
         for k, config in enumerate((first / "manifest.json", old)):
             second = tmp_path / f"replay{k}"
             assert self.run_cli("induce", "--config", config, "--output-dir", second) == 0
-            assert (first / "lexicon.tsv").read_bytes() == (second / "lexicon.tsv").read_bytes()
-            assert "threads" not in json.loads((second / "manifest.json").read_text())
+            for name in ("lexicon.tsv", "trace.tsv"):
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+            assert "threads" not in json.loads((second / "manifest.json").read_text())["config"]
+
+    @pytest.mark.parametrize(
+        "config", [{"seeds": [1], "wat": 1}, ["seeds", 1]], ids=["unknown-key", "not-an-object"]
+    )
+    def test_bad_config_file_exit_code(self, tiny_benchmark, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = self.run_cli(
+            "induce",
+            "--config", path,
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "run",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("gen-benchmark", "--n-words", 5, "--output-dir", "{tmp}/out"), 2),
+            (("gen-benchmark", "--noise", "nan", "--output-dir", "{tmp}/out"), 2),
+            (("train-edit-model", "--pairs", "{tmp}/pairs.tsv", "--output", "{tmp}/out",
+              "--iterations", 0), 2),
+            (("train-edit-model", "--pairs", "{tmp}/empty.tsv", "--output", "{tmp}/out"), 3),
+            (("transliterate", "--model", "{tmp}/model.tsv", "qqq"), 3),
+        ],
+        ids=["gen-benchmark-few-words", "gen-benchmark-nan-noise", "train-zero-iterations",
+             "train-empty-pairs", "transliterate-uncovered"],
+    )
+    def test_subcommand_errors_exit_with_typed_code(self, tmp_path, capsys, argv, expected):
+        (tmp_path / "pairs.tsv").write_text("ab xy\nba yx\n", encoding="utf-8")
+        (tmp_path / "empty.tsv").write_text("\n", encoding="utf-8")
+        alphabets = build_edit_alphabets(["ab"], ["xy"])
+        ops = list(edit_operations(alphabets))
+        EditModel(alphabets, dict.fromkeys(ops, 1 / len(ops))).save(tmp_path / "model.tsv")
+        code = self.run_cli(*(str(a).format(tmp=tmp_path) for a in argv))
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_train_and_transliterate_roundtrip(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -511,6 +560,30 @@ class TestCli:
         bad = tmp_path / "bad.vec"
         bad.write_text("2 3\nw0 0 1 x\nw1 1 0 0\n", encoding="utf-8")
         assert self.sweep_exit_code(tiny_benchmark, bad, tmp_path) == 3
+
+
+def test_run_options_store_into_config_fields():
+    # Replay and flag overrides copy args by field name, so each run option
+    # must store into exactly one RunConfig field.
+    def dests(command):
+        names = set(vars(build_parser().parse_args([command])))
+        names -= {"verbose", "threads", "command", "func", "config"}
+        return {"seeds" if name == "seed" else name for name in names}
+
+    fields = set(RunConfig.__dataclass_fields__)
+    assert dests("sweep") == fields
+    assert dests("induce") == fields - {"grid", "criterion", "runs_per_c"}
+
+
+def test_threads_override_blas_variables(monkeypatch):
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    _apply_thread_limit(None)
+    assert [os.environ[var] for var in blas_vars] == ["3"] * 3
+    _apply_thread_limit(1)
+    assert [os.environ[var] for var in blas_vars] == ["1"] * 3
 
 
 def test_cli_import_leaves_numpy_unloaded():
