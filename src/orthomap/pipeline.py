@@ -170,12 +170,16 @@ class RunConfig:
         A manifest holds it as its "config" object. A manifest written
         before the configuration was nested is flat and carries
         "package_version" but no "config"; its fields are kept and the
-        outputs beside them dropped. Any other mapping lists fields only.
+        other keys dropped with a warning that names them, so a misspelled
+        field shows. Any other mapping lists fields only.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         if isinstance(mapping, dict) and "config" in mapping:
             mapping = mapping["config"]
         elif isinstance(mapping, dict) and "package_version" in mapping:
+            dropped = sorted(set(mapping) - known - {"package_version"})
+            if dropped:
+                logger.warning("flat manifest: ignoring non-config keys %s", dropped)
             mapping = {k: v for k, v in mapping.items() if k in known}
         if not isinstance(mapping, dict):
             raise ConfigError("a configuration must be a JSON object")

@@ -81,6 +81,13 @@ class TestRunConfig:
         back = RunConfig.from_mapping(manifest)
         assert back == cfg
 
+    def test_flat_manifest_names_dropped_keys(self, tiny_benchmark, tmp_path, caplog):
+        cfg = base_config(tiny_benchmark, tmp_path)
+        flat = {**cfg.to_manifest()["config"], "package_version": "0", "train_cuttof": 5}
+        with caplog.at_level("WARNING", logger="orthomap.pipeline"):
+            assert RunConfig.from_mapping(flat) == cfg
+        assert "train_cuttof" in caplog.text and "package_version" not in caplog.text
+
     def test_unknown_manifest_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_mapping({"wat": 1})
@@ -354,6 +361,7 @@ class TestCli:
             "--seed", 6,
         ) == 0
         manifest = json.loads((first / "manifest.json").read_text())
+        assert "threads" not in manifest
         # Older manifests were flat: the fields, the outputs a run could
         # record, and "threads", which replay never applied.
         outputs = dict.fromkeys(
@@ -369,7 +377,8 @@ class TestCli:
             assert self.run_cli("induce", "--config", config, "--output-dir", second) == 0
             for name in ("lexicon.tsv", "trace.tsv"):
                 assert (first / name).read_bytes() == (second / name).read_bytes()
-            assert "threads" not in json.loads((second / "manifest.json").read_text())["config"]
+            replayed = json.loads((second / "manifest.json").read_text())
+            assert "threads" not in replayed and "threads" not in replayed["config"]
 
     @pytest.mark.parametrize(
         "config", [{"seeds": [1], "wat": 1}, ["seeds", 1]], ids=["unknown-key", "not-an-object"]
