@@ -33,12 +33,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.words)
 
-    def __contains__(self, word):
-        return word in self.index
-
-    def __getitem__(self, i):
-        return self.words[i]
-
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.words == other.words
 
@@ -134,9 +128,6 @@ class RefLexicon:
     """Reference translations grouped by source word."""
 
     pairs: dict
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def load_embeddings(path, max_vocab=None):

@@ -73,13 +73,13 @@ def edit_operations(alphabets):
 class EditModel:
     """Probability table over edit operations, normalized to sum 1."""
 
-    def __init__(self, alphabets, theta, validate=True, training_stats=None):
+    def __init__(self, alphabets, theta, training_stats=None):
         self.alphabets = alphabets
         self.theta = dict(theta)
         self.training_stats = training_stats
         self._best_substitution = {}
-        if validate:
-            self._validate()
+        self._reversed = None
+        self._validate()
 
     def _validate(self):
         if (EPSILON, EPSILON) in self.theta:
@@ -96,8 +96,17 @@ class EditModel:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"operation probabilities sum to {total!r}, not 1")
 
-    def operations(self):
-        return edit_operations(self.alphabets)
+    def reversed(self):
+        """The model of reversed strings: both n-grams of every operation
+        reversed, probabilities kept. Built once per model."""
+        if self._reversed is None:
+            alphabets = EditAlphabets(
+                NgramAlphabet([g[::-1] for g in self.alphabets.src.items]),
+                NgramAlphabet([g[::-1] for g in self.alphabets.tgt.items]),
+            )
+            theta = {(a[::-1], b[::-1]): p for (a, b), p in self.theta.items()}
+            self._reversed = EditModel(alphabets, theta)
+        return self._reversed
 
     def best_substitution(self, a_src):
         """Max-probability target item for a source item, as (item, log p).
@@ -129,7 +138,7 @@ class EditModel:
         """
         with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(_MODEL_FORMAT_VERSION + "\n")
-            for op in self.operations():
+            for op in edit_operations(self.alphabets):
                 fh.write(f"{op[0]}\t{op[1]}\t{format(self.theta.get(op, 0.0), '.17g')}\n")
 
     @classmethod
@@ -171,8 +180,14 @@ def _check_coverage(word, chars, side):
         )
 
 
-def _forward_table(x, z, model):
-    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table."""
+def _forward_table(x, z, model, beta=None, visits=None):
+    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table.
+
+    Given the pair's backward table ``beta``, it also appends to ``visits``,
+    in recursion order, ``(op, prefix * theta * suffix)`` for every
+    operation whose prefix and suffix probabilities are both non-zero: the
+    operation's posterior weight at that position, times p(x, z).
+    """
     n_max, m_max = len(x), len(z)
     max_j = model.alphabets.max_src_len
     max_k = model.alphabets.max_tgt_len
@@ -183,40 +198,28 @@ def _forward_table(x, z, model):
         for m in range(m_max + 1):
             if n == 0 and m == 0:
                 continue
+            suffix = 0.0 if beta is None else beta[n][m]
             total = 0.0
             for j in range(0, min(max_j, n) + 1):
                 x_gram = x[n - j : n]
                 k_lo = 1 if j == 0 else 0
                 for k in range(k_lo, min(max_k, m) + 1):
-                    p = theta.get((x_gram, z[m - k : m]))
+                    op = (x_gram, z[m - k : m])
+                    p = theta.get(op)
                     if p:
-                        total += p * table[n - j][m - k]
+                        prefix = table[n - j][m - k]
+                        total += p * prefix
+                        if suffix and prefix:
+                            visits.append((op, prefix * p * suffix))
             table[n][m] = total
     return table
 
 
 def _backward_table(x, z, model):
-    """Suffix-pair generation probabilities, the mirror of the forward pass."""
-    n_max, m_max = len(x), len(z)
-    max_j = model.alphabets.max_src_len
-    max_k = model.alphabets.max_tgt_len
-    theta = model.theta
-    table = [[0.0] * (m_max + 1) for _ in range(n_max + 1)]
-    table[n_max][m_max] = 1.0
-    for n in range(n_max, -1, -1):
-        for m in range(m_max, -1, -1):
-            if n == n_max and m == m_max:
-                continue
-            total = 0.0
-            for j in range(0, min(max_j, n_max - n) + 1):
-                x_gram = x[n : n + j]
-                k_lo = 1 if j == 0 else 0
-                for k in range(k_lo, min(max_k, m_max - m) + 1):
-                    p = theta.get((x_gram, z[m : m + k]))
-                    if p:
-                        total += p * table[n + j][m + k]
-            table[n][m] = total
-    return table
+    """Suffix-pair generation probabilities: the forward table of the
+    reversed strings under the reversed model, read back to front."""
+    table = _forward_table(x[::-1], z[::-1], model.reversed())
+    return [row[::-1] for row in table[::-1]]
 
 
 def log_edit_probability(x, z, model):
@@ -240,9 +243,9 @@ def em_train(pairs, alphabets, iterations=3):
     """Expectation-maximization over operation probabilities.
 
     Starts from the uniform table, accumulates posterior operation counts
-    from the forward/backward tables of every pair, and renormalizes
-    globally each iteration. Pairs with uncovered characters or zero
-    probability contribute nothing and are counted.
+    from the forward pass of every pair over its backward table, and
+    renormalizes globally each iteration. Pairs with uncovered characters
+    or zero probability contribute nothing and are counted.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -260,39 +263,22 @@ def em_train(pairs, alphabets, iterations=3):
 
     ops = list(edit_operations(alphabets))
     theta = dict.fromkeys(ops, 1.0 / len(ops))
-    max_j = alphabets.max_src_len
-    max_k = alphabets.max_tgt_len
     log_likelihoods = []
-    skipped_zero = 0
     for _ in range(iterations):
-        model = EditModel(alphabets, theta, validate=False)
+        model = EditModel(alphabets, theta)
         counts = {}
         log_likelihood = 0.0
         skipped_zero = 0
         for x, z in usable:
-            alpha = _forward_table(x, z, model)
+            visits = []
+            alpha = _forward_table(x, z, model, _backward_table(x, z, model), visits)
             p = alpha[len(x)][len(z)]
             if p <= 0.0:
                 skipped_zero += 1
                 continue
-            beta = _backward_table(x, z, model)
             log_likelihood += math.log(p)
-            for n in range(len(x) + 1):
-                for m in range(len(z) + 1):
-                    suffix = beta[n][m]
-                    if suffix == 0.0:
-                        continue
-                    for j in range(0, min(max_j, n) + 1):
-                        x_gram = x[n - j : n]
-                        k_lo = 1 if j == 0 else 0
-                        for k in range(k_lo, min(max_k, m) + 1):
-                            op = (x_gram, z[m - k : m])
-                            t = theta.get(op)
-                            if t:
-                                prefix = alpha[n - j][m - k]
-                                if prefix:
-                                    expected = prefix * t * suffix / p
-                                    counts[op] = counts.get(op, 0.0) + expected
+            for op, weight in visits:
+                counts[op] = counts.get(op, 0.0) + weight / p
         if not counts:
             raise EmTrainingError("every training pair had zero probability")
         log_likelihoods.append(log_likelihood)

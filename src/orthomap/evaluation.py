@@ -81,11 +81,11 @@ class ScorerTable:
             raise ValueError("tgt_unigram_count must be at least 2")
 
 
-def load_scorer_table(path, tgt_unigram_count=None):
+def load_scorer_table(path):
     """Read a "source<TAB>target<TAB>probability" table.
 
-    When the unigram count is not given it is taken from the distinct
-    characters of the table's target words.
+    The unigram count is the number of distinct characters of the table's
+    target words.
     """
     scores = {}
     chars = set()
@@ -105,9 +105,7 @@ def load_scorer_table(path, tgt_unigram_count=None):
                 raise InputFormatError(f"{path}:{lineno}: probability {p} outside (0, 1]")
             scores[(src, tgt)] = p
             chars.update(tgt)
-    if tgt_unigram_count is None:
-        tgt_unigram_count = len(chars)
-    return ScorerTable(scores, tgt_unigram_count)
+    return ScorerTable(scores, len(chars))
 
 
 def scorer_boost_value(p, tgt_unigram_count, scale):

@@ -23,7 +23,7 @@ def normalize_rows(matrix):
     return matrix / safe
 
 
-def normalize_embeddings(emb, center=True):
+def normalize_embeddings(emb):
     """Mean-center every dimension, then length-normalize every row.
 
     Rows that become zero after centering (duplicates of the mean) stay
@@ -32,8 +32,7 @@ def normalize_embeddings(emb, center=True):
     if len(emb.vocab) == 0:
         raise ValueError("empty embedding matrix")
     data = np.array(emb.data, dtype=np.float64)
-    if center:
-        data -= data.mean(axis=0)
+    data -= data.mean(axis=0)
     norms = np.linalg.norm(data, axis=1)
     zero_rows = int((norms == 0.0).sum())
     if zero_rows:

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -68,6 +69,19 @@ def _valid_scale(c):
     return math.isfinite(c) and c >= 0.0
 
 
+def _fits(value, kind):
+    """Whether a JSON value has a field's annotated type. An int is also a
+    float; a bool is neither."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # an optional field
+        return any(_fits(value, k) for k in args)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class RunConfig:
     """Every knob of a pipeline run; defaults match the full-scale setup."""
@@ -77,8 +91,8 @@ class RunConfig:
     output_dir: str | None = None
     mode: str = "baseline"
     scale: float = 0.0
-    grid: list = field(default_factory=lambda: list(DEFAULT_GRID))
-    seeds: list = field(default_factory=lambda: [0])
+    grid: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
+    seeds: list[int] = field(default_factory=lambda: [0])
     runs_per_c: int = 1
     criterion: str = "dev-accuracy"
     dev_lexicon: str | None = None
@@ -171,7 +185,8 @@ class RunConfig:
         before the configuration was nested is flat and carries
         "package_version" but no "config"; its fields are kept and the
         other keys dropped with a warning that names them, so a misspelled
-        field shows. Any other mapping lists fields only.
+        field shows. Any other mapping lists fields only. Every value must
+        have its field's type, list elements included.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         if isinstance(mapping, dict) and "config" in mapping:
@@ -186,6 +201,12 @@ class RunConfig:
         unknown = set(mapping) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in dataclasses.fields(cls):
+            if f.name in mapping and not _fits(mapping[f.name], f.type):
+                kind = f.type.__name__ if isinstance(f.type, type) else f.type
+                raise ConfigError(
+                    f"config key {f.name!r} must be {kind}, got {mapping[f.name]!r}"
+                )
         return cls(**mapping)
 
 
@@ -281,7 +302,6 @@ def boost_stage(src, tgt, cfg, seed):
     alphabets = build_edit_alphabets(src_words, tgt_words)
     model = em_train(pairs, alphabets, cfg.em_iterations)
     extras["edit_model"] = model
-    extras["em_log_likelihoods"] = model.training_stats.log_likelihoods
 
     cands, skipped = candidate_pairs(src_words, tgt_words, model, cfg.delete_k)
     extras["candidates"] = len(cands)
@@ -302,8 +322,6 @@ def boost_stage(src, tgt, cfg, seed):
 
 
 def _run_boosted(src, tgt, cfg, seed, stage, extras):
-    if cfg.scale < 0:
-        raise ValueError("scale must be non-negative")
     values = cfg.scale * stage.unit
     keep = values > 0.0
     extras.update(stage.extras, boosted_pairs=int(keep.sum()))

@@ -420,7 +420,7 @@ class SelfLearningResult:
 
 
 def run_self_learning(
-    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, loop_seed=None, init=None
+    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None
 ):
     """Full unsupervised run: init, loop to convergence, whitened final pass.
 
@@ -464,7 +464,7 @@ def run_self_learning(
             logger.info("iteration %d: dictionary reached its fixed point", state.iteration)
         return objective
 
-    state, trace = run_schedule(cfg, step, seed=loop_seed)
+    state, trace = run_schedule(cfg, step)
     loop_dict = state.dictionary
 
     # Modified final iteration: strip any extension, whiten both sides over

@@ -6,7 +6,9 @@ transliterations from enumerating segmentations, candidate pairs and
 n-gram counts from their definitions, the loop objective from explicit dot
 products. The dense scoring path near the end is the reference the sparse,
 single-pass self-learning code is checked against, and the reference loop
-after it solves and induces at every iteration, replays included.
+after it solves and induces at every iteration, replays included. The
+edit-model EM at the end runs its three recursions separately: a forward
+table, a mirrored backward table, and an E-step that revisits every cell.
 """
 
 import math
@@ -343,3 +345,100 @@ def fixed_point_iteration(history):
         if p_keep >= 1.0 and after == before:
             return iteration
     return None
+
+
+def reference_forward_table(x, z, theta, max_j, max_k):
+    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table."""
+    n_max, m_max = len(x), len(z)
+    table = [[0.0] * (m_max + 1) for _ in range(n_max + 1)]
+    table[0][0] = 1.0
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            if n == 0 and m == 0:
+                continue
+            total = 0.0
+            for j in range(0, min(max_j, n) + 1):
+                x_gram = x[n - j : n]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m) + 1):
+                    p = theta.get((x_gram, z[m - k : m]))
+                    if p:
+                        total += p * table[n - j][m - k]
+            table[n][m] = total
+    return table
+
+
+def reference_backward_table(x, z, theta, max_j, max_k):
+    """Suffix-pair generation probabilities, the mirror of the forward pass."""
+    n_max, m_max = len(x), len(z)
+    table = [[0.0] * (m_max + 1) for _ in range(n_max + 1)]
+    table[n_max][m_max] = 1.0
+    for n in range(n_max, -1, -1):
+        for m in range(m_max, -1, -1):
+            if n == n_max and m == m_max:
+                continue
+            total = 0.0
+            for j in range(0, min(max_j, n_max - n) + 1):
+                x_gram = x[n : n + j]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m_max - m) + 1):
+                    p = theta.get((x_gram, z[m : m + k]))
+                    if p:
+                        total += p * table[n + j][m + k]
+            table[n][m] = total
+    return table
+
+
+def reference_em_train(pairs, alphabets, iterations):
+    """EM with a separate E-step over the forward and backward tables.
+
+    Returns the final operation table, the per-iteration log-likelihoods
+    and the uncovered and zero-probability skip counts.
+    """
+    from orthomap.edit_model import edit_operations
+
+    usable = []
+    skipped_uncovered = 0
+    for x, z in pairs:
+        if set(x) <= alphabets.src_chars and set(z) <= alphabets.tgt_chars:
+            usable.append((x, z))
+        else:
+            skipped_uncovered += 1
+    ops = list(edit_operations(alphabets))
+    theta = dict.fromkeys(ops, 1.0 / len(ops))
+    max_j = alphabets.max_src_len
+    max_k = alphabets.max_tgt_len
+    log_likelihoods = []
+    skipped_zero = 0
+    for _ in range(iterations):
+        counts = {}
+        log_likelihood = 0.0
+        skipped_zero = 0
+        for x, z in usable:
+            alpha = reference_forward_table(x, z, theta, max_j, max_k)
+            p = alpha[len(x)][len(z)]
+            if p <= 0.0:
+                skipped_zero += 1
+                continue
+            beta = reference_backward_table(x, z, theta, max_j, max_k)
+            log_likelihood += math.log(p)
+            for n in range(len(x) + 1):
+                for m in range(len(z) + 1):
+                    suffix = beta[n][m]
+                    if suffix == 0.0:
+                        continue
+                    for j in range(0, min(max_j, n) + 1):
+                        x_gram = x[n - j : n]
+                        k_lo = 1 if j == 0 else 0
+                        for k in range(k_lo, min(max_k, m) + 1):
+                            op = (x_gram, z[m - k : m])
+                            t = theta.get(op)
+                            if t:
+                                prefix = alpha[n - j][m - k]
+                                if prefix:
+                                    expected = prefix * t * suffix / p
+                                    counts[op] = counts.get(op, 0.0) + expected
+        log_likelihoods.append(log_likelihood)
+        total = sum(counts.values())
+        theta = {op: counts.get(op, 0.0) / total for op in ops}
+    return theta, log_likelihoods, skipped_uncovered, skipped_zero

@@ -29,6 +29,9 @@ from oracles import (
     enumerate_posterior_stats,
     enumerate_transliteration_score,
     random_theta,
+    reference_backward_table,
+    reference_em_train,
+    reference_forward_table,
 )
 
 
@@ -122,6 +125,64 @@ class TestForwardBackward:
             log_edit_probability("q", "b", model)
         with pytest.raises(AlphabetCoverageError):
             log_edit_probability("a", "q", model)
+
+
+def bigram_pairs(seed):
+    """Random pairs over alphabets with bigrams, plus the pairs EM skips or
+    treats specially: an empty side each way, an uncovered character, and a
+    zero-probability pair. That pair is long enough to underflow under the
+    uniform start; it alone holds "g", so from then on every operation it
+    needs has probability zero."""
+    rng = np.random.default_rng(seed)
+
+    def word(chars, size):
+        return "".join(rng.choice(list(chars), size=size))
+
+    pairs = [
+        (word("abcdef", rng.integers(1, 7)), word("uvwxyz", rng.integers(1, 7)))
+        for _ in range(25)
+    ]
+    src_words = [x for x, _ in pairs] + ["g"]
+    alphabets = build_edit_alphabets(src_words, [z for _, z in pairs])
+    long_pair = ("g" + word("abcdef", 179), word("uvwxyz", 180))
+    pairs += [("", "vw"), ("ab", ""), ("aq", "vw"), long_pair]
+    return pairs, alphabets
+
+
+class TestAgainstSeparatePasses:
+    # The backward table is the forward table of the reversed strings, and
+    # EM reads its posterior counts from the forward pass; both must equal
+    # the separate passes of the reference bit for bit.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_backward_and_forward_tables_equal_reference(self, seed):
+        pairs, alphabets = bigram_pairs(seed)
+        model = EditModel(alphabets, random_theta(np.random.default_rng(seed), alphabets))
+        max_j, max_k = alphabets.max_src_len, alphabets.max_tgt_len
+        for x, z in pairs[:-2]:  # neither the uncovered nor the long pair
+            assert _backward_table(x, z, model) == reference_backward_table(
+                x, z, model.theta, max_j, max_k
+            )
+            assert _forward_table(x, z, model) == reference_forward_table(
+                x, z, model.theta, max_j, max_k
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_em_train_equals_reference(self, seed):
+        pairs, alphabets = bigram_pairs(seed)
+        model = em_train(pairs, alphabets, iterations=3)
+        theta, log_likelihoods, uncovered, zero = reference_em_train(pairs, alphabets, 3)
+        stats = model.training_stats
+        assert model.theta == theta
+        assert stats.log_likelihoods == log_likelihoods
+        assert (stats.skipped_uncovered, stats.skipped_zero_prob) == (uncovered, zero) == (1, 1)
+
+    def test_reversed_model_reverses_both_sides(self):
+        alphabets = build_edit_alphabets(["ab"], ["xy"])
+        model = EditModel(alphabets, random_theta(np.random.default_rng(5), alphabets))
+        rev = model.reversed()
+        assert rev is model.reversed()
+        assert rev.theta[("ba", "yx")] == model.theta[("ab", "xy")]
+        assert rev.theta[("ba", "")] == model.theta[("ab", "")]
 
 
 class TestEmTrain:

@@ -169,16 +169,29 @@ class TestRunPipeline:
         outcome = run_pipeline(cfg)
         assert outcome.eval_report.p_at_1 >= 0.95
 
-    def test_baseline_and_boosted_share_main_loop_seed(self, tiny_benchmark, tmp_path):
-        # The first phase of a boosted mode equals a standalone baseline run
+    def test_baseline_and_boosted_share_main_loop_seed(
+        self, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        # The first loop of a boosted mode equals a standalone baseline run
         # under the same master seed.
-        base = execute_run(base_config(tiny_benchmark, tmp_path / "a"), seed=9)
+        loops = []
+        original = pipeline.run_self_learning
+
+        def recording(*args, **kwargs):
+            loops.append(original(*args, **kwargs))
+            return loops[-1]
+
+        monkeypatch.setattr(pipeline, "run_self_learning", recording)
+        execute_run(base_config(tiny_benchmark, tmp_path / "a"), seed=9)
         edit = execute_run(
             base_config(tiny_benchmark, tmp_path / "b", mode="edit-dist", scale=0.3),
             seed=9,
         )
-        assert edit.extras["synthetic_pairs"] > 0
-        assert base.predictions  # sanity: both phases completed
+        assert len(loops) == 3 and edit.extras["synthetic_pairs"] > 0
+        base, main = loops[0], loops[1]
+        assert main.trace == base.trace
+        assert main.loop_dictionary == base.loop_dictionary
+        assert main.lexicon == base.lexicon
 
 
 class TestSweep:
@@ -395,6 +408,42 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seeds", 3),
+            ("seeds", [1, "2"]),
+            ("grid", [0.3, "0.6"]),
+            ("train_cutoff", "20"),
+            ("train_cutoff", 20.0),
+            ("scale", True),
+            ("max_vocab", "100"),
+        ],
+        ids=["seeds-int", "seeds-str-element", "grid-str-element", "cutoff-str",
+             "cutoff-float", "scale-bool", "max-vocab-str"],
+    )
+    def test_config_value_of_wrong_type(
+        self, tiny_benchmark, tmp_path, capsys, monkeypatch, key, value
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("inputs read before the config was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_load)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "baseline", key: value}), encoding="utf-8")
+        code = self.run_cli(
+            "induce",
+            "--config", path,
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "run",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and repr(key) in err
+        assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

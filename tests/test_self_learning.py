@@ -9,7 +9,7 @@ import pytest
 from orthomap import self_learning
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
 from orthomap.errors import ConvergenceError
-from orthomap.numerics import normalize_embeddings, weighted_cross_svd
+from orthomap.numerics import normalize_embeddings, normalize_rows, weighted_cross_svd
 from orthomap.ortho_extension import strip_extension
 from orthomap.self_learning import (
     LoopConfig,
@@ -202,7 +202,7 @@ class TestInitDictionary:
         rng = np.random.default_rng(4)
         data = rng.standard_normal((6, 4))
         data[3] = data[0]
-        x = normalize_embeddings(emb(data), center=False)
+        x = emb(normalize_rows(data))
         d = init_dictionary_unsupervised(x, x, 6)
         targets_of = {0: set(), 3: set()}
         for s, t, _ in d.pairs():

@@ -88,6 +88,7 @@ def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
     # A boosted run computes the init once, in pipeline.boost_stage, for
     # both of its loops. The spans must still see that call, or
     # self_learning.init_dictionary.s would read 0 on a boosted workload.
+    # Likewise EM and boost scoring must each be seen with their work counts.
     spans = spans_module()
     modules = [m for n, m in sys.modules.items() if n.startswith("orthomap.")]
     for module in modules:  # install() replaces these; monkeypatch restores them
@@ -103,8 +104,13 @@ def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
         scale=0.3,
         stall_window=5,
     )
-    pipeline.execute_run(cfg, 0)
+    extras = pipeline.execute_run(cfg, 0).extras
     names = [span[0] for span in tracer.spans]
+    metrics = spans.layer_metrics(tracer.spans)
     assert names.count("self_learning.init_dictionary_unsupervised") == 1
     assert names.count("self_learning.run_schedule") == 2
-    assert spans.layer_metrics(tracer.spans)["self_learning.init_dictionary.s"] > 0.0
+    assert metrics["self_learning.init_dictionary.s"] > 0.0
+    assert names.count("edit_model.em_train") == 1
+    assert metrics["edit_model.em_train.s"] > 0.0
+    assert metrics["edit_model.em_pairs"] == extras["synthetic_pairs"] > 0
+    assert metrics["edit_model.edit_similarity_boost.calls"] == extras["candidates"] > 0
