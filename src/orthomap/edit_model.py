@@ -215,10 +215,52 @@ def _forward_table(x, z, model, beta=None, visits=None):
     return table
 
 
-def _backward_table(x, z, model):
-    """Suffix-pair generation probabilities: the forward table of the
+def _log_sum(terms):
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _log_forward_table(x, z, model, beta=None, visits=None):
+    """_forward_table in log space, for the pairs whose probability
+    underflows to zero in linear space; -inf stands for probability zero.
+
+    Given the pair's log backward table ``beta``, it appends ``(op, log of
+    prefix * theta * suffix)`` to ``visits`` in the same order.
+    """
+    n_max, m_max = len(x), len(z)
+    max_j = model.alphabets.max_src_len
+    max_k = model.alphabets.max_tgt_len
+    theta = model.theta
+    table = [[-math.inf] * (m_max + 1) for _ in range(n_max + 1)]
+    table[0][0] = 0.0
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            if n == 0 and m == 0:
+                continue
+            suffix = -math.inf if beta is None else beta[n][m]
+            terms = []
+            for j in range(0, min(max_j, n) + 1):
+                x_gram = x[n - j : n]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m) + 1):
+                    op = (x_gram, z[m - k : m])
+                    p = theta.get(op)
+                    prefix = table[n - j][m - k]
+                    if p and prefix > -math.inf:
+                        term = prefix + math.log(p)
+                        terms.append(term)
+                        if suffix > -math.inf:
+                            visits.append((op, term + suffix))
+            table[n][m] = _log_sum(terms)
+    return table
+
+
+def _backward_table(x, z, model, forward=_forward_table):
+    """Suffix-pair generation probabilities: the ``forward`` table of the
     reversed strings under the reversed model, read back to front."""
-    table = _forward_table(x[::-1], z[::-1], model.reversed())
+    table = forward(x[::-1], z[::-1], model.reversed())
     return [row[::-1] for row in table[::-1]]
 
 
@@ -227,7 +269,9 @@ def log_edit_probability(x, z, model):
     _check_coverage(x, model.alphabets.src_chars, "source")
     _check_coverage(z, model.alphabets.tgt_chars, "target")
     p = _forward_table(x, z, model)[len(x)][len(z)]
-    return math.log(p) if p > 0.0 else -math.inf
+    if p > 0.0:
+        return math.log(p)
+    return _log_forward_table(x, z, model)[len(x)][len(z)]
 
 
 @dataclass
@@ -244,8 +288,9 @@ def em_train(pairs, alphabets, iterations=3):
 
     Starts from the uniform table, accumulates posterior operation counts
     from the forward pass of every pair over its backward table, and
-    renormalizes globally each iteration. Pairs with uncovered characters
-    or zero probability contribute nothing and are counted.
+    renormalizes globally each iteration. A pair whose probability
+    underflows to zero is recomputed in log space. Pairs with uncovered
+    characters or zero probability contribute nothing and are counted.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -273,12 +318,20 @@ def em_train(pairs, alphabets, iterations=3):
             visits = []
             alpha = _forward_table(x, z, model, _backward_table(x, z, model), visits)
             p = alpha[len(x)][len(z)]
-            if p <= 0.0:
+            if p > 0.0:
+                log_likelihood += math.log(p)
+                for op, weight in visits:
+                    counts[op] = counts.get(op, 0.0) + weight / p
+                continue
+            visits = []
+            beta = _backward_table(x, z, model, _log_forward_table)
+            log_p = _log_forward_table(x, z, model, beta, visits)[len(x)][len(z)]
+            if log_p == -math.inf:
                 skipped_zero += 1
                 continue
-            log_likelihood += math.log(p)
-            for op, weight in visits:
-                counts[op] = counts.get(op, 0.0) + weight / p
+            log_likelihood += log_p
+            for op, log_weight in visits:
+                counts[op] = counts.get(op, 0.0) + math.exp(log_weight - log_p)
         if not counts:
             raise EmTrainingError("every training pair had zero probability")
         log_likelihoods.append(log_likelihood)

@@ -379,9 +379,12 @@ def _ensure_disjoint(dev, test):
 
 def _write_trace(trace, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration\tp_keep\tobjective\n")
-        for entry in trace:
-            fh.write(f"{entry.iteration}\t{entry.p_keep:.10g}\t{entry.objective:.12f}\n")
+        fh.write("iteration\tp_keep\tobjective\tdict_size\tmutual_pairs\tchurn\n")
+        for e in trace:
+            fh.write(
+                f"{e.iteration}\t{e.p_keep:.10g}\t{e.objective:.12f}"
+                f"\t{e.dict_size}\t{e.mutual_pairs}\t{e.churn}\n"
+            )
 
 
 def run_pipeline(cfg):

@@ -7,7 +7,10 @@ exploration. The keep probability starts small and doubles whenever the
 objective stalls; once it reaches 1 and stalls again, a modified final
 iteration with whitening produces the output maps and lexicon. Iterations
 at p_keep 1 that would replay a fixed point of the induction return its
-objective without recomputing it.
+objective without recomputing it. The loop's Procrustes problem is solved
+over the columns each side uses: a column that is zero in every training
+row adds only zero singular values and moves no score, which is what the
+n-gram columns of the other script are under an orthographic extension.
 
 The initial dictionary, every iteration and the final retrieval share one
 nearest-neighbour kernel. It never holds a whole score matrix: ScoreTiles
@@ -76,6 +79,7 @@ class TrainState:
     objective: float = float("-inf")
     dictionary: SparseDictionary | None = None
     dictionary_scores: np.ndarray | None = None
+    churn: int = 0  # entries of dictionary not in the step's input dictionary
 
 
 @dataclass
@@ -83,6 +87,9 @@ class TraceEntry:
     iteration: int
     p_keep: float
     objective: float
+    dict_size: int
+    mutual_pairs: int
+    churn: int
 
 
 @dataclass
@@ -363,7 +370,9 @@ def init_dictionary_unsupervised(src_emb, tgt_emb, cutoff):
 def run_schedule(cfg, step_fn, seed=None):
     """Drive the keep-probability schedule until convergence.
 
-    ``step_fn(state)`` performs one iteration and returns its objective.
+    ``step_fn(state)`` performs one iteration and returns its objective; the
+    trace records it with the size, mutual pairs and state.churn of the
+    dictionary the step leaves in ``state``.
     The keep probability multiplies by p_factor whenever the best objective
     fails to improve by objective_eps within stall_window iterations; the
     run ends when the stall fires with p_keep already at 1.
@@ -386,7 +395,17 @@ def run_schedule(cfg, step_fn, seed=None):
                 f"non-finite objective {objective} at iteration {state.iteration}"
             )
         state.objective = objective
-        trace.append(TraceEntry(state.iteration, state.p_keep, objective))
+        d = state.dictionary
+        trace.append(
+            TraceEntry(
+                state.iteration,
+                state.p_keep,
+                objective,
+                0 if d is None else len(d),
+                0 if d is None else int(np.count_nonzero(d.weight == 2)),
+                state.churn,
+            )
+        )
         if objective - best >= cfg.objective_eps:
             best = objective
             state.stall_counter = 0
@@ -403,6 +422,20 @@ def run_schedule(cfg, step_fn, seed=None):
                 state.p_keep,
             )
     return state, trace
+
+
+def _used_columns(block):
+    """``block`` without its all-zero columns; ``block`` itself, uncopied,
+    when it has none."""
+    used = np.flatnonzero(block.any(axis=0))
+    return block if len(used) == block.shape[1] else block[:, used]
+
+
+def _churn(new, old):
+    """Number of entries of ``new`` that are not entries of ``old``."""
+    span = int(max(new.tgt.max(), old.tgt.max())) + 1
+    kept = np.intersect1d(new.src * span + new.tgt, old.src * span + old.tgt, assume_unique=True)
+    return len(new) - len(kept)
 
 
 @dataclass
@@ -435,15 +468,23 @@ def run_self_learning(
     n_src = len(src_emb.vocab)
     n_tgt = len(tgt_emb.vocab)
     cutoff = min(cfg.train_cutoff, n_src, n_tgt)
-    x = src_emb.data
-    z = tgt_emb.data
-    x_cut = x[:cutoff]
-    z_cut = z[:cutoff]
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
 
     if init is None:
         init = init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
+    # Every dictionary index lies below the cutoff. The loop solves its
+    # Procrustes problem over the training rows' used columns (a and b of
+    # them) and keeps the min(a, b) singular pairs that can carry weight.
+    x_used = _used_columns(src_emb.data[:cutoff])
+    z_used = _used_columns(tgt_emb.data[:cutoff])
+    logger.info(
+        "procrustes over %d x %d of %d x %d columns",
+        x_used.shape[1],
+        z_used.shape[1],
+        src_emb.dim,
+        tgt_emb.dim,
+    )
     # Once p_keep is 1 a step depends only on its input dictionary. When its
     # induction returns that input, every later step would recompute the
     # same objective, dictionary and scores, and state already holds the
@@ -455,10 +496,12 @@ def run_self_learning(
         d = init if state.dictionary is None else state.dictionary
         if fixed is not None and d is fixed[0]:
             return fixed[1]
-        u, s, vt = weighted_cross_svd(x, z, d)
+        u, s, vt = weighted_cross_svd(x_used, z_used, d)
+        r = len(s)
         objective = float(s.sum() / d.weight_sum)
-        scores = _product(x_cut @ u, z_cut @ vt.T)
+        scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
         new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost)
+        state.churn = _churn(new_d, d)
         if state.p_keep >= 1.0 and new_d == d:
             fixed = new_d, objective
             logger.info("iteration %d: dictionary reached its fixed point", state.iteration)

@@ -6,11 +6,14 @@ transliterations from enumerating segmentations, candidate pairs and
 n-gram counts from their definitions, the loop objective from explicit dot
 products. The dense scoring path near the end is the reference the sparse,
 single-pass self-learning code is checked against, and the reference loop
-after it solves and induces at every iteration, replays included. The
-edit-model EM at the end runs its three recursions separately: a forward
-table, a mirrored backward table, and an E-step that revisits every cell.
+after it solves and induces at every iteration, replays included, over
+every column. The edit-model EM at the end runs its three recursions
+separately: a forward table, a mirrored backward table, and an E-step that
+revisits every cell, in log space for a pair whose probability underflows;
+a 40-digit decimal forward recursion checks those log probabilities.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -285,14 +288,21 @@ def dense_retrieval(src_emb, tgt_emb, w_src, w_tgt, train_cutoff, csls_k, boost=
     return tgt_idx, cosines
 
 
-def reference_self_learning(src_emb, tgt_emb, cfg, boost=None):
-    """run_self_learning, without extension columns, with a step that always
-    solves, scores and induces.
+def dictionary_churn(new, old):
+    """Entries (source, target) of ``new`` that ``old`` does not hold."""
+    before = {(i, j) for i, j, _ in old.pairs()}
+    return sum((i, j) not in before for i, j, _ in new.pairs())
+
+
+def reference_self_learning(src_emb, tgt_emb, cfg, boost=None, n_extension_cols=0):
+    """run_self_learning with a step that always solves, scores and induces
+    over every column.
 
     The package's kernel and schedule are reused; only the step differs:
-    it never skips an iteration that replays a fixed point. Returns the
-    SelfLearningResult and the per-iteration history of (p_keep, input
-    dictionary, induced dictionary).
+    it never skips an iteration that replays a fixed point, and it solves
+    the Procrustes problem over all rows and columns of both matrices,
+    all-zero columns included. Returns the SelfLearningResult and the
+    per-iteration history of (p_keep, input dictionary, induced dictionary).
     """
     from orthomap import self_learning as sl
     from orthomap.numerics import compute_whitening, weighted_cross_svd
@@ -311,11 +321,13 @@ def reference_self_learning(src_emb, tgt_emb, cfg, boost=None):
         objective = float(s.sum() / d.weight_sum)
         scores = sl._product(x[:cutoff] @ u, z[:cutoff] @ vt.T)
         new_d = sl.induce_dictionary(scores, state, sl.csls_means(scores, cfg.csls_k), boost)
+        state.churn = dictionary_churn(new_d, d)
         history.append((state.p_keep, d, new_d))
         return objective
 
     state, trace = sl.run_schedule(cfg, step)
-    src_final, tgt_final = strip_extension(src_emb, 0), strip_extension(tgt_emb, 0)
+    src_final = strip_extension(src_emb, n_extension_cols)
+    tgt_final = strip_extension(tgt_emb, n_extension_cols)
     wh_src = compute_whitening(src_final, slice(0, cutoff))
     wh_tgt = compute_whitening(tgt_final, slice(0, cutoff))
     u, s, vt = weighted_cross_svd(
@@ -347,16 +359,20 @@ def fixed_point_iteration(history):
     return None
 
 
-def reference_forward_table(x, z, theta, max_j, max_k):
-    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table."""
+def reference_forward_table(x, z, theta, max_j, max_k, one=1.0):
+    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table.
+
+    ``one`` sets the number type: 1.0, or a Decimal 1 when ``theta`` holds
+    Decimals.
+    """
     n_max, m_max = len(x), len(z)
-    table = [[0.0] * (m_max + 1) for _ in range(n_max + 1)]
-    table[0][0] = 1.0
+    table = [[one * 0] * (m_max + 1) for _ in range(n_max + 1)]
+    table[0][0] = one
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             if n == 0 and m == 0:
                 continue
-            total = 0.0
+            total = one * 0
             for j in range(0, min(max_j, n) + 1):
                 x_gram = x[n - j : n]
                 k_lo = 1 if j == 0 else 0
@@ -389,11 +405,93 @@ def reference_backward_table(x, z, theta, max_j, max_k):
     return table
 
 
+def decimal_log_probability(x, z, theta, max_j, max_k):
+    """log p(x, z) from the forward recursion in 40-digit decimal
+    arithmetic, whose exponent range reaches far below a float's."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = {op: decimal.Decimal(p) for op, p in theta.items()}
+        table = reference_forward_table(x, z, exact, max_j, max_k, one=decimal.Decimal(1))
+        p = table[len(x)][len(z)]
+        return float(p.ln()) if p > 0 else -math.inf
+
+
+def _log_sum(terms):
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def reference_log_forward_table(x, z, theta, max_j, max_k):
+    """reference_forward_table in log space; -inf stands for zero."""
+    n_max, m_max = len(x), len(z)
+    table = [[-math.inf] * (m_max + 1) for _ in range(n_max + 1)]
+    table[0][0] = 0.0
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            if n == 0 and m == 0:
+                continue
+            terms = []
+            for j in range(0, min(max_j, n) + 1):
+                x_gram = x[n - j : n]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m) + 1):
+                    p = theta.get((x_gram, z[m - k : m]))
+                    if p and table[n - j][m - k] > -math.inf:
+                        terms.append(table[n - j][m - k] + math.log(p))
+            table[n][m] = _log_sum(terms)
+    return table
+
+
+def reference_log_backward_table(x, z, theta, max_j, max_k):
+    """reference_backward_table in log space; -inf stands for zero."""
+    n_max, m_max = len(x), len(z)
+    table = [[-math.inf] * (m_max + 1) for _ in range(n_max + 1)]
+    table[n_max][m_max] = 0.0
+    for n in range(n_max, -1, -1):
+        for m in range(m_max, -1, -1):
+            if n == n_max and m == m_max:
+                continue
+            terms = []
+            for j in range(0, min(max_j, n_max - n) + 1):
+                x_gram = x[n : n + j]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m_max - m) + 1):
+                    p = theta.get((x_gram, z[m : m + k]))
+                    if p and table[n + j][m + k] > -math.inf:
+                        terms.append(table[n + j][m + k] + math.log(p))
+            table[n][m] = _log_sum(terms)
+    return table
+
+
+def _expected_counts(x, z, theta, max_j, max_k, alpha, beta, zero, weight, counts):
+    """The E-step: adds ``weight(prefix, theta, suffix)`` of every operation
+    at every position where neither prefix nor suffix equals ``zero`` (0.0
+    for linear tables, -inf for log tables) to ``counts``."""
+    for n in range(len(x) + 1):
+        for m in range(len(z) + 1):
+            suffix = beta[n][m]
+            if suffix == zero:
+                continue
+            for j in range(0, min(max_j, n) + 1):
+                x_gram = x[n - j : n]
+                k_lo = 1 if j == 0 else 0
+                for k in range(k_lo, min(max_k, m) + 1):
+                    op = (x_gram, z[m - k : m])
+                    t = theta.get(op)
+                    if t:
+                        prefix = alpha[n - j][m - k]
+                        if prefix != zero:
+                            counts[op] = counts.get(op, 0.0) + weight(prefix, t, suffix)
+
+
 def reference_em_train(pairs, alphabets, iterations):
     """EM with a separate E-step over the forward and backward tables.
 
-    Returns the final operation table, the per-iteration log-likelihoods
-    and the uncovered and zero-probability skip counts.
+    A pair whose probability underflows to zero is recomputed with log-space
+    tables. Returns the final operation table, the per-iteration
+    log-likelihoods and the uncovered and zero-probability skip counts.
     """
     from orthomap.edit_model import edit_operations
 
@@ -417,27 +515,25 @@ def reference_em_train(pairs, alphabets, iterations):
         for x, z in usable:
             alpha = reference_forward_table(x, z, theta, max_j, max_k)
             p = alpha[len(x)][len(z)]
-            if p <= 0.0:
+            if p > 0.0:
+                beta = reference_backward_table(x, z, theta, max_j, max_k)
+                log_likelihood += math.log(p)
+                _expected_counts(
+                    x, z, theta, max_j, max_k, alpha, beta, 0.0,
+                    lambda prefix, t, suffix: prefix * t * suffix / p, counts,
+                )
+                continue
+            alpha = reference_log_forward_table(x, z, theta, max_j, max_k)
+            lp = alpha[len(x)][len(z)]
+            if lp == -math.inf:
                 skipped_zero += 1
                 continue
-            beta = reference_backward_table(x, z, theta, max_j, max_k)
-            log_likelihood += math.log(p)
-            for n in range(len(x) + 1):
-                for m in range(len(z) + 1):
-                    suffix = beta[n][m]
-                    if suffix == 0.0:
-                        continue
-                    for j in range(0, min(max_j, n) + 1):
-                        x_gram = x[n - j : n]
-                        k_lo = 1 if j == 0 else 0
-                        for k in range(k_lo, min(max_k, m) + 1):
-                            op = (x_gram, z[m - k : m])
-                            t = theta.get(op)
-                            if t:
-                                prefix = alpha[n - j][m - k]
-                                if prefix:
-                                    expected = prefix * t * suffix / p
-                                    counts[op] = counts.get(op, 0.0) + expected
+            beta = reference_log_backward_table(x, z, theta, max_j, max_k)
+            log_likelihood += lp
+            _expected_counts(
+                x, z, theta, max_j, max_k, alpha, beta, -math.inf,
+                lambda prefix, t, suffix: math.exp(prefix + math.log(t) + suffix - lp), counts,
+            )
         log_likelihoods.append(log_likelihood)
         total = sum(counts.values())
         theta = {op: counts.get(op, 0.0) / total for op in ops}

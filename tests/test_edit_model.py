@@ -10,6 +10,7 @@ from orthomap.edit_model import (
     EditModel,
     _backward_table,
     _forward_table,
+    _log_forward_table,
     boost_from_log_prob,
     build_edit_alphabets,
     edit_operations,
@@ -25,6 +26,7 @@ from orthomap.errors import (
 )
 from orthomap.ortho_extension import NgramAlphabet
 from oracles import (
+    decimal_log_probability,
     enumerate_edit_probability,
     enumerate_posterior_stats,
     enumerate_transliteration_score,
@@ -130,9 +132,8 @@ class TestForwardBackward:
 def bigram_pairs(seed):
     """Random pairs over alphabets with bigrams, plus the pairs EM skips or
     treats specially: an empty side each way, an uncovered character, and a
-    zero-probability pair. That pair is long enough to underflow under the
-    uniform start; it alone holds "g", so from then on every operation it
-    needs has probability zero."""
+    180-character pair whose probability underflows to zero in linear
+    space, so EM recomputes it in log space. It alone holds "g"."""
     rng = np.random.default_rng(seed)
 
     def word(chars, size):
@@ -174,7 +175,48 @@ class TestAgainstSeparatePasses:
         stats = model.training_stats
         assert model.theta == theta
         assert stats.log_likelihoods == log_likelihoods
-        assert (stats.skipped_uncovered, stats.skipped_zero_prob) == (uncovered, zero) == (1, 1)
+        assert (stats.skipped_uncovered, stats.skipped_zero_prob) == (uncovered, zero) == (1, 0)
+        assert model.theta[("g", "")] > 0.0  # learned from the long pair alone
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_underflowing_pair_gets_its_log_probability(self, seed):
+        pairs, alphabets = bigram_pairs(seed)
+        x, z = pairs[-1]
+        model = EditModel(alphabets, random_theta(np.random.default_rng(seed), alphabets))
+        assert _forward_table(x, z, model)[len(x)][len(z)] == 0.0
+        expected = decimal_log_probability(
+            x, z, model.theta, alphabets.max_src_len, alphabets.max_tgt_len
+        )
+        got = log_edit_probability(x, z, model)
+        assert math.isfinite(got) and got < math.log(np.finfo(float).tiny)
+        assert abs(got - expected) <= 1e-9 * abs(expected)
+        # The log-space tables of a pair that does not underflow equal the
+        # linear ones up to rounding.
+        short = pairs[0]
+        assert log_edit_probability(*short, model) == math.log(
+            _forward_table(*short, model)[len(short[0])][len(short[1])]
+        )
+        log_table = _log_forward_table(*short, model)
+        np.testing.assert_allclose(
+            np.exp(log_table), _forward_table(*short, model), rtol=1e-12, atol=0
+        )
+
+    def test_underflowing_pair_is_trained_not_skipped(self):
+        # Under the uniform start the long pair's linear probability is 0.0;
+        # its log probability enters the first log-likelihood.
+        pairs, alphabets = bigram_pairs(0)
+        ops = list(edit_operations(alphabets))
+        uniform = EditModel(alphabets, dict.fromkeys(ops, 1.0 / len(ops)))
+        short, long_pair = pairs[0], pairs[-1]
+        assert _forward_table(*long_pair, uniform)[len(long_pair[0])][len(long_pair[1])] == 0.0
+        model = em_train([short, long_pair], alphabets, iterations=1)
+        assert model.training_stats.skipped_zero_prob == 0
+        max_j, max_k = alphabets.max_src_len, alphabets.max_tgt_len
+        expected = sum(
+            decimal_log_probability(x, z, uniform.theta, max_j, max_k) for x, z in (short, long_pair)
+        )
+        (got,) = model.training_stats.log_likelihoods
+        assert abs(got - expected) <= 1e-9 * abs(expected)
 
     def test_reversed_model_reverses_both_sides(self):
         alphabets = build_edit_alphabets(["ab"], ["xy"])

@@ -112,7 +112,7 @@ class TestRunPipeline:
         assert manifest["test_p_at_1"] == outcome.eval_report.p_at_1
         assert outcome.eval_report.p_at_1 >= 0.95
         trace_lines = (out / "trace.tsv").read_text().splitlines()
-        assert trace_lines[0] == "iteration\tp_keep\tobjective"
+        assert trace_lines[0] == "iteration\tp_keep\tobjective\tdict_size\tmutual_pairs\tchurn"
         assert len(trace_lines) - 1 == outcome.result.state.iteration
 
     def test_no_partial_outputs_on_config_error(self, tiny_benchmark, tmp_path):

@@ -412,6 +412,134 @@ class TestFastForward:
         ]
 
 
+def extended_case(name):
+    """(src, tgt, cfg, widths) of a pair with 12 n-gram-like extension columns.
+
+    ``widths`` holds the number of columns each side uses in its training
+    rows: 6 embedding columns plus the extension columns filled in there.
+    The target's extension columns copy the source's of its translation
+    into other columns, as a cipher's spelling does.
+    """
+    rng = np.random.default_rng(21)
+    n, cutoff, ext = 80, 60, 12
+    src, tgt, inverse = cipher_pair(rng, n, 6, noise=0.3)
+    counts = 0.3 * rng.poisson(1.0, (n, ext)) + 0.3  # no column is all zero
+    src_cols, tgt_cols = {
+        "cross-script": (range(0, 6), range(6, 12)),
+        "unequal": (range(0, 4), range(4, 12)),
+        "shared": (range(0, 9), range(4, 12)),
+        "full": (range(12), range(12)),
+    }[name]
+    src_ext = np.zeros((n, ext))
+    tgt_ext = np.zeros((n, ext))
+    src_ext[:, src_cols] = counts[:, : len(src_cols)]
+    tgt_ext[:, tgt_cols] = counts[np.argsort(inverse), : len(tgt_cols)]
+    if name == "unequal":
+        # Used only beyond the cutoff; its mean is 0, so centering keeps
+        # it zero in the training rows.
+        src_ext[cutoff:, 11] = np.resize([0.3, -0.3], n - cutoff)
+    extended = [
+        normalize_embeddings(EmbeddingMatrix(e.vocab, np.hstack([e.data, x])))
+        for e, x in ((src, src_ext), (tgt, tgt_ext))
+    ]
+    if name == "unequal":
+        assert not extended[0].data[:cutoff, 17].any() and extended[0].data[cutoff:, 17].all()
+    cfg = LoopConfig(train_cutoff=cutoff, stall_window=3, rng_seed=3)
+    return (*extended, cfg, (6 + len(src_cols), 6 + len(tgt_cols)))
+
+
+class TestUsedColumns:
+    """The loop solves over the columns each side uses in its training rows.
+
+    The reference loop in tests/oracles.py solves over every column; the
+    two agree to rounding, and bit for bit when every column is used.
+    """
+
+    @pytest.mark.parametrize("name", ["cross-script", "unequal", "shared", "full"])
+    def test_matches_full_width_reference(self, monkeypatch, caplog, name):
+        src, tgt, cfg, widths = extended_case(name)
+        product = self_learning._product
+        products = []
+        solve_widths = []
+
+        def recording_product(left, right):
+            products.append(left @ right.T)
+            return product(left, right)
+
+        def recording_svd(x, z, dictionary):
+            solve_widths.append((x.shape[1], z.shape[1]))
+            return weighted_cross_svd(x, z, dictionary)
+
+        monkeypatch.setattr(self_learning, "_product", recording_product)
+        expected, history = reference_self_learning(src, tgt, cfg, n_extension_cols=12)
+        expected_products = products[:]
+        products.clear()
+        monkeypatch.setattr(self_learning, "weighted_cross_svd", recording_svd)
+        with caplog.at_level("INFO", logger="orthomap.self_learning"):
+            result = run_self_learning(src, tgt, cfg, n_extension_cols=12)
+
+        computed = fixed_point_iteration(history) or len(history)
+        assert solve_widths == [widths] * computed + [(6, 6)]
+        assert f"procrustes over {widths[0]} x {widths[1]} of 18 x 18 columns" in [
+            r.getMessage() for r in caplog.records
+        ]
+        # Per step: the scores of every computed iteration, then retrieval's.
+        assert len(products) == computed + 1
+        assert len(expected_products) == len(history) + 1
+        pairs = list(zip(products[:-1], expected_products)) + [
+            (products[-1], expected_products[-1])
+        ]
+        if name == "full":
+            assert result.trace == expected.trace
+            for got, want in pairs:
+                np.testing.assert_array_equal(got, want)
+            assert np.array_equal(result.loop_dictionary_scores, expected.loop_dictionary_scores)
+        else:
+            assert widths[0] + widths[1] < 36
+            np.testing.assert_allclose(
+                [e.objective for e in result.trace],
+                [e.objective for e in expected.trace],
+                rtol=0,
+                atol=1e-12,
+            )
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        def rows(trace):
+            return [(e.iteration, e.p_keep, e.dict_size, e.mutual_pairs, e.churn) for e in trace]
+
+        assert rows(result.trace) == rows(expected.trace)
+        assert result.loop_dictionary == expected.loop_dictionary
+        assert result.lexicon == expected.lexicon
+        assert np.array_equal(result.lexicon_cosine, expected.lexicon_cosine)
+
+    def test_full_support_passes_through_uncopied(self):
+        block = np.arange(6.0).reshape(2, 3) + 1.0
+        assert self_learning._used_columns(block) is block
+        block[:, 1] = 0.0
+        np.testing.assert_array_equal(self_learning._used_columns(block), block[:, [0, 2]])
+
+
+class TestTraceColumns:
+    def test_columns_describe_each_dictionary(self):
+        src, tgt, cfg, _ = fast_forward_case("unboosted")
+        expected, history = reference_self_learning(src, tgt, cfg)
+        result = run_self_learning(src, tgt, cfg)
+        fixed = fixed_point_iteration(history)
+        assert len(result.trace) == len(history) > fixed
+        for entry, (_, before, after) in zip(result.trace, history):
+            assert entry.dict_size == len(after)
+            assert entry.mutual_pairs == int((after.weight == 2).sum())
+            assert entry.churn == len(set(zip(after.src, after.tgt)) - set(zip(before.src, before.tgt)))
+        # Replays of the fixed point repeat its row, with churn 0.
+        row = result.trace[fixed - 1]
+        assert row.churn == 0
+        for entry in result.trace[fixed:]:
+            assert (entry.objective, entry.dict_size, entry.mutual_pairs, entry.churn) == (
+                row.objective, row.dict_size, row.mutual_pairs, 0
+            )
+
+
 class TestSimilarityBoost:
     def test_add_to_sums_duplicates(self):
         boost = SimilarityBoost(

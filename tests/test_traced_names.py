@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from orthomap import pipeline, self_learning
-from orthomap.corpus_io import EmbeddingMatrix, Vocabulary
+from orthomap.corpus_io import EmbeddingMatrix, Vocabulary, load_embeddings
 from orthomap.numerics import normalize_embeddings
+from orthomap.ortho_extension import build_ngram_alphabet
 from orthomap.self_learning import LoopConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -84,11 +85,8 @@ def test_run_calls_every_traced_kernel_function(monkeypatch):
     assert all(count >= 1 for count in calls.values()), calls
 
 
-def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
-    # A boosted run computes the init once, in pipeline.boost_stage, for
-    # both of its loops. The spans must still see that call, or
-    # self_learning.init_dictionary.s would read 0 on a boosted workload.
-    # Likewise EM and boost scoring must each be seen with their work counts.
+def installed_tracer(monkeypatch):
+    """perfbench's Tracer, installed until the test ends."""
     spans = spans_module()
     modules = [m for n, m in sys.modules.items() if n.startswith("orthomap.")]
     for module in modules:  # install() replaces these; monkeypatch restores them
@@ -97,6 +95,15 @@ def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
                 monkeypatch.setattr(module, func_name, module.__dict__[func_name])
     tracer = spans.Tracer()
     tracer.install()
+    return spans, tracer
+
+
+def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
+    # A boosted run computes the init once, in pipeline.boost_stage, for
+    # both of its loops. The spans must still see that call, or
+    # self_learning.init_dictionary.s would read 0 on a boosted workload.
+    # Likewise EM and boost scoring must each be seen with their work counts.
+    spans, tracer = installed_tracer(monkeypatch)
     cfg = pipeline.RunConfig(
         src_embeddings=str(tiny_benchmark.src_embeddings),
         tgt_embeddings=str(tiny_benchmark.tgt_embeddings),
@@ -114,3 +121,38 @@ def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
     assert metrics["edit_model.em_train.s"] > 0.0
     assert metrics["edit_model.em_pairs"] == extras["synthetic_pairs"] > 0
     assert metrics["edit_model.edit_similarity_boost.calls"] == extras["candidates"] > 0
+
+
+def test_extended_run_solves_over_used_columns(tiny_benchmark, monkeypatch, caplog):
+    # The cipher's two scripts share no n-gram, so each side uses its
+    # embedding columns and the extension columns of its own script; the
+    # traced svd_dim shows that width. Fixed-point replays solve nothing.
+    spans, tracer = installed_tracer(monkeypatch)
+    cfg = pipeline.RunConfig(
+        src_embeddings=str(tiny_benchmark.src_embeddings),
+        tgt_embeddings=str(tiny_benchmark.tgt_embeddings),
+        mode="ortho-ext",
+        scale=0.3,
+        stall_window=5,
+    )
+    with caplog.at_level("INFO", logger="orthomap.self_learning"):
+        outcome = pipeline.execute_run(cfg, 0)
+    metrics = spans.layer_metrics(tracer.spans)
+
+    src = load_embeddings(cfg.src_embeddings)
+    tgt = load_embeddings(cfg.tgt_embeddings)
+    alphabet = build_ngram_alphabet(src.vocab.words, tgt.vocab.words, cfg.alphabet_k)
+    used = [g for g in alphabet.items if any(g in w for w in src.vocab.words)]
+    assert 0 < len(used) < len(alphabet)
+    assert metrics["numerics.svd_dim"] == src.dim + len(used)
+
+    iterations = outcome.result.state.iteration
+    (fixed,) = [
+        int(r.getMessage().split()[1].rstrip(":"))
+        for r in caplog.records
+        if r.getMessage().endswith("reached its fixed point")
+    ]
+    replays = iterations - fixed
+    assert replays > 0
+    assert metrics["self_learning.iterations"] == iterations
+    assert metrics["numerics.weighted_cross_svd.calls"] == iterations - replays + 1
