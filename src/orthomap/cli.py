@@ -139,6 +139,11 @@ def _cmd_train_edit_model(args):
 
     if args.iterations < 1:
         raise ConfigError("--iterations must be at least 1")
+    if bool(args.src_vocab) != bool(args.tgt_vocab):
+        missing = "--src-vocab" if args.tgt_vocab else "--tgt-vocab"
+        raise ConfigError(
+            f"missing {missing}: --src-vocab and --tgt-vocab are given together or not at all"
+        )
     pairs = []
     with open(args.pairs, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -150,7 +155,7 @@ def _cmd_train_edit_model(args):
             pairs.append((tokens[0], tokens[1]))
     if not pairs:
         raise InputFormatError(f"{args.pairs}: no word pairs")
-    if args.src_vocab and args.tgt_vocab:
+    if args.src_vocab:
         src_words = load_embeddings(args.src_vocab).vocab.words
         tgt_words = load_embeddings(args.tgt_vocab).vocab.words
     else:

@@ -12,6 +12,9 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
 from .errors import (
     AlphabetCoverageError,
     EmTrainingError,
@@ -26,6 +29,11 @@ logger = logging.getLogger(__name__)
 EPSILON = ""
 
 _MODEL_FORMAT_VERSION = "editmodel\tv1"
+
+# Bytes of one (cell, operation, pair) float64 array of EM's batched
+# recursion: a chunk of pairs holds a few such arrays, so EM's memory does
+# not grow with the number of pairs.
+_EM_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -180,14 +188,8 @@ def _check_coverage(word, chars, side):
         )
 
 
-def _forward_table(x, z, model, beta=None, visits=None):
-    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table.
-
-    Given the pair's backward table ``beta``, it also appends to ``visits``,
-    in recursion order, ``(op, prefix * theta * suffix)`` for every
-    operation whose prefix and suffix probabilities are both non-zero: the
-    operation's posterior weight at that position, times p(x, z).
-    """
+def _forward_table(x, z, model):
+    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table."""
     n_max, m_max = len(x), len(z)
     max_j = model.alphabets.max_src_len
     max_k = model.alphabets.max_tgt_len
@@ -198,19 +200,14 @@ def _forward_table(x, z, model, beta=None, visits=None):
         for m in range(m_max + 1):
             if n == 0 and m == 0:
                 continue
-            suffix = 0.0 if beta is None else beta[n][m]
             total = 0.0
             for j in range(0, min(max_j, n) + 1):
                 x_gram = x[n - j : n]
                 k_lo = 1 if j == 0 else 0
                 for k in range(k_lo, min(max_k, m) + 1):
-                    op = (x_gram, z[m - k : m])
-                    p = theta.get(op)
+                    p = theta.get((x_gram, z[m - k : m]))
                     if p:
-                        prefix = table[n - j][m - k]
-                        total += p * prefix
-                        if suffix and prefix:
-                            visits.append((op, prefix * p * suffix))
+                        total += p * table[n - j][m - k]
             table[n][m] = total
     return table
 
@@ -283,68 +280,283 @@ class EmStats:
     skipped_zero_prob: int
 
 
+def _em_chunks(pairs, ops_per_cell):
+    """Consecutive [start, stop) runs of pairs whose (cell, operation, pair)
+    arrays, padded to the run's longest strings, fit _EM_CHUNK_BYTES; a
+    pair that alone exceeds it forms a run of its own."""
+    chunks = []
+    start = n_max = m_max = 0
+    for i, (x, z) in enumerate(pairs):
+        n, m = max(n_max, len(x)), max(m_max, len(z))
+        if i > start and (i - start + 1) * (n + 1) * (m + 1) * ops_per_cell * 8 > _EM_CHUNK_BYTES:
+            chunks.append((start, i))
+            start, n, m = i, len(x), len(z)
+        n_max, m_max = n, m
+    chunks.append((start, len(pairs)))
+    return chunks
+
+
+def _gram_key(gram):
+    key = ord(gram[0])
+    return key if len(gram) == 1 else (key << 21) | ord(gram[1])
+
+
+class _Grams:
+    """Alphabet ids of the grams of words, looked up from their character
+    codes; a bigram's key is (code << 21) | next code."""
+
+    def __init__(self, index):
+        self.size = len(index)  # the id of the empty string
+        self.max_len = max(map(len, index), default=1)
+        self.keys, self.ids = [], []
+        for n in (1, 2):
+            items = sorted((_gram_key(g), i) for g, i in index.items() if len(g) == n)
+            self.keys.append(np.array([key for key, _ in items], np.int64))
+            self.ids.append(np.array([i for _, i in items], np.intp))
+
+    def _lookup(self, n, keys):
+        known, ids = self.keys[n - 1], self.ids[n - 1]
+        if not len(known):
+            return np.full(keys.shape, -1, np.intp)
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        return np.where(known[at] == keys, ids[at], -1)
+
+    def table(self, words, lengths):
+        """(n, j, word) ids of the gram of j characters that ends at
+        position n of each word, padded to the longest word: the empty
+        string's for j = 0, -1 where the gram is not in the alphabet or n
+        lies past the word."""
+        length = int(lengths.max())
+        codes = np.full((len(words), length), -1, np.int64)
+        text = "".join(words).encode("utf-32-le", "surrogatepass")
+        codes[np.arange(length) < lengths[:, None]] = np.frombuffer(text, np.uint32)
+        ids = np.full((length + 1, self.max_len + 1, len(words)), -1, np.intp)
+        ids[:, 0][np.arange(length + 1)[:, None] <= lengths] = self.size
+        ids[1:, 1] = self._lookup(1, codes).T
+        if self.max_len == 2:
+            # A padding code (-1) on either side makes the key negative.
+            ids[2:, 2] = self._lookup(2, (codes[:, :-1] << 21) | codes[:, 1:]).T
+        return ids
+
+
+def _reversed_grams(ids, lengths):
+    """_Grams.table of the reversed words: the gram of j characters that
+    ends at n of a reversed word is the word's own gram of j characters
+    ending at len - n + j, read back to front."""
+    n1, j1, n_words = ids.shape
+    j = np.arange(j1)[:, None]
+    at = lengths - np.arange(n1)[:, None, None] + j
+    inside = (at >= j) & (at <= lengths)
+    return np.where(inside, ids[np.clip(at, 0, n1 - 1), j, np.arange(n_words)], -1)
+
+
+class _OpIds:
+    """Ids of the operations of a chunk of pairs, in edit_operations order:
+    src_item * (|tgt| + 1) + tgt_item, the empty string being item |src| or
+    |tgt|. The null operation, last and never representable, stands for
+    every gram outside the alphabets, so its theta slot stays 0.0."""
+
+    def __init__(self, src_index, tgt_index):
+        self.src_index, self.tgt_index = src_index, tgt_index
+        self.src, self.tgt = _Grams(src_index), _Grams(tgt_index)
+        self.null = self.src.size * (self.tgt.size + 1) + self.tgt.size
+
+    def op_id(self, op):
+        a_src, a_tgt = op
+        src = self.src_index[a_src] if a_src else self.src.size
+        return src * (self.tgt.size + 1) + (self.tgt_index[a_tgt] if a_tgt else self.tgt.size)
+
+    def table(self, src, tgt):
+        """(n, m, j, k, pair) ids of the operation that emits the last j
+        characters of x[:n] and the last k of z[:m], from the _Grams.table
+        of the source and target strings."""
+        src = np.where(src < 0, self.null, src * (self.tgt.size + 1))
+        tgt = np.where(tgt < 0, self.null, tgt)
+        ids = src[:, None, :, None, :] + tgt[None, :, None, :, :]
+        return np.minimum(ids, self.null, out=ids)
+
+
+def _chunk_tables(th, keep_terms=False):
+    """Forward tables of a chunk of pairs at once, as vectors over pairs.
+
+    ``th`` is theta of the (n, m, j, k, pair) operations of _OpIds.table.
+    Returns the tables, padded so that ``table[n + J, m + K]`` is the prefix
+    pair (n, m) (J, K: the longest grams) and out-of-range cells read 0.0,
+    and, if asked, the (n, m, j, k, pair) terms theta * table[n - j, m - k].
+    A cell sums its terms in (j, k) order like _forward_table; a term it
+    skips is exactly +0.0 here. The cells of one anti-diagonal n + m read
+    only earlier ones, so they are computed together.
+    """
+    n1, m1, j1, k1, n_pairs = th.shape
+    pj, pk = j1 - 1, k1 - 1
+    w = m1 + pk
+    table = np.zeros((n1 + pj, w, n_pairs))
+    table[pj, pk] = 1.0
+    rows = table.reshape(-1, n_pairs)[pj * w + pk :]  # row n * w + m is cell (n, m)
+    s_row, s_pair = rows.strides
+    prefix = as_strided(
+        rows, (len(rows), j1, k1, n_pairs), (s_row, -w * s_row, -s_row, s_pair)
+    )
+    th = th.reshape(n1 * m1, j1, k1, n_pairs)
+    terms = np.zeros_like(th) if keep_terms else None
+    for d in range(1, n1 + m1 - 1):
+        lo, hi = max(0, d - m1 + 1), min(n1 - 1, d)
+        cells = slice(lo * (m1 - 1) + d, hi * (m1 - 1) + d + 1, max(m1 - 1, 1))
+        at = slice(lo * (w - 1) + d, hi * (w - 1) + d + 1, w - 1)
+        t = np.multiply(th[cells], prefix[at], out=None if terms is None else terms[cells])
+        # accumulate adds strictly in order, as the scalar recursion does.
+        rows[at] = np.add.accumulate(t.reshape(len(t), -1, n_pairs), axis=1)[:, -1]
+    if terms is not None:
+        terms = terms.reshape(n1, m1, j1, k1, n_pairs)
+    return table, terms
+
+
+def _chunk_posteriors(pairs, op_ids, theta):
+    """One E-step over a chunk of pairs.
+
+    Returns each pair's probability p and, for the pairs with p > 0, their
+    E-step visits in the scalar recursion's (pair, n, m, j, k) order: the
+    ids and posterior weights prefix * theta * suffix / p of every
+    operation whose theta, prefix and suffix are non-zero, with the end of
+    each pair's visits in that stream.
+    """
+    xs = [x for x, _ in pairs]
+    zs = [z for _, z in pairs]
+    n_len = np.array([len(x) for x in xs])
+    m_len = np.array([len(z) for z in zs])
+    src = op_ids.src.table(xs, n_len)
+    tgt = op_ids.tgt.table(zs, m_len)
+    # The backward table is the forward table of the reversed strings,
+    # under the model whose operations are reversed with their grams.
+    backward_th = theta[op_ids.table(_reversed_grams(src, n_len), _reversed_grams(tgt, m_len))]
+    backward, _ = _chunk_tables(backward_th)
+    del backward_th
+    ids = op_ids.table(src, tgt)
+    th = theta[ids]
+    forward, terms = _chunk_tables(th, keep_terms=True)
+    n1, m1, j1, k1, n_pairs = th.shape
+    pj, pk = j1 - 1, k1 - 1
+    pair = np.arange(n_pairs)
+    p = forward[n_len + pj, m_len + pk, pair]
+    # suffix[n, m, pair] = backward[|x| - n, |z| - m]; padding (0.0) outside
+    # the pair, and 0.0 for a pair whose p underflowed.
+    rn = np.maximum(n_len - np.arange(n1)[:, None] + pj, 0)
+    rm = np.maximum(m_len - np.arange(m1)[:, None] + pk, 0)
+    suffix = backward[rn[:, None, :], rm[None, :, :], pair]
+    suffix[..., p == 0.0] = 0.0
+    suffix = suffix[:, :, None, None, :]
+    s = forward.strides
+    prefix = as_strided(forward[pj:, pk:], th.shape, (s[0], s[1], -s[0], -s[1], s[2]))
+    visited = (th != 0.0) & (prefix != 0.0) & (suffix != 0.0)
+    del th
+    terms *= suffix
+    terms /= np.where(p > 0.0, p, 1.0)
+    by_pair = visited.reshape(-1, n_pairs).T.copy()
+    visit_pair, visit_cell = np.divmod(np.flatnonzero(by_pair), by_pair.shape[1])
+    at = visit_cell * n_pairs + visit_pair  # in (pair, n, m, j, k) order
+    ends = np.cumsum(by_pair.sum(axis=1))
+    return p.tolist(), ids.reshape(-1)[at], terms.reshape(-1)[at], ends
+
+
+def _log_posteriors(x, z, model):
+    """log p(x, z) and the (op, log weight) visits of the log-space tables,
+    for a pair whose linear probability underflows to zero."""
+    visits = []
+    beta = _backward_table(x, z, model, _log_forward_table)
+    log_p = _log_forward_table(x, z, model, beta, visits)[len(x)][len(z)]
+    return log_p, visits
+
+
 def em_train(pairs, alphabets, iterations=3):
     """Expectation-maximization over operation probabilities.
 
     Starts from the uniform table, accumulates posterior operation counts
     from the forward pass of every pair over its backward table, and
-    renormalizes globally each iteration. A pair whose probability
-    underflows to zero is recomputed in log space. Pairs with uncovered
-    characters or zero probability contribute nothing and are counted.
+    renormalizes globally each iteration. Pairs run in chunks of at most
+    _EM_CHUNK_BYTES per table of terms, each chunk as vectors over its
+    pairs; the counts and log-likelihoods equal those of the scalar
+    recursion bit for bit. A pair whose probability underflows to zero is
+    recomputed in log space. Pairs with uncovered characters or zero
+    probability contribute nothing and are counted.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if not pairs:
         raise ValueError("no training pairs")
-    usable = []
-    skipped_uncovered = 0
-    for x, z in pairs:
-        if set(x) <= alphabets.src_chars and set(z) <= alphabets.tgt_chars:
-            usable.append((x, z))
-        else:
-            skipped_uncovered += 1
+    usable = [
+        pair
+        for pair in pairs
+        if set(pair[0]) <= alphabets.src_chars and set(pair[1]) <= alphabets.tgt_chars
+    ]
+    skipped_uncovered = len(pairs) - len(usable)
     if not usable:
         raise EmTrainingError("every training pair has uncovered characters")
 
+    op_ids = _OpIds(alphabets.src.index, alphabets.tgt.index)
     ops = list(edit_operations(alphabets))
-    theta = dict.fromkeys(ops, 1.0 / len(ops))
+    null = op_ids.null  # == len(ops)
+    theta = np.full(null + 1, 1.0 / len(ops))
+    theta[null] = 0.0
+    chunks = _em_chunks(usable, (alphabets.max_src_len + 1) * (alphabets.max_tgt_len + 1))
     log_likelihoods = []
-    for _ in range(iterations):
-        model = EditModel(alphabets, theta)
-        counts = {}
+    for iteration in range(1, iterations + 1):
+        counts = np.zeros_like(theta)
+        seen = np.zeros(len(theta), dtype=bool)
+        first_visits = []  # ids in the order of their first visit
         log_likelihood = 0.0
         skipped_zero = 0
-        for x, z in usable:
-            visits = []
-            alpha = _forward_table(x, z, model, _backward_table(x, z, model), visits)
-            p = alpha[len(x)][len(z)]
-            if p > 0.0:
-                log_likelihood += math.log(p)
-                for op, weight in visits:
-                    counts[op] = counts.get(op, 0.0) + weight / p
-                continue
-            visits = []
-            beta = _backward_table(x, z, model, _log_forward_table)
-            log_p = _log_forward_table(x, z, model, beta, visits)[len(x)][len(z)]
-            if log_p == -math.inf:
-                skipped_zero += 1
-                continue
-            log_likelihood += log_p
-            for op, log_weight in visits:
-                counts[op] = counts.get(op, 0.0) + math.exp(log_weight - log_p)
-        if not counts:
+        model = None  # built for the log-space path only
+        for start, stop in chunks:
+            chunk = usable[start:stop]
+            probs, ids, weights, ends = _chunk_posteriors(chunk, op_ids, theta)
+            id_parts, weight_parts, done = [], [], 0
+            for i, p in enumerate(probs):
+                if p > 0.0:
+                    log_likelihood += math.log(p)
+                    continue
+                if model is None:
+                    model = EditModel(alphabets, dict(zip(ops, theta.tolist())))
+                log_p, visits = _log_posteriors(*chunk[i], model)
+                if log_p == -math.inf:
+                    skipped_zero += 1
+                    continue
+                log_likelihood += log_p
+                # Splice the pair's visits in at its place in the stream.
+                id_parts += [
+                    ids[done : ends[i]],
+                    np.array([op_ids.op_id(op) for op, _ in visits], np.intp),
+                ]
+                weight_parts += [
+                    weights[done : ends[i]],
+                    np.array([math.exp(lw - log_p) for _, lw in visits]),
+                ]
+                done = ends[i]
+            ids = np.concatenate(id_parts + [ids[done:]])
+            np.add.at(counts, ids, np.concatenate(weight_parts + [weights[done:]]))
+            new = ids[~seen[ids]]
+            uniq, first = np.unique(new, return_index=True)
+            first_visits += uniq[np.argsort(first)].tolist()
+            seen[uniq] = True
+        if not first_visits:
             raise EmTrainingError("every training pair had zero probability")
         log_likelihoods.append(log_likelihood)
-        total = sum(counts.values())
-        theta = {op: counts.get(op, 0.0) / total for op in ops}
-    if skipped_uncovered or skipped_zero:
-        logger.warning(
-            "EM skipped %d uncovered and %d zero-probability pairs",
-            skipped_uncovered,
-            skipped_zero,
+        logger.info(
+            "em iteration %d/%d: log-likelihood %.6f over %d pairs",
+            iteration,
+            iterations,
+            log_likelihood,
+            len(usable) - skipped_zero,
         )
+        # The dict of the scalar E-step summed its counts in first-visit order.
+        theta = counts / sum(counts[first_visits].tolist())
+    logger.log(
+        logging.WARNING if skipped_uncovered or skipped_zero else logging.INFO,
+        "EM skipped %d uncovered and %d zero-probability pairs",
+        skipped_uncovered,
+        skipped_zero,
+    )
     stats = EmStats(log_likelihoods, skipped_uncovered, skipped_zero)
-    return EditModel(alphabets, theta, training_stats=stats)
+    return EditModel(alphabets, dict(zip(ops, theta.tolist())), training_stats=stats)
 
 
 def boost_from_log_prob(log_p, max_len, src_size, tgt_size, scale):

@@ -1,14 +1,17 @@
 """Edit-model DP tables, EM training, the similarity boost, transliteration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from orthomap import edit_model
 from orthomap.edit_model import (
     EditAlphabets,
     EditModel,
     _backward_table,
+    _em_chunks,
     _forward_table,
     _log_forward_table,
     boost_from_log_prob,
@@ -225,6 +228,93 @@ class TestAgainstSeparatePasses:
         assert rev is model.reversed()
         assert rev.theta[("ba", "yx")] == model.theta[("ab", "xy")]
         assert rev.theta[("ba", "")] == model.theta[("ab", "")]
+
+
+def chunked_pairs():
+    """Pairs of mixed lengths over alphabets with bigrams, more than one
+    chunk holds, with an empty side each way, an uncovered pair, a duplicate
+    and, second, the 180-character pair whose linear probability underflows
+    to zero under the uniform start."""
+    rng = np.random.default_rng(8)
+
+    def word(chars, size):
+        return "".join(rng.choice(list(chars), size=size))
+
+    pairs = [
+        (word("abcdef", rng.integers(1, 9)), word("uvwxyz", rng.integers(1, 9)))
+        for _ in range(120)
+    ]
+    alphabets = build_edit_alphabets([x for x, _ in pairs] + ["g"], [z for _, z in pairs])
+    pairs[40:40] = [("", "vw"), ("ab", ""), ("aq", "vw"), pairs[30]]
+    pairs.insert(1, ("g" + word("abcdef", 179), word("uvwxyz", 180)))
+    return pairs, alphabets
+
+
+@pytest.fixture(scope="module")
+def chunked_reference():
+    pairs, alphabets = chunked_pairs()
+    return reference_em_train(pairs, alphabets, 3)
+
+
+class TestBatchedEm:
+    # EM runs a chunk of pairs at once; the chunk size must not show in
+    # the result. Chunks of a few pairs, the default, and chunks wide enough
+    # that the underflowing pair sits inside one, between short pairs.
+    @pytest.mark.parametrize(
+        "chunk_bytes", [1 << 12, None, 3 * 181 * 181 * 9 * 8],
+        ids=["few-pairs", "default", "long-pair-mid-chunk"],
+    )
+    def test_equals_reference(self, monkeypatch, chunked_reference, chunk_bytes):
+        pairs, alphabets = chunked_pairs()
+        if chunk_bytes:
+            monkeypatch.setattr(edit_model, "_EM_CHUNK_BYTES", chunk_bytes)
+        usable = [pair for pair in pairs if pair != ("aq", "vw")]
+        chunks = _em_chunks(usable, 9)
+        assert len(chunks) > 1
+        if chunk_bytes == 3 * 181 * 181 * 9 * 8:
+            assert chunks[0] == (0, 3)  # the long pair is usable[1]
+        ops = list(edit_operations(alphabets))
+        uniform = EditModel(alphabets, dict.fromkeys(ops, 1.0 / len(ops)))
+        long_pair = pairs[1]
+        assert _forward_table(*long_pair, uniform)[len(long_pair[0])][len(long_pair[1])] == 0.0
+
+        model = em_train(pairs, alphabets, iterations=3)
+        theta, log_likelihoods, uncovered, zero = chunked_reference
+        stats = model.training_stats
+        assert model.theta == theta
+        assert stats.log_likelihoods == log_likelihoods
+        assert stats.skipped_uncovered == uncovered == 1
+        assert stats.skipped_zero_prob == zero == 0
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        rng = np.random.default_rng(10)
+        cipher = dict(zip("abcdefghijklmnopqrst", "αβγδεζηθικλμνξοπρστυ"))
+        words = ["".join(rng.choice(list(cipher), size=rng.integers(3, 9))) for _ in range(2000)]
+        pairs = [(w, "".join(cipher[c] for c in w)) for w in words]
+        alphabets = build_edit_alphabets(words, [z for _, z in pairs])
+        em_train(pairs[:50], alphabets, iterations=1)  # lazy imports and caches
+        peaks = []
+        for n in (200, 2000):
+            tracemalloc.start()
+            try:
+                em_train(pairs[:n], alphabets, iterations=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] <= 10 * edit_model._EM_CHUNK_BYTES
+
+    def test_logs_each_iteration_and_the_skips(self, caplog):
+        pairs, alphabets = bigram_pairs(0)
+        pairs = pairs[:-1]  # 27 usable pairs and the uncovered one
+        with caplog.at_level("INFO", logger="orthomap.edit_model"):
+            model = em_train(pairs, alphabets, iterations=2)
+        first, second = model.training_stats.log_likelihoods
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("INFO", f"em iteration 1/2: log-likelihood {first:.6f} over 27 pairs"),
+            ("INFO", f"em iteration 2/2: log-likelihood {second:.6f} over 27 pairs"),
+            ("WARNING", "EM skipped 1 uncovered and 0 zero-probability pairs"),
+        ]
 
 
 class TestEmTrain:

@@ -8,13 +8,14 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthomap
 from orthomap import pipeline, self_learning
 from orthomap.cli import THREADS_ENV_VAR, _apply_thread_limit, build_parser, main
 from orthomap.corpus_io import load_ref_lexicon
-from orthomap.edit_model import EditModel, build_edit_alphabets, edit_operations
+from orthomap.edit_model import EditModel, _em_chunks, build_edit_alphabets, edit_operations
 from orthomap.errors import ConfigError
 from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
@@ -26,6 +27,7 @@ from orthomap.pipeline import (
     run_sweep,
     sweep_seeds,
 )
+from oracles import reference_em_train
 
 
 def base_config(bench, out_dir, **overrides):
@@ -455,9 +457,15 @@ class TestCli:
               "--iterations", 0), 2),
             (("train-edit-model", "--pairs", "{tmp}/empty.tsv", "--output", "{tmp}/out"), 3),
             (("transliterate", "--model", "{tmp}/model.tsv", "qqq"), 3),
+            # Only one alphabet: refused before any (here absent) file is read.
+            (("train-edit-model", "--pairs", "{tmp}/absent.tsv", "--output", "{tmp}/out",
+              "--src-vocab", "{tmp}/absent.vec"), 2),
+            (("train-edit-model", "--pairs", "{tmp}/absent.tsv", "--output", "{tmp}/out",
+              "--tgt-vocab", "{tmp}/absent.vec"), 2),
         ],
         ids=["gen-benchmark-few-words", "gen-benchmark-nan-noise", "train-zero-iterations",
-             "train-empty-pairs", "transliterate-uncovered"],
+             "train-empty-pairs", "transliterate-uncovered", "train-src-vocab-only",
+             "train-tgt-vocab-only"],
     )
     def test_subcommand_errors_exit_with_typed_code(self, tmp_path, capsys, argv, expected):
         (tmp_path / "pairs.tsv").write_text("ab xy\nba yx\n", encoding="utf-8")
@@ -470,6 +478,39 @@ class TestCli:
         assert code == expected
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given, missing", [("--src-vocab", "--tgt-vocab"),
+                                                ("--tgt-vocab", "--src-vocab")])
+    def test_train_edit_model_names_the_missing_vocab(self, tmp_path, capsys, given, missing):
+        code = self.run_cli(
+            "train-edit-model", "--pairs", tmp_path / "absent.tsv",
+            "--output", tmp_path / "model.tsv", given, tmp_path / "absent.vec",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: missing {missing}:")
+
+    def test_trained_model_file_equals_reference(self, tmp_path, capsys):
+        # The batched EM writes the file the scalar reference EM gives, byte
+        # for byte, over bigram alphabets and more pairs than one chunk.
+        rng = np.random.default_rng(12)
+        cipher = dict(zip("abcdefgh", "qrstuvwx"))
+        words = ["".join(rng.choice(list("abcdefgh"), size=rng.integers(1, 9)))
+                 for _ in range(120)]
+        pairs = [(w, "".join(cipher[c] for c in w)) for w in words]
+        (tmp_path / "pairs.tsv").write_text(
+            "".join(f"{x} {z}\n" for x, z in pairs), encoding="utf-8"
+        )
+        assert self.run_cli(
+            "train-edit-model", "--pairs", tmp_path / "pairs.tsv",
+            "--output", tmp_path / "model.tsv", "--iterations", 3,
+        ) == 0
+        capsys.readouterr()
+        alphabets = build_edit_alphabets(words, [z for _, z in pairs])
+        assert len(_em_chunks(pairs, 9)) > 1
+        theta, *_ = reference_em_train(pairs, alphabets, 3)
+        EditModel(alphabets, theta).save(tmp_path / "reference.tsv")
+        written = (tmp_path / "model.tsv").read_bytes()
+        assert written == (tmp_path / "reference.tsv").read_bytes()
 
     def test_train_and_transliterate_roundtrip(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
