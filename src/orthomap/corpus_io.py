@@ -133,8 +133,9 @@ class RefLexicon:
 def load_embeddings(path, max_vocab=None):
     """Read a text embedding file into an EmbeddingMatrix.
 
-    At most min(header count, max_vocab) rows are consumed; duplicated words
-    keep their first occurrence and later ones are dropped with a warning.
+    Exactly min(header count, max_vocab) rows are consumed, and a file that
+    ends before them is rejected; duplicated words keep their first
+    occurrence and later ones are dropped with a warning.
     """
     if max_vocab is not None and max_vocab < 1:
         raise ValueError("max_vocab must be positive")
@@ -182,8 +183,11 @@ def load_embeddings(path, max_vocab=None):
             words.append(word)
             data[kept] = vec
             kept += 1
-    if not words:
-        raise InputFormatError(f"{path}: no embedding rows")
+    if rows_read < limit:
+        raise InputFormatError(
+            f"{path}: file ends after {rows_read} of {limit} rows"
+            f" (header declares {count})"
+        )
     if duplicates:
         logger.warning("%s: dropped %d duplicate words", path, duplicates)
     return EmbeddingMatrix(Vocabulary(words), data[:kept])

@@ -16,28 +16,56 @@ from .corpus_io import EmbeddingMatrix
 logger = logging.getLogger(__name__)
 
 
-def normalize_rows(matrix):
-    """Scale each row to unit Euclidean length; zero rows are left alone."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return matrix / safe
+# Bytes of squares row_norms holds at once, whatever the matrix size. Below
+# glibc's initial 128 KiB mmap threshold, the blocks come from the heap and
+# leave the allocator's dynamic thresholds where the run's arrays set them.
+_NORM_BLOCK_BYTES = 64 << 10
+
+
+def row_norms(matrix):
+    """Euclidean length of each row, bit for bit np.linalg.norm(matrix, axis=1).
+
+    That norm reduces a full-size array of squares; here the squares exist
+    for one block of rows at a time, and each row is reduced exactly as
+    there.
+    """
+    n_rows, n_cols = matrix.shape
+    norms = np.empty(n_rows)
+    step = max(1, _NORM_BLOCK_BYTES // (8 * max(1, n_cols)))
+    for lo in range(0, n_rows, step):
+        block = matrix[lo : lo + step]
+        np.add.reduce(block * block, axis=1, out=norms[lo : lo + step])
+    return np.sqrt(norms, out=norms)
+
+
+def _divide_rows(matrix, norms, out):
+    return np.divide(matrix, np.where(norms > 0.0, norms, 1.0)[:, None], out=out)
+
+
+def normalize_rows(matrix, out=None):
+    """Scale each row to unit Euclidean length; zero rows are left alone.
+
+    The result goes to ``out`` (which may be ``matrix``) when given.
+    """
+    return _divide_rows(matrix, row_norms(matrix), out)
 
 
 def normalize_embeddings(emb):
     """Mean-center every dimension, then length-normalize every row.
 
-    Rows that become zero after centering (duplicates of the mean) stay
-    zero and are reported with a warning.
+    The result is a new matrix; ``emb`` is left as it was. Rows that
+    become zero after centering (duplicates of the mean) stay zero and are
+    reported with a warning.
     """
     if len(emb.vocab) == 0:
         raise ValueError("empty embedding matrix")
     data = np.array(emb.data, dtype=np.float64)
     data -= data.mean(axis=0)
-    norms = np.linalg.norm(data, axis=1)
+    norms = row_norms(data)
     zero_rows = int((norms == 0.0).sum())
     if zero_rows:
         logger.warning("%d rows have zero norm after centering", zero_rows)
-    return EmbeddingMatrix(emb.vocab, normalize_rows(data))
+    return EmbeddingMatrix(emb.vocab, _divide_rows(data, norms, data))
 
 
 @dataclass

@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus_io import SparseDictionary
 from .errors import ConvergenceError
+from .memory import log_peak_rss
 from .numerics import compute_whitening, normalize_rows, weighted_cross_svd
 from .ortho_extension import strip_extension
 
@@ -439,38 +440,43 @@ def _churn(new, old):
 
 
 @dataclass
-class SelfLearningResult:
-    """Everything a caller needs after a completed run."""
+class LoopResult:
+    """The loop's outcome: its trace and final state, and the dictionary
+    that state ends with, with each entry's score before masking."""
 
-    w_src: np.ndarray
-    w_tgt: np.ndarray
-    lexicon: SparseDictionary
-    lexicon_cosine: np.ndarray
     trace: list
     loop_dictionary: SparseDictionary
     loop_dictionary_scores: np.ndarray
     state: TrainState = field(repr=False, default=None)
 
 
-def run_self_learning(
-    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None
-):
-    """Full unsupervised run: init, loop to convergence, whitened final pass.
+@dataclass(kw_only=True)
+class SelfLearningResult(LoopResult):
+    """Everything a caller needs after a completed run: the loop's outcome
+    and the maps and lexicon of the whitened final pass."""
 
-    ``n_extension_cols`` trailing columns are stripped from both matrices
-    before the final iteration (0 when no orthographic extension is active).
+    w_src: np.ndarray
+    w_tgt: np.ndarray
+    lexicon: SparseDictionary
+    lexicon_cosine: np.ndarray
+
+
+def _cutoff(src_emb, tgt_emb, cfg):
+    return min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
+
+
+def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None):
+    """The self-learning loop from the initial dictionary to convergence.
+
     ``boost`` is an optional SimilarityBoost; its entries inside the cutoff
-    block are added to the adjusted similarities of every iteration and of
-    the final retrieval. ``init`` is the initial dictionary when the caller
-    already holds init_dictionary_unsupervised's result for these matrices
-    and cutoff; it is computed here otherwise.
+    block are added to the adjusted similarities of every iteration.
+    ``init`` is the initial dictionary when the caller already holds
+    init_dictionary_unsupervised's result for these matrices and cutoff; it
+    is computed here otherwise.
     """
-    n_src = len(src_emb.vocab)
-    n_tgt = len(tgt_emb.vocab)
-    cutoff = min(cfg.train_cutoff, n_src, n_tgt)
+    cutoff = _cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
-
     if init is None:
         init = init_dictionary_unsupervised(src_emb, tgt_emb, cutoff)
     # Every dictionary index lies below the cutoff. The loop solves its
@@ -508,54 +514,92 @@ def run_self_learning(
         return objective
 
     state, trace = run_schedule(cfg, step)
-    loop_dict = state.dictionary
-
-    # Modified final iteration: strip any extension, whiten both sides over
-    # the training rows, solve, reweight by sqrt of the singular values and
-    # undo the whitening on each side.
-    src_final = strip_extension(src_emb, n_extension_cols)
-    tgt_final = strip_extension(tgt_emb, n_extension_cols)
-    wh_src = compute_whitening(src_final, slice(0, cutoff))
-    wh_tgt = compute_whitening(tgt_final, slice(0, cutoff))
-    u, s, vt = weighted_cross_svd(
-        src_final.data @ wh_src.forward, tgt_final.data @ wh_tgt.forward, loop_dict
-    )
-    v = vt.T
-    root = np.sqrt(s)
-    w_src = wh_src.forward @ ((u * root) @ u.T) @ wh_src.inverse @ u
-    w_tgt = wh_tgt.forward @ ((v * root) @ v.T) @ wh_tgt.inverse @ v
-
-    lexicon, cosines = retrieve_lexicon(
-        src_final, tgt_final, w_src, w_tgt, cfg, boost=boost
-    )
     logger.info(
         "converged after %d iterations, final objective %.6f",
         state.iteration,
         state.objective,
     )
+    log_peak_rss(logger, "the loop")
+    return LoopResult(trace, state.dictionary, state.dictionary_scores, state)
+
+
+def _whitened_rows(emb, rows, cutoff, n_extension_cols):
+    """Whitening pair of strip_extension's training rows, and ``rows`` of
+    the whitened full matrix, gathered so that neither the stripped copy
+    nor the full product outlives this call. The product covers every row
+    before the gather because BLAS may round a row differently in a
+    product of another row count."""
+    final = strip_extension(emb, n_extension_cols)
+    wh = compute_whitening(final, slice(0, cutoff))
+    return wh, (final.data @ wh.forward)[rows]
+
+
+def _whitened_maps(src_emb, tgt_emb, dictionary, cutoff, n_extension_cols):
+    """Maps of the modified final iteration: strip any extension, whiten
+    both sides over the training rows, solve, reweight by the square root
+    of the singular values and undo the whitening on each side."""
+    wh_src, xs = _whitened_rows(src_emb, dictionary.src, cutoff, n_extension_cols)
+    wh_tgt, zs = _whitened_rows(tgt_emb, dictionary.tgt, cutoff, n_extension_cols)
+    # Entry k of the dictionary is row k of both gathers.
+    k = np.arange(len(dictionary))
+    u, s, vt = weighted_cross_svd(xs, zs, SparseDictionary(k, k, dictionary.weight))
+    v = vt.T
+    root = np.sqrt(s)
+    w_src = wh_src.forward @ ((u * root) @ u.T) @ wh_src.inverse @ u
+    w_tgt = wh_tgt.forward @ ((v * root) @ v.T) @ wh_tgt.inverse @ v
+    return w_src, w_tgt
+
+
+def run_self_learning(
+    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None
+):
+    """Full unsupervised run: run_loop, then the whitened final pass.
+
+    ``n_extension_cols`` trailing columns are stripped from both matrices
+    before the final pass (0 when no orthographic extension is active).
+    ``boost`` and ``init`` are as in run_loop; the boost is also added to
+    the final retrieval.
+    """
+    loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init)
+    cutoff = _cutoff(src_emb, tgt_emb, cfg)
+    if boost is not None:
+        boost = boost.restricted(cutoff, cutoff)
+    # Each side's stripped, renormalized rows are built for the solve and
+    # again for retrieval, so that at most one copy is held at a time and
+    # none while the score tiles are.
+    w_src, w_tgt = _whitened_maps(
+        src_emb, tgt_emb, loop.loop_dictionary, cutoff, n_extension_cols
+    )
+    log_peak_rss(logger, "the final solve")
+    lexicon, cosines = retrieve_lexicon(
+        src_emb, tgt_emb, w_src, w_tgt, cfg, boost=boost, n_extension_cols=n_extension_cols
+    )
+    log_peak_rss(logger, "retrieval")
     return SelfLearningResult(
-        w_src=w_src,
-        w_tgt=w_tgt,
-        lexicon=lexicon,
-        lexicon_cosine=cosines,
-        trace=trace,
-        loop_dictionary=loop_dict,
-        loop_dictionary_scores=state.dictionary_scores,
-        state=state,
+        **vars(loop), w_src=w_src, w_tgt=w_tgt, lexicon=lexicon, lexicon_cosine=cosines
     )
 
 
-def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None):
+def _mapped_rows(emb, w, n_extension_cols):
+    if n_extension_cols is not None:
+        emb = strip_extension(emb, n_extension_cols)
+    mapped = emb.data @ w
+    return normalize_rows(mapped, out=mapped)
+
+
+def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None, n_extension_cols=None):
     """Nearest-neighbour retrieval over the full vocabularies.
 
     Neighbourhood statistics for the hubness correction come from the top
     train_cutoff words of the other language; ranking covers every target.
     Mapped rows are length-normalized so scores are cosines. ``boost`` is
-    added to the ranking scores. Returns the lexicon (one entry per source
-    word, weight 1) and the cosine of each source to its chosen target.
+    added to the ranking scores. With ``n_extension_cols`` the rows mapped
+    are strip_extension's of the given matrices, each held only until it
+    is mapped. Returns the lexicon (one entry per source word, weight 1)
+    and the cosine of each source to its chosen target.
     """
-    xm = normalize_rows(src_emb.data @ w_src)
-    zm = normalize_rows(tgt_emb.data @ w_tgt)
+    xm = _mapped_rows(src_emb, w_src, n_extension_cols)
+    zm = _mapped_rows(tgt_emb, w_tgt, n_extension_cols)
     n_src, n_tgt = xm.shape[0], zm.shape[0]
     cutoff = min(cfg.train_cutoff, n_src, n_tgt)
     scores = _product(xm, zm)

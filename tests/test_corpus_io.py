@@ -56,6 +56,19 @@ class TestLoadEmbeddings:
         with pytest.raises(InputFormatError, match="header"):
             load_embeddings(p)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        p = write(tmp_path / "e.vec", "5 2\na 1 0\nb 0 1\nc 1 1\n")
+        with pytest.raises(InputFormatError, match=r"after 3 of 5 rows \(header declares 5\)"):
+            load_embeddings(p)
+        with pytest.raises(InputFormatError, match=r"after 3 of 4 rows \(header declares 5\)"):
+            load_embeddings(p, max_vocab=4)
+        assert load_embeddings(p, max_vocab=3).vocab.words == ["a", "b", "c"]
+
+    def test_header_only_file_rejected(self, tmp_path):
+        p = write(tmp_path / "e.vec", "2 3\n")
+        with pytest.raises(InputFormatError, match="after 0 of 2 rows"):
+            load_embeddings(p)
+
     def test_malformed_header(self, tmp_path):
         p = write(tmp_path / "e.vec", "two 3\na 1 0 0\n")
         with pytest.raises(InputFormatError, match="header"):

@@ -1,15 +1,20 @@
 """Normalization, whitening, the Procrustes solver and similarity blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
+from orthomap import numerics
 from orthomap.numerics import (
     compute_whitening,
     normalize_embeddings,
     normalize_rows,
+    row_norms,
     weighted_cross_svd,
 )
+from oracles import normalize_rows as reference_normalize_rows
 from oracles import random_orthogonal, similarity_block
 
 
@@ -48,6 +53,66 @@ class TestNormalize:
         np.testing.assert_allclose(centered.mean(axis=0), 0, atol=1e-9)
         out = normalize_embeddings(emb(data))
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1, atol=1e-9)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def norm_cases():
+    """Arrays laid out as the callers pass them: whole matrices, the column
+    slice strip_extension renormalizes, and the reversed view the init's
+    signatures normalize; with a zero row and very unequal row lengths."""
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((1500, 30)) * rng.uniform(1e-3, 1e3, (1500, 1))
+    data[7] = 0.0
+    sim = np.sort(rng.standard_normal((300, 700)), axis=1)
+    return {
+        "contiguous": data,
+        "column-slice": data[:, :23],
+        "reversed": sim[:, ::-1],
+        "one-column": data[:, :1],
+    }
+
+
+class TestRowNorms:
+    # Blocks of 8 bytes hold one row; the default blocks several; 1 GiB all.
+    @pytest.mark.parametrize("block_bytes", [8, None, 1 << 30])
+    @pytest.mark.parametrize("case", ["contiguous", "column-slice", "reversed", "one-column"])
+    def test_bit_identical_to_linalg_norm(self, monkeypatch, case, block_bytes):
+        matrix = norm_cases()[case]
+        if block_bytes is not None:
+            monkeypatch.setattr(numerics, "_NORM_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(bits(row_norms(matrix)), bits(np.linalg.norm(matrix, axis=1)))
+        expected = bits(reference_normalize_rows(matrix))
+        assert np.array_equal(bits(normalize_rows(matrix)), expected)
+        inplace = np.array(matrix)
+        assert normalize_rows(inplace, out=inplace) is inplace
+        assert np.array_equal(bits(inplace), expected)
+
+    def test_normalize_embeddings_matches_linalg_path(self):
+        data = norm_cases()["contiguous"]
+        centered = data - data.mean(axis=0)
+        expected = bits(reference_normalize_rows(centered))
+        assert np.array_equal(bits(normalize_embeddings(emb(data)).data), expected)
+
+    def test_normalize_embeddings_leaves_argument_alone(self):
+        data = norm_cases()["contiguous"]
+        before = data.copy()
+        original = emb(data)
+        normalize_embeddings(original)
+        assert np.array_equal(bits(original.data), bits(before))
+
+    def test_norm_squares_stay_within_one_block(self):
+        matrix = np.random.default_rng(6).standard_normal((20000, 30))
+        tracemalloc.start()
+        try:
+            row_norms(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes // 4  # np.linalg.norm holds two full copies
+        assert peak <= numerics._NORM_BLOCK_BYTES + 8 * len(matrix) + 4096
 
 
 class TestWhitening:

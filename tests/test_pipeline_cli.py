@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 
 import orthomap
-from orthomap import pipeline, self_learning
+from orthomap import numerics, pipeline, self_learning
 from orthomap.cli import THREADS_ENV_VAR, _apply_thread_limit, build_parser, main
 from orthomap.corpus_io import load_ref_lexicon
-from orthomap.edit_model import EditModel, _em_chunks, build_edit_alphabets, edit_operations
+from orthomap.edit_model import (
+    EditModel,
+    _em_chunks,
+    build_edit_alphabets,
+    edit_operations,
+    em_train,
+)
 from orthomap.errors import ConfigError
 from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
@@ -136,6 +142,34 @@ class TestRunPipeline:
             first = (tmp_path / "first" / name).read_bytes()
             assert first == (tmp_path / "second" / name).read_bytes()
 
+    def test_manifests_record_peak_rss(self, tiny_benchmark, tmp_path):
+        run_pipeline(base_config(tiny_benchmark, tmp_path / "run", stall_window=5))
+        run_sweep(
+            base_config(
+                tiny_benchmark, tmp_path / "sweep", criterion="objective", grid=[0.1],
+                stall_window=5,
+            )
+        )
+        for out in ("run", "sweep"):
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+            assert "peak_rss_mb" not in manifest["config"]
+
+    def test_replay_ignores_peak_rss(self, tiny_benchmark, tmp_path, caplog):
+        cfg = base_config(tiny_benchmark, tmp_path / "first")
+        run_pipeline(cfg)
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        flat = {**manifest["config"], "package_version": manifest["package_version"],
+                "peak_rss_mb": manifest["peak_rss_mb"]}
+        with caplog.at_level("WARNING", logger="orthomap.pipeline"):
+            assert RunConfig.from_mapping(flat) == cfg
+        assert "['peak_rss_mb']" in caplog.text
+        assert RunConfig.from_mapping(manifest) == cfg
+        run_pipeline(replace(RunConfig.from_mapping(manifest), output_dir=str(tmp_path / "again")))
+        for name in ("lexicon.tsv", "trace.tsv"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "again" / name).read_bytes()
+
     def test_dev_test_overlap_rejected(self, tiny_benchmark, tmp_path):
         cfg = base_config(
             tiny_benchmark,
@@ -174,26 +208,75 @@ class TestRunPipeline:
     def test_baseline_and_boosted_share_main_loop_seed(
         self, tiny_benchmark, tmp_path, monkeypatch
     ):
-        # The first loop of a boosted mode equals a standalone baseline run
-        # under the same master seed.
-        loops = []
-        original = pipeline.run_self_learning
+        # The first loop of a boosted mode equals the loop of a standalone
+        # baseline run under the same master seed; it has no final pass.
+        runs, loops = [], []
+        for name, records in (("run_self_learning", runs), ("run_loop", loops)):
+            def recording(*args, _fn=getattr(pipeline, name), _records=records, **kwargs):
+                _records.append(_fn(*args, **kwargs))
+                return _records[-1]
 
-        def recording(*args, **kwargs):
-            loops.append(original(*args, **kwargs))
-            return loops[-1]
-
-        monkeypatch.setattr(pipeline, "run_self_learning", recording)
+            monkeypatch.setattr(pipeline, name, recording)
         execute_run(base_config(tiny_benchmark, tmp_path / "a"), seed=9)
         edit = execute_run(
             base_config(tiny_benchmark, tmp_path / "b", mode="edit-dist", scale=0.3),
             seed=9,
         )
-        assert len(loops) == 3 and edit.extras["synthetic_pairs"] > 0
-        base, main = loops[0], loops[1]
+        assert len(runs) == 2 and len(loops) == 1 and edit.extras["synthetic_pairs"] > 0
+        base, main = runs[0], loops[0]
         assert main.trace == base.trace
         assert main.loop_dictionary == base.loop_dictionary
-        assert main.lexicon == base.lexicon
+        assert np.array_equal(main.loop_dictionary_scores, base.loop_dictionary_scores)
+
+    def test_boosted_synthetic_pairs_equal_full_main_run(
+        self, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        # EM trains on the pairs the main loop of a full run would give.
+        trained = []
+
+        def recording_em(pairs, *args, **kwargs):
+            trained.append(pairs)
+            return em_train(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "em_train", recording_em)
+        cfg = base_config(tiny_benchmark, tmp_path, mode="edit-dist", scale=0.3)
+        execute_run(cfg, seed=9)
+        src, tgt = pipeline.load_inputs(cfg)
+        init = self_learning.init_dictionary_unsupervised(src, tgt, len(src.vocab))
+        main = self_learning.run_self_learning(
+            src, tgt, cfg.loop_config(derive_seed(9, 0)), init=init
+        )
+        expected = pipeline._synthetic_pairs(main, src.vocab, tgt.vocab, cfg.synth_pairs)
+        assert trained == [expected]
+
+    def test_boosted_run_has_one_final_pass(self, tiny_benchmark, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("retrieve_lexicon", "compute_whitening"):
+            def counting(*args, _name=name, _fn=getattr(self_learning, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(self_learning, name, counting)
+        execute_run(base_config(tiny_benchmark, tmp_path, mode="edit-dist", scale=0.3), seed=9)
+        assert calls == {"retrieve_lexicon": 1, "compute_whitening": 2}
+
+    def test_degenerate_whitening_fails_in_boosted_final_pass(
+        self, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        # Without a positive eigenvalue floor every whitening fails; the
+        # boosted loop's final pass whitens the rows the main loop's did.
+        monkeypatch.setattr(numerics, "EIGEN_FLOOR_RATIO", 0.0)
+        trained = []
+
+        def recording_em(pairs, *args, **kwargs):
+            trained.append(len(pairs))
+            return em_train(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "em_train", recording_em)
+        for mode in ("baseline", "edit-dist"):
+            with pytest.raises(ValueError, match="covariance has no positive eigenvalue"):
+                execute_run(base_config(tiny_benchmark, tmp_path, mode=mode, scale=0.3), seed=9)
+        assert len(trained) == 1  # the edit-dist run failed after EM
 
 
 class TestSweep:
@@ -279,7 +362,7 @@ class TestStagedSweep:
         # run_self_learning computes it when not given one.
         calls = Counter()
         for name in ("execute_run", "load_embeddings", "em_train", "candidate_pairs",
-                     "run_self_learning", "init_dictionary_unsupervised"):
+                     "run_loop", "run_self_learning", "init_dictionary_unsupervised"):
             def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -302,7 +385,8 @@ class TestStagedSweep:
             "load_embeddings": 2,
             "em_train": 2,
             "candidate_pairs": 2,
-            "run_self_learning": 2 + 4,
+            "run_loop": 2,
+            "run_self_learning": 4,
             "init_dictionary_unsupervised": 2,
         }
 
@@ -654,6 +738,21 @@ class TestCli:
         if expected == 4:
             assert "no dictionary entries induced at iteration 1 " in err
         assert not (tmp_path / "out").exists()
+
+    def test_truncated_embeddings_exit_code(self, tiny_benchmark, tmp_path, capsys):
+        lines = Path(tiny_benchmark.src_embeddings).read_text(encoding="utf-8").splitlines()
+        short = tmp_path / "short.vec"
+        short.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
+        code = self.run_cli(
+            "induce",
+            "--src-emb", short,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "run",
+        )
+        assert code == 3
+        declared = int(lines[0].split()[0])
+        assert f"after {declared - 2} of {declared} rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_malformed_embeddings_exit_code(self, tiny_benchmark, tmp_path):
         bad = tmp_path / "bad.vec"

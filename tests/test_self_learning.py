@@ -747,3 +747,34 @@ class TestDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4 * self_learning._TILE_BYTES + 64 * n * k
+
+
+def test_final_pass_holds_three_full_matrices(monkeypatch):
+    # From the loop's end to the return, the final pass holds at most three
+    # full n x d matrices at once: retrieval's mapped source rows while a
+    # target's stripped copy is mapped. With tiles a third of a matrix,
+    # the kernel's two tile buffers and two mapped matrices stay below
+    # that, and one tile of allowance covers the norms' block of squares,
+    # the maps and the kernel's vectors. The same run of the parent peaked
+    # at 5.3 matrices: both stripped copies, the whitened products, and the
+    # mapped rows with np.linalg.norm's full-size squares and quotient.
+    n, d = 3000, 96
+    src, tgt, _ = cipher_pair(np.random.default_rng(53), n, d, noise=0.1)
+    src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
+    cfg = LoopConfig(train_cutoff=300, stall_window=2, objective_eps=0.02, rng_seed=1)
+    tile_budget(monkeypatch, n, 32)
+    schedule = self_learning.run_schedule
+
+    def schedule_then_trace(*args, **kwargs):
+        out = schedule(*args, **kwargs)
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(self_learning, "run_schedule", schedule_then_trace)
+    try:
+        run_self_learning(src, tgt, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 8 * n * d
+    assert peak <= 3 * matrix + self_learning._TILE_BYTES
