@@ -92,10 +92,30 @@ def _cmd_induce(args):
     return 0
 
 
+def _sweep_workers(threads):
+    """Worker processes of a sweep: --threads, else $ORTHOMAP_THREADS, else
+    the cores this process may run on. Workers are forked, so 1 off Linux."""
+    from .errors import ConfigError
+
+    threads = threads or os.environ.get(THREADS_ENV_VAR)
+    if not sys.platform.startswith("linux"):
+        return 1
+    if not threads:
+        return len(os.sched_getaffinity(0))
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {threads!r}") from None
+    if workers < 1:
+        raise ConfigError(f"the worker count must be at least 1, got {workers}")
+    return workers
+
+
 def _cmd_sweep(args):
     from .pipeline import run_sweep
 
-    best, points = run_sweep(_config_from_args(args))
+    cfg = _config_from_args(args)
+    best, points = run_sweep(cfg, workers=_sweep_workers(args.threads))
     for point in points:
         print(f"c={point.scale:g}\t{point.mean:.6f}")
     print(f"selected c={best:g}")
@@ -197,7 +217,8 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help=f"numerical backend threads (default: ${THREADS_ENV_VAR} or all cores)",
+        help=f"numerical backend threads; for sweep, worker processes each on one "
+        f"backend thread (default: ${THREADS_ENV_VAR} or all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -254,7 +275,9 @@ def _apply_thread_limit(threads):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _apply_thread_limit(args.threads)
+    # A sweep spends its threads on worker processes, each with one BLAS
+    # thread; every other command gives them to BLAS.
+    _apply_thread_limit(1 if args.command == "sweep" else args.threads)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

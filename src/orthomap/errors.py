@@ -26,7 +26,8 @@ class InputFormatError(OrthomapError):
 
 class ConvergenceError(OrthomapError):
     """Self-learning failed: no convergence within the iteration cap, a
-    non-finite objective, or an iteration that induced no dictionary."""
+    non-finite objective, an iteration that induced no dictionary, or a
+    final dictionary whose rows cannot be whitened."""
 
     exit_code = 4
 

@@ -1,4 +1,5 @@
-"""Peak resident set size of this process, for phase log lines and manifests."""
+"""Peak resident set size of this process or its children, for phase log
+lines and manifests."""
 
 import sys
 
@@ -8,14 +9,16 @@ except ImportError:  # not a Unix
     resource = None
 
 
-def peak_rss_mb():
+def peak_rss_mb(children=False):
     """Peak RSS so far in MiB, or None where the platform does not report it.
 
-    ru_maxrss is in KiB on Linux and in bytes on macOS.
+    With ``children``, the largest peak of the child processes this process
+    has waited for. ru_maxrss is in KiB on Linux and in bytes on macOS.
     """
     if resource is None:
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    peak = resource.getrusage(who).ru_maxrss
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import EmbeddingMatrix
+from .errors import ConvergenceError
 
 logger = logging.getLogger(__name__)
 
@@ -90,18 +91,20 @@ def compute_whitening(emb, rows=None):
     """Whitening pair for the selected rows of an embedding matrix.
 
     Applying ``forward`` gives the selected rows unit variance and zero
-    covariance across dimensions (up to the eigenvalue clamp).
+    covariance across dimensions (up to the eigenvalue clamp). A selection
+    without a positive second moment raises ConvergenceError: the loop
+    ended on rows that span nothing.
     """
     data = emb.data if isinstance(emb, EmbeddingMatrix) else np.asarray(emb)
     selected = data if rows is None else data[rows]
     n = selected.shape[0]
     if n == 0 or not np.any(selected):
-        raise ValueError("whitening requires a non-zero row selection")
+        raise ConvergenceError("whitening requires a non-zero row selection")
     cov = selected.T @ selected / n
     eigvals, eigvecs = np.linalg.eigh(cov)
     floor = EIGEN_FLOOR_RATIO * float(eigvals[-1])
     if floor <= 0.0:
-        raise ValueError("covariance has no positive eigenvalue")
+        raise ConvergenceError("covariance has no positive eigenvalue")
     clamped = np.maximum(eigvals, floor)
     forward = (eigvecs * clamped**-0.5) @ eigvecs.T
     inverse = (eigvecs * clamped**0.5) @ eigvecs.T

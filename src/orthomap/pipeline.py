@@ -9,13 +9,17 @@ candidates with file-fed conditional probabilities instead.
 A sweep over the scaling constant c loads the inputs once. In the boosted
 modes it also runs the stage that does not depend on c (main loop, edit
 model, candidates scored at c = 1) once per seed, then one boosted loop per
-(c, seed).
+(c, seed), which forked worker processes may run side by side.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import math
+import time
+import traceback
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,7 +30,7 @@ from . import __version__
 from .candidates import candidate_pairs
 from .corpus_io import SparseDictionary, load_embeddings, load_ref_lexicon, write_lexicon
 from .edit_model import build_edit_alphabets, edit_similarity_boost, em_train
-from .errors import CandidateError, ConfigError, InputFormatError
+from .errors import CandidateError, ConfigError, InputFormatError, OrthomapError
 from .evaluation import (
     external_scorer_boost,
     load_scorer_table,
@@ -48,6 +52,7 @@ from .self_learning import (
 logger = logging.getLogger(__name__)
 
 MODES = ("baseline", "ortho-ext", "edit-dist", "external-scorer")
+BOOSTED_MODES = ("edit-dist", "external-scorer")
 CRITERIA = ("dev-accuracy", "objective")
 
 # 18 scaling constants between 0.05 and 1.4: fine steps where the optimum
@@ -343,12 +348,12 @@ def _run_boosted(src, tgt, cfg, seed, stage, extras):
     return run_self_learning(src, tgt, loop_cfg, boost=boost, init=stage.init)
 
 
-def execute_run(cfg, seed, inputs=None, stages=None):
+def execute_run(cfg, seed, inputs=None, stage=None):
     """Run the configured mode and return the in-memory outcome.
 
-    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, and
-    ``stages``, a dict from seed to the BoostStage of that seed, so that
-    calls differing only in ``cfg.scale`` load the inputs once and run the
+    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, and in
+    the boosted modes ``stage``, the seed's BoostStage, so that calls
+    differing only in ``cfg.scale`` load the inputs once and run the
     c-independent stages once per seed. Without them everything is computed
     afresh.
     """
@@ -359,10 +364,9 @@ def execute_run(cfg, seed, inputs=None, stages=None):
     elif cfg.mode == "ortho-ext":
         result = _run_extended(src, tgt, cfg, seed, extras)
     else:
-        stages = {} if stages is None else stages
-        if seed not in stages:
-            stages[seed] = boost_stage(src, tgt, cfg, seed)
-        result = _run_boosted(src, tgt, cfg, seed, stages[seed], extras)
+        if stage is None:
+            stage = boost_stage(src, tgt, cfg, seed)
+        result = _run_boosted(src, tgt, cfg, seed, stage, extras)
     src_words = src.vocab.words
     tgt_words = tgt.vocab.words
     predictions = {
@@ -470,8 +474,113 @@ def sweep_seeds(cfg):
     return seeds
 
 
-def run_sweep(cfg):
-    """Select the scaling constant over the grid and write a report."""
+@dataclass
+class PointOutcome:
+    """What selection reads of one (c, seed) run, and the run's seconds."""
+
+    predictions: dict
+    mean_cosine: float
+    seconds: float
+
+
+def _run_point(cfg, scale, seed, inputs, stages):
+    start = time.perf_counter()
+    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed))
+    return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
+
+
+def _work_points(conn, cfg, inputs, stages, points):
+    """A sweep worker: send the outcome of each point in turn, or the first
+    error, with its traceback as a note, and stop there."""
+    for scale, seed in points:
+        try:
+            conn.send(_run_point(cfg, scale, seed, inputs, stages))
+        except Exception as exc:
+            exc.add_note(traceback.format_exc())
+            conn.send(exc)
+            return
+
+
+def _forked_outcomes(cfg, inputs, stages, points, workers):
+    """Outcomes of ``points`` in their order, from ``workers`` forked
+    processes that take the points in turn. Closing the generator ends
+    every worker.
+
+    Forked, not spawned: the workers read the inputs and the stages that
+    this process holds, copy-on-write, where spawned workers would each
+    unpickle a copy. The sweep command runs BLAS on one thread, so no BLAS
+    thread pool is running when the workers are forked.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(
+                target=_work_points, args=(send, cfg, inputs, stages, points[w::workers]),
+                daemon=True,
+            )
+            proc.start()
+            procs.append(proc)
+            send.close()
+        for i, (scale, seed) in enumerate(points):
+            try:
+                outcome = conns[i % workers].recv()
+            except EOFError:
+                procs[i % workers].join()
+                raise OrthomapError(
+                    f"the worker running c={scale:g}, seed {seed} ended without a result "
+                    f"(exit code {procs[i % workers].exitcode})"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _sweep_outcomes(cfg, inputs, points, workers):
+    """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
+
+    In the boosted modes each seed's BoostStage is built first, in this
+    process. With more than one worker, forked processes run the points and
+    inherit the inputs and the stages copy-on-write. A failing stage is
+    raised at the first point of its seed, where it is first needed.
+    Closing the generator ends every worker.
+    """
+    stages, failed = {}, None
+    if cfg.mode in BOOSTED_MODES:
+        for seed in dict.fromkeys(seed for _, seed in points):
+            try:
+                stages[seed] = boost_stage(*inputs, cfg, seed)
+            except Exception as exc:
+                failed = exc
+                break
+        points = list(itertools.takewhile(lambda point: point[1] in stages, points))
+    workers = min(workers, len(points))
+    if workers > 1:
+        yield from _forked_outcomes(cfg, inputs, stages, points, workers)
+    else:
+        for scale, seed in points:
+            yield _run_point(cfg, scale, seed, inputs, stages)
+    if failed is not None:
+        raise failed
+
+
+def run_sweep(cfg, workers=1):
+    """Select the scaling constant over the grid and write a report.
+
+    With ``workers`` above 1 a boosted sweep runs its (c, seed) points in
+    up to that many forked processes; the report, the selection, and a
+    failing point's error and log line are those of the serial sweep.
+    """
     cfg.validate(for_sweep=True)
     if not cfg.output_dir:
         raise ConfigError("output_dir is required")
@@ -480,28 +589,46 @@ def run_sweep(cfg):
     # Only the scale varies between the runs of a sweep: the inputs and,
     # in the boosted modes, each seed's c-independent stage are shared.
     inputs = load_inputs(cfg)
-    stages = {}
+    seeds = sweep_seeds(cfg)
+    # The order in which select_scaling_constant asks for the points.
+    points = [(c, seed) for c in sorted(cfg.grid) for seed in seeds[: cfg.runs_per_c]]
+    # Only the boosted modes fan out: an ortho-ext or baseline point builds
+    # its own cutoff x cutoff initial dictionary, so two at once may not fit
+    # in memory.
+    workers = max(1, min(workers, len(points))) if cfg.mode in BOOSTED_MODES else 1
+    outcomes = _sweep_outcomes(cfg, inputs, points, workers)
+    seconds = []
 
     def runner(scale, seed):
-        return execute_run(replace(cfg, scale=scale), seed, inputs, stages)
+        outcome = next(outcomes)
+        seconds.append(outcome.seconds)
+        logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
+        return outcome
 
-    best, points = select_scaling_constant(
-        runner,
-        cfg.grid,
-        cfg.criterion,
-        runs_per_c=cfg.runs_per_c,
-        seeds=sweep_seeds(cfg),
-        dev=dev,
-    )
+    with contextlib.closing(outcomes):
+        best, report = select_scaling_constant(
+            runner,
+            cfg.grid,
+            cfg.criterion,
+            runs_per_c=cfg.runs_per_c,
+            seeds=seeds,
+            dev=dev,
+        )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_report.tsv", "w", encoding="utf-8") as fh:
         fh.write("scale\tmean\truns\n")
-        for point in points:
+        for point in report:
             runs = ",".join(f"{v:.6f}" for v in point.values)
             fh.write(f"{point.scale:g}\t{point.mean:.6f}\t{runs}\n")
-    manifest = cfg.to_manifest(selected_scale=best, peak_rss_mb=peak_rss_mb())
+    manifest = cfg.to_manifest(
+        selected_scale=best,
+        peak_rss_mb=peak_rss_mb(),
+        workers=workers,
+        point_seconds=seconds,
+        worker_peak_rss_mb=peak_rss_mb(children=True) if workers > 1 else None,
+    )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     logger.info("selected scaling constant c=%g by %s", best, cfg.criterion)
-    return best, points
+    return best, report

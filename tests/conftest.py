@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from orthomap.benchmark import generate_cipher_benchmark
@@ -8,3 +10,13 @@ def tiny_benchmark(tmp_path_factory):
     """Small noiseless cipher benchmark shared by pipeline-level tests."""
     out = tmp_path_factory.mktemp("tiny-bench")
     return generate_cipher_benchmark(100, 10, seed=11, noise=0.0, out_dir=out)
+
+
+@pytest.fixture(autouse=True)
+def restore_blas_variables(monkeypatch):
+    """cli.main sets the BLAS thread variables; undo that after each test."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        if var in os.environ:
+            monkeypatch.setenv(var, os.environ[var])
+        else:
+            monkeypatch.delenv(var, raising=False)

@@ -7,6 +7,7 @@ import pytest
 
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
 from orthomap import numerics
+from orthomap.errors import ConvergenceError
 from orthomap.numerics import (
     compute_whitening,
     normalize_embeddings,
@@ -158,7 +159,7 @@ class TestWhitening:
         np.testing.assert_allclose(white.T @ white / 10, np.eye(4), atol=1e-6)
 
     def test_all_zero_selection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConvergenceError, match="non-zero row selection"):
             compute_whitening(emb(np.zeros((3, 2))))
 
 

@@ -1,6 +1,8 @@
 """Pipeline orchestration and the command-line surface."""
 
 import json
+import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +15,14 @@ import pytest
 
 import orthomap
 from orthomap import numerics, pipeline, self_learning
-from orthomap.cli import THREADS_ENV_VAR, _apply_thread_limit, build_parser, main
+from orthomap.benchmark import generate_cipher_benchmark
+from orthomap.cli import (
+    THREADS_ENV_VAR,
+    _apply_thread_limit,
+    _sweep_workers,
+    build_parser,
+    main,
+)
 from orthomap.corpus_io import load_ref_lexicon
 from orthomap.edit_model import (
     EditModel,
@@ -22,7 +31,7 @@ from orthomap.edit_model import (
     edit_operations,
     em_train,
 )
-from orthomap.errors import ConfigError
+from orthomap.errors import CandidateError, ConfigError, ConvergenceError
 from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
     DEFAULT_GRID,
@@ -274,7 +283,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "em_train", recording_em)
         for mode in ("baseline", "edit-dist"):
-            with pytest.raises(ValueError, match="covariance has no positive eigenvalue"):
+            with pytest.raises(ConvergenceError, match="covariance has no positive eigenvalue"):
                 execute_run(base_config(tiny_benchmark, tmp_path, mode=mode, scale=0.3), seed=9)
         assert len(trained) == 1  # the edit-dist run failed after EM
 
@@ -389,6 +398,189 @@ class TestStagedSweep:
             "run_self_learning": 4,
             "init_dictionary_unsupervised": 2,
         }
+
+
+class TestSweepWorkers:
+    """A boosted sweep's points run in forked workers with the serial output."""
+
+    def sweep(self, bench, tmp_path, name, threads, *extra):
+        out = tmp_path / name
+        code = main([
+            "--threads", str(threads), "sweep",
+            "--src-emb", str(bench.src_embeddings),
+            "--tgt-emb", str(bench.tgt_embeddings),
+            "--output-dir", str(out),
+            "--seed", "4",
+            *map(str, extra),
+        ])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "mode, criterion",
+        [("edit-dist", "objective"), ("external-scorer", "dev-accuracy")],
+    )
+    def test_outputs_independent_of_workers(self, tmp_path, capsys, mode, criterion):
+        # Noisy, so that every point has its own mean cosine.
+        bench = generate_cipher_benchmark(100, 10, seed=12, noise=0.3, out_dir=tmp_path)
+        table = gold_scorer_table(bench, tmp_path / "scores.tsv")
+        runs = {}
+        for threads in (1, 2):
+            code, out = self.sweep(
+                bench, tmp_path, f"w{threads}", threads,
+                "--mode", mode, "--scorer-table", table, "--criterion", criterion,
+                "--dev", bench.gold_lexicon,
+                "--grid", "0.4,0.0", "--runs-per-c", 2,
+            )
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs[threads] = (
+                (out / "sweep_report.tsv").read_bytes(),
+                capsys.readouterr().out,
+                manifest.pop("selected_scale"),
+            )
+            assert manifest["workers"] == threads
+            assert len(manifest["point_seconds"]) == 4
+            assert all(t > 0 for t in manifest["point_seconds"])
+            assert (manifest["worker_peak_rss_mb"] is None) == (threads == 1)
+            assert multiprocessing.active_children() == []
+        assert runs[1] == runs[2]
+        assert runs[1][1].endswith(f"selected c={runs[1][2]:g}\n")
+        if criterion == "objective":  # the points differ, so a mix-up would show
+            rows = [line.split("\t") for line in runs[1][0].decode().splitlines()[1:]]
+            assert len({v for row in rows for v in row[2].split(",")}) > 1
+
+    def test_one_point_grid_forks_nothing(self, tiny_benchmark, tmp_path, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a one-point sweep forked")
+
+        monkeypatch.setattr(pipeline, "_forked_outcomes", no_fork)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "one", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.3",
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == 1
+        assert manifest["worker_peak_rss_mb"] is None
+        assert len(manifest["point_seconds"]) == 1
+
+    def test_point_seconds_logged(self, tiny_benchmark, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="orthomap")
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "log", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+        )
+        assert code == 0
+        seconds = json.loads((out / "manifest.json").read_text())["point_seconds"]
+        lines = [r.getMessage() for r in caplog.records if ": " in r.getMessage()]
+        for scale, value in zip(("0.2", "0.5"), seconds):
+            assert f"c={scale}, seed 4: {value:.3f} s" in lines
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_point_raised_in_grid_order(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, caplog, threads
+    ):
+        # Points after the first fail, each with its own message: the sweep
+        # ends on the first failing point in grid order, as a serial one.
+        run_boosted = pipeline._run_boosted
+
+        def failing(src, tgt, cfg, *args):
+            if cfg.scale > 0.3:
+                raise CandidateError(f"no pairs at c={cfg.scale:g}")
+            return run_boosted(src, tgt, cfg, *args)
+
+        monkeypatch.setattr(pipeline, "_run_boosted", failing)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "fail", threads,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.8,0.2,0.5",
+        )
+        assert code == CandidateError.exit_code
+        assert capsys.readouterr().err == "error: no pairs at c=0.5\n"
+        assert "pipeline run failed at scale c=0.5, seed 4" in caplog.text
+        assert "c=0.8, seed" not in caplog.text
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_stage_raised_at_its_first_point(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, caplog, threads
+    ):
+        # Seeds 4 and 5 run their first points (in two workers at two
+        # threads) before seed 6's stage fails at its first point.
+        caplog.set_level(logging.INFO, logger="orthomap")
+        stage = pipeline.boost_stage
+
+        def failing(src, tgt, cfg, seed):
+            if seed == 6:
+                raise CandidateError("candidate filtering produced no pairs")
+            return stage(src, tgt, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "boost_stage", failing)
+        code, _ = self.sweep(
+            tiny_benchmark, tmp_path, "stage", threads,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.5,0.2",
+            "--runs-per-c", 3,
+        )
+        assert code == CandidateError.exit_code
+        assert capsys.readouterr().err == "error: candidate filtering produced no pairs\n"
+        assert "c=0.2, seed 4: " in caplog.text and "c=0.2, seed 5: " in caplog.text
+        assert "pipeline run failed at scale c=0.2, seed 6" in caplog.text
+        assert "c=0.5" not in caplog.text
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_singular_whitening_exits_4(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, caplog, threads
+    ):
+        # The boosted loop's final pass is the sweep's first whitening, so
+        # at two workers the error is raised in a worker.
+        monkeypatch.setattr(numerics, "EIGEN_FLOOR_RATIO", 0.0)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "singular", threads,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+        )
+        assert code == ConvergenceError.exit_code == 4
+        err = capsys.readouterr().err
+        assert err == "error: covariance has no positive eigenvalue\n"
+        assert "pipeline run failed at scale c=0.2, seed 4" in caplog.text
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_an_error(self, tiny_benchmark, tmp_path, monkeypatch, capsys):
+        run_point = pipeline._run_point
+
+        def dying(cfg, scale, *args):
+            if scale > 0.3:
+                os._exit(9)
+            return run_point(cfg, scale, *args)
+
+        monkeypatch.setattr(pipeline, "_run_point", dying)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "dead", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the worker running c=0.5, seed 4 ended without a result (exit code 9)\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_library_sweep_stays_serial(self, tiny_benchmark, tmp_path):
+        cfg = base_config(
+            tiny_benchmark, tmp_path / "lib", mode="edit-dist", criterion="objective",
+            grid=[0.2, 0.5],
+        )
+        run_sweep(cfg)
+        assert json.loads((tmp_path / "lib" / "manifest.json").read_text())["workers"] == 1
+
+    def test_unboosted_sweep_stays_serial(self, tiny_benchmark, tmp_path):
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "ortho", 2,
+            "--mode", "ortho-ext", "--criterion", "objective", "--grid", "0.1,0.2",
+        )
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
 
 
 class TestCli:
@@ -784,12 +976,58 @@ def test_threads_override_blas_variables(monkeypatch):
     assert [os.environ[var] for var in blas_vars] == ["1"] * 3
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["--threads", "3", "sweep"], "1"), (["sweep"], "1"), (["--threads", "3", "induce"], "3")],
+    ids=["sweep-threads", "sweep-env", "induce-threads"],
+)
+def test_sweep_runs_blas_on_one_thread(tmp_path, monkeypatch, argv, expected):
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    missing = str(tmp_path / "missing.vec")
+    code = main([*argv, "--src-emb", missing, "--tgt-emb", missing,
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == ConfigError.exit_code
+    assert [os.environ[var] for var in blas_vars] == [expected] * 3
+
+
+def test_sweep_worker_count(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    assert _sweep_workers(None) == len(os.sched_getaffinity(0))
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    assert _sweep_workers(None) == 3
+    assert _sweep_workers(2) == 2
+    for bad in ("many", "-1"):
+        monkeypatch.setenv(THREADS_ENV_VAR, bad)
+        with pytest.raises(ConfigError):
+            _sweep_workers(None)
+    with pytest.raises(ConfigError):
+        _sweep_workers(-2)
+    monkeypatch.setattr(sys, "platform", "darwin")  # no fork: points run in-process
+    assert _sweep_workers(4) == 1
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # The CLI sets the BLAS thread variables in main(); numpy must not have
     # started its backend before then.
     code = (
         "import sys, orthomap.cli; assert 'numpy' not in sys.modules; "
         "from orthomap import LoopConfig, load_embeddings, run_self_learning"
+    )
+    src = str(Path(orthomap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Importing multiprocessing.pool costs about 25 ms; only a sweep that
+    # forks workers pays it.
+    code = (
+        "import sys, orthomap.cli, orthomap.pipeline; "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
     )
     src = str(Path(orthomap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
