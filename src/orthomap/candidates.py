@@ -6,12 +6,8 @@ target words that share a string reachable by at most k character deletions
 from each side. Index construction and lookup are linear in vocabulary size.
 """
 
-import logging
-
 from .edit_model import transliterate
 from .errors import AlphabetCoverageError, NoTransliterationPath
-
-logger = logging.getLogger(__name__)
 
 
 def delete_variants(word, k):
@@ -57,14 +53,17 @@ class DeleteIndex:
         return index
 
 
-def candidate_pairs(src_words, tgt_words, model, k=2):
+def candidate_pairs(src_words, tgt_words, model, k=2, index=None):
     """Pairs whose transliteration and target share a deletion variant.
 
     Returns (pairs, skipped) where skipped counts source words without a
-    transliteration path. A transliteration identical to a target word is
-    always a candidate (the zero-deletion variant matches).
+    transliteration path; the caller reports them. A transliteration
+    identical to a target word is always a candidate (the zero-deletion
+    variant matches). ``index``, the DeleteIndex of ``tgt_words`` at k, is
+    built when not given.
     """
-    index = DeleteIndex.build(tgt_words, k)
+    if index is None:
+        index = DeleteIndex.build(tgt_words, k)
     pairs = set()
     skipped = 0
     for i, word in enumerate(src_words):
@@ -79,6 +78,4 @@ def candidate_pairs(src_words, tgt_words, model, k=2):
             if found:
                 hits |= found
         pairs.update((i, j) for j in hits)
-    if skipped:
-        logger.warning("%d source words had no transliteration path", skipped)
     return pairs, skipped

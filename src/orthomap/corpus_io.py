@@ -94,12 +94,13 @@ class SparseDictionary:
             raise ValueError("source index out of bounds")
         if n_tgt is not None and self.tgt.max() >= n_tgt:
             raise ValueError("target index out of bounds")
-        bad = ~np.isin(self.weight, (1, 2))
-        if bad.any():
+        if ((self.weight != 1) & (self.weight != 2)).any():
             raise ValueError("dictionary weights must be 1 or 2")
         span = int(self.tgt.max()) + 1
         codes = self.src * span + self.tgt
-        if len(np.unique(codes)) != len(codes):
+        # Strictly increasing codes, as induce_dictionary builds them, are
+        # distinct without a sort.
+        if not (codes[1:] > codes[:-1]).all() and len(np.unique(codes)) != len(codes):
             raise ValueError("duplicate (source, target) pair")
 
     def __len__(self):

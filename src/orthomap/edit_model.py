@@ -11,6 +11,7 @@ max-probability transliteration used for candidate filtering.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -29,6 +30,10 @@ logger = logging.getLogger(__name__)
 EPSILON = ""
 
 _MODEL_FORMAT_VERSION = "editmodel\tv1"
+
+# The theta row of a source gram that no operation of non-zero
+# probability emits.
+_NO_OPERATIONS = {}
 
 # Bytes of one (cell, operation, pair) float64 array of EM's batched
 # recursion: a chunk of pairs holds a few such arrays, so EM's memory does
@@ -116,6 +121,17 @@ class EditModel:
             self._reversed = EditModel(alphabets, theta)
         return self._reversed
 
+    @cached_property
+    def theta_rows(self):
+        """theta as {source item: {target item: p}} over the operations of
+        non-zero probability, the empty string standing for a silent side.
+        Built once per model."""
+        rows = {}
+        for (a_src, a_tgt), p in self.theta.items():
+            if p:
+                rows.setdefault(a_src, {})[a_tgt] = p
+        return rows
+
     def best_substitution(self, a_src):
         """Max-probability target item for a source item, as (item, log p).
 
@@ -189,26 +205,40 @@ def _check_coverage(word, chars, side):
 
 
 def _forward_table(x, z, model):
-    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table."""
+    """Prefix-pair generation probabilities as a (|x|+1) x (|z|+1) table.
+
+    Each cell sums theta * prefix over its operations in (j, k) order, j
+    and k the lengths of the source and target grams it emits, skipping
+    the operations of probability zero.
+    """
     n_max, m_max = len(x), len(z)
     max_j = model.alphabets.max_src_len
     max_k = model.alphabets.max_tgt_len
-    theta = model.theta
+    rows = model.theta_rows
+    # Per m, the (m - k, gram) of the target grams ending at m, k = 0, 1, ...
+    z_grams = [[(m - k, z[m - k : m]) for k in range(min(max_k, m) + 1)] for m in range(m_max + 1)]
     table = [[0.0] * (m_max + 1) for _ in range(n_max + 1)]
     table[0][0] = 1.0
     for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            if n == 0 and m == 0:
-                continue
+        # The prefix row and theta row of the source grams ending at n, j = 0, 1, ...
+        (epsilon_prev, epsilon_probs), *src = [
+            (table[n - j], rows.get(x[n - j : n], _NO_OPERATIONS))
+            for j in range(min(max_j, n) + 1)
+        ]
+        row = table[n]
+        for m in range(1 if n == 0 else 0, m_max + 1):
+            grams = z_grams[m]
             total = 0.0
-            for j in range(0, min(max_j, n) + 1):
-                x_gram = x[n - j : n]
-                k_lo = 1 if j == 0 else 0
-                for k in range(k_lo, min(max_k, m) + 1):
-                    p = theta.get((x_gram, z[m - k : m]))
+            for at, gram in grams[1:]:  # j = 0 emits nothing, so k >= 1
+                p = epsilon_probs.get(gram)
+                if p:
+                    total += p * epsilon_prev[at]
+            for prev, probs in src:
+                for at, gram in grams:
+                    p = probs.get(gram)
                     if p:
-                        total += p * table[n - j][m - k]
-            table[n][m] = total
+                        total += p * prev[at]
+            row[m] = total
     return table
 
 

@@ -9,7 +9,8 @@ candidates with file-fed conditional probabilities instead.
 A sweep over the scaling constant c loads the inputs once. In the boosted
 modes it also runs the stage that does not depend on c (main loop, edit
 model, candidates scored at c = 1) once per seed, then one boosted loop per
-(c, seed), which forked worker processes may run side by side.
+(c, seed). Forked worker processes may share a stage's candidate scoring
+and run the boosted loops side by side.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .candidates import candidate_pairs
+from .candidates import DeleteIndex, candidate_pairs
 from .corpus_io import SparseDictionary, load_embeddings, load_ref_lexicon, write_lexicon
 from .edit_model import build_edit_alphabets, edit_similarity_boost, em_train
 from .errors import CandidateError, ConfigError, InputFormatError, OrthomapError
@@ -301,42 +302,78 @@ class BoostStage:
     init: SparseDictionary
 
 
-def boost_stage(src, tgt, cfg, seed):
+def _score_slice(src_words, tgt_words, model, cfg, index, table, lo, hi):
+    """Candidates of the source words lo..hi-1 in sorted order, as an
+    (n, 2) array of (source, target) indices, with their boosts at c = 1
+    and the count of those words without a transliteration path."""
+    cands, skipped = candidate_pairs(src_words[lo:hi], tgt_words, model, cfg.delete_k, index)
+    cands = sorted(cands)
+    words = [(src_words[lo + i], tgt_words[j]) for i, j in cands]
+    if table is None:
+        unit = [edit_similarity_boost(x, z, model, 1.0) for x, z in words]
+    else:
+        unit = [external_scorer_boost(x, z, table, 1.0) for x, z in words]
+    pairs = np.array(cands, np.int64).reshape(-1, 2)
+    pairs[:, 0] += lo
+    return pairs, np.array(unit, float), skipped
+
+
+def boost_stage(src, tgt, cfg, seed, workers=1):
     """Initial dictionary, main loop, edit model and unit-scale candidate
     boosts for one seed.
 
     Only the main loop's dictionary is read, so it runs without the final
     pass of a plain run; the boosted loop's final pass whitens the same
-    rows.
+    rows. With ``workers`` above 1, candidate filtering and scoring split
+    the source words into that many contiguous slices: this process does
+    the first, forked workers the others, and the slices joined in order
+    are the serial result.
     """
+    start = time.perf_counter()
     cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
     init = init_dictionary_unsupervised(src, tgt, cutoff)
     loop = run_loop(src, tgt, cfg.loop_config(derive_seed(seed, _PHASE_MAIN)), init=init)
     pairs = _synthetic_pairs(loop, src.vocab, tgt.vocab, cfg.synth_pairs)
     extras = {"synthetic_pairs": len(pairs)}
+    loop_end = time.perf_counter()
 
     src_words = src.vocab.top(cutoff)
     tgt_words = tgt.vocab.top(cutoff)
     alphabets = build_edit_alphabets(src_words, tgt_words)
     model = em_train(pairs, alphabets, cfg.em_iterations)
     extras["edit_model"] = model
+    em_end = time.perf_counter()
 
-    cands, skipped = candidate_pairs(src_words, tgt_words, model, cfg.delete_k)
+    index = DeleteIndex.build(tgt_words, cfg.delete_k)
+    table = load_scorer_table(cfg.scorer_table) if cfg.mode == "external-scorer" else None
+    bounds = [len(src_words) * w // workers for w in range(workers + 1)]
+
+    def score(w):
+        return _score_slice(src_words, tgt_words, model, cfg, index, table, *bounds[w : w + 2])
+
+    if workers > 1:
+        with _forked(
+            score, range(1, workers), workers - 1,
+            lambda w: f"scoring slice {w + 1} of {workers} of seed {seed}'s candidates",
+        ) as results:
+            slices = [score(0), *results]
+    else:
+        slices = [score(0)]
+    cands = np.concatenate([s[0] for s in slices])
+    skipped = sum(s[2] for s in slices)
     extras["candidates"] = len(cands)
     extras["untransliterable"] = skipped
-    if not cands:
+    if skipped:
+        logger.warning("%d source words had no transliteration path", skipped)
+    if not len(cands):
         raise CandidateError("candidate filtering produced no pairs")
-
-    cands = sorted(cands)
-    words = [(src_words[i], tgt_words[j]) for i, j in cands]
-    if cfg.mode == "edit-dist":
-        unit = [edit_similarity_boost(x, z, model, 1.0) for x, z in words]
-    else:
-        table = load_scorer_table(cfg.scorer_table)
-        unit = [external_scorer_boost(x, z, table, 1.0) for x, z in words]
-    logger.info("seed %d: %d candidate pairs scored at c=1", seed, len(cands))
-    index = np.array(cands, np.int64)
-    return BoostStage(index[:, 0], index[:, 1], np.array(unit), extras, init)
+    logger.info(
+        "seed %d stage: init and main loop %.3f s, EM %.3f s, %d candidate pairs filtered "
+        "and scored at c=1 in %.3f s",
+        seed, loop_end - start, em_end - loop_end, len(cands), time.perf_counter() - em_end,
+    )
+    unit = np.concatenate([s[1] for s in slices])
+    return BoostStage(cands[:, 0], cands[:, 1], unit, extras, init)
 
 
 def _run_boosted(src, tgt, cfg, seed, stage, extras):
@@ -489,55 +526,60 @@ def _run_point(cfg, scale, seed, inputs, stages):
     return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
 
 
-def _work_points(conn, cfg, inputs, stages, points):
-    """A sweep worker: send the outcome of each point in turn, or the first
-    error, with its traceback as a note, and stop there."""
-    for scale, seed in points:
+def _work(conn, work, jobs):
+    """A forked worker: send ``work(job)`` for each job in turn, or the
+    first error, with its traceback as a note, and stop there."""
+    for job in jobs:
         try:
-            conn.send(_run_point(cfg, scale, seed, inputs, stages))
+            conn.send(work(job))
         except Exception as exc:
             exc.add_note(traceback.format_exc())
             conn.send(exc)
             return
 
 
-def _forked_outcomes(cfg, inputs, stages, points, workers):
-    """Outcomes of ``points`` in their order, from ``workers`` forked
-    processes that take the points in turn. Closing the generator ends
-    every worker.
+@contextlib.contextmanager
+def _forked(work, jobs, workers, describe):
+    """Fork ``workers`` processes that take ``jobs`` in turn and give an
+    iterator over the ``work(job)`` results in job order. It raises a
+    job's error where that job's result would come, and OrthomapError,
+    naming ``describe(job)``, for a worker that ended without the result.
+    Leaving the context ends every worker.
 
-    Forked, not spawned: the workers read the inputs and the stages that
-    this process holds, copy-on-write, where spawned workers would each
-    unpickle a copy. The sweep command runs BLAS on one thread, so no BLAS
-    thread pool is running when the workers are forked.
+    Forked, not spawned: the workers read the inputs, stages and indexes
+    that this process holds, copy-on-write, where spawned workers would
+    each unpickle a copy. The sweep command runs BLAS on one thread, so no
+    BLAS thread pool is running when the workers are forked.
     """
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
+
+    def results():
+        for i, job in enumerate(jobs):
+            proc = procs[i % workers]
+            try:
+                result = conns[i % workers].recv()
+            except EOFError:
+                proc.join()
+                raise OrthomapError(
+                    f"the worker {describe(job)} ended without a result "
+                    f"(exit code {proc.exitcode})"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            yield result
+
     try:
         for w in range(workers):
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
-            proc = ctx.Process(
-                target=_work_points, args=(send, cfg, inputs, stages, points[w::workers]),
-                daemon=True,
-            )
+            proc = ctx.Process(target=_work, args=(send, work, jobs[w::workers]), daemon=True)
             proc.start()
             procs.append(proc)
             send.close()
-        for i, (scale, seed) in enumerate(points):
-            try:
-                outcome = conns[i % workers].recv()
-            except EOFError:
-                procs[i % workers].join()
-                raise OrthomapError(
-                    f"the worker running c={scale:g}, seed {seed} ended without a result "
-                    f"(exit code {procs[i % workers].exitcode})"
-                ) from None
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
+        yield results()
     finally:
         for proc in procs:
             proc.terminate()
@@ -546,27 +588,35 @@ def _forked_outcomes(cfg, inputs, stages, points, workers):
             conn.close()
 
 
-def _sweep_outcomes(cfg, inputs, points, workers):
+def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
     """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
 
     In the boosted modes each seed's BoostStage is built first, in this
-    process. With more than one worker, forked processes run the points and
-    inherit the inputs and the stages copy-on-write. A failing stage is
-    raised at the first point of its seed, where it is first needed.
-    Closing the generator ends every worker.
+    process, which splits its candidates over ``workers`` slices; its
+    seconds are appended to ``stage_seconds``. With more than one worker,
+    forked processes run the points and inherit the inputs and the stages
+    copy-on-write. A failing stage is raised at the first point of its
+    seed, where it is first needed. Closing the generator ends every
+    worker.
     """
     stages, failed = {}, None
     if cfg.mode in BOOSTED_MODES:
         for seed in dict.fromkeys(seed for _, seed in points):
+            start = time.perf_counter()
             try:
-                stages[seed] = boost_stage(*inputs, cfg, seed)
+                stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers)
             except Exception as exc:
                 failed = exc
                 break
+            stage_seconds.append(time.perf_counter() - start)
         points = list(itertools.takewhile(lambda point: point[1] in stages, points))
     workers = min(workers, len(points))
     if workers > 1:
-        yield from _forked_outcomes(cfg, inputs, stages, points, workers)
+        with _forked(
+            lambda point: _run_point(cfg, *point, inputs, stages), points, workers,
+            lambda point: f"running c={point[0]:g}, seed {point[1]}",
+        ) as results:
+            yield from results
     else:
         for scale, seed in points:
             yield _run_point(cfg, scale, seed, inputs, stages)
@@ -577,9 +627,10 @@ def _sweep_outcomes(cfg, inputs, points, workers):
 def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
-    With ``workers`` above 1 a boosted sweep runs its (c, seed) points in
-    up to that many forked processes; the report, the selection, and a
-    failing point's error and log line are those of the serial sweep.
+    With ``workers`` above 1 a boosted sweep splits each seed's candidate
+    filtering and scoring, and runs its (c, seed) points, over up to that
+    many processes; the report, the selection, and a failing point's error
+    and log line are those of the serial sweep.
     """
     cfg.validate(for_sweep=True)
     if not cfg.output_dir:
@@ -596,8 +647,8 @@ def run_sweep(cfg, workers=1):
     # its own cutoff x cutoff initial dictionary, so two at once may not fit
     # in memory.
     workers = max(1, min(workers, len(points))) if cfg.mode in BOOSTED_MODES else 1
-    outcomes = _sweep_outcomes(cfg, inputs, points, workers)
-    seconds = []
+    stage_seconds, seconds = [], []
+    outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds)
 
     def runner(scale, seed):
         outcome = next(outcomes)
@@ -625,6 +676,7 @@ def run_sweep(cfg, workers=1):
         selected_scale=best,
         peak_rss_mb=peak_rss_mb(),
         workers=workers,
+        stage_seconds=stage_seconds,
         point_seconds=seconds,
         worker_peak_rss_mb=peak_rss_mb(children=True) if workers > 1 else None,
     )

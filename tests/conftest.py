@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -20,3 +21,15 @@ def restore_blas_variables(monkeypatch):
             monkeypatch.setenv(var, os.environ[var])
         else:
             monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def no_live_children():
+    """Fail a test that leaves a worker process running: every fork site
+    must end its workers, whether the run succeeds or fails."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    assert alive == [], f"the test left live child processes: {alive}"

@@ -213,3 +213,29 @@ class TestTypes:
     def test_dictionary_bounds(self):
         with pytest.raises(ValueError):
             SparseDictionary([5], [0], [1], n_src=3, n_tgt=3)
+
+    @pytest.mark.parametrize("weight", [0, 3, -1])
+    def test_dictionary_rejects_each_bad_weight(self, weight):
+        with pytest.raises(ValueError, match="weights must be 1 or 2"):
+            SparseDictionary([0, 1, 2], [0, 1, 2], [1, weight, 2])
+
+    @pytest.mark.parametrize(
+        "src, tgt",
+        [([0, 0], [1, 1]), ([0, 1, 0], [1, 0, 1]), ([2, 0, 2], [0, 1, 0])],
+        ids=["adjacent", "apart", "unsorted"],
+    )
+    def test_dictionary_rejects_duplicates_in_any_order(self, src, tgt):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseDictionary(src, tgt, [1] * len(src))
+
+    def test_increasing_pairs_skip_the_sort(self, monkeypatch):
+        # induce_dictionary builds its entries in increasing (source,
+        # target) order; those are distinct without np.unique.
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        d = SparseDictionary([0, 0, 1, 3], [1, 2, 0, 0], [1, 2, 2, 1])
+        assert len(d) == 4
+        with pytest.raises(AssertionError, match="np.unique"):
+            SparseDictionary([1, 0], [0, 1], [1, 1])  # decreasing: sorted

@@ -230,6 +230,48 @@ class TestAgainstSeparatePasses:
         assert rev.theta[("ba", "")] == model.theta[("ab", "")]
 
 
+def sparse_theta(rng, alphabets, zero_share, zero_insertions=False):
+    """random_theta with a share of its operations, and if asked every
+    insertion, set to probability zero, renormalized."""
+    theta = random_theta(rng, alphabets)
+    for op in theta:
+        if rng.random() < zero_share or (zero_insertions and op[0] == ""):
+            theta[op] = 0.0
+    total = sum(theta.values())
+    return {op: p / total for op, p in theta.items()}
+
+
+class TestForwardTableEqualsReference:
+    # The recursion reads theta by source gram; every cell must still sum
+    # the reference's terms in its order, so the tables are equal, not close.
+    @pytest.mark.parametrize(
+        "seed, zero_share, zero_insertions",
+        [(0, 0.0, False), (1, 0.5, False), (2, 0.9, False), (3, 0.3, True)],
+    )
+    def test_full_table(self, seed, zero_share, zero_insertions):
+        pairs, alphabets = bigram_pairs(seed)
+        rng = np.random.default_rng(seed)
+        model = EditModel(alphabets, sparse_theta(rng, alphabets, zero_share, zero_insertions))
+        max_j, max_k = alphabets.max_src_len, alphabets.max_tgt_len
+        # Neither the uncovered nor the long pair; insert-only and
+        # delete-only pairs of each length.
+        pairs = pairs[:-2] + [("", ""), ("", "u"), ("", "vwx"), ("a", ""), ("cab", "")]
+        for x, z in pairs:
+            for m, (xm, zm) in ((model, (x, z)), (model.reversed(), (x[::-1], z[::-1]))):
+                assert _forward_table(xm, zm, m) == reference_forward_table(
+                    xm, zm, m.theta, max_j, max_k
+                )
+        if zero_insertions:
+            assert _forward_table("", "vwx", model)[0] == [1.0, 0.0, 0.0, 0.0]
+
+    def test_theta_rows_hold_the_non_zero_operations(self):
+        alphabets = unigram_alphabets("ab", "x")
+        theta = {("a", "x"): 0.5, ("a", ""): 0.0, ("", "x"): 0.25, ("b", ""): 0.25}
+        model = EditModel(alphabets, theta)
+        assert model.theta_rows == {"a": {"x": 0.5}, "": {"x": 0.25}, "b": {"": 0.25}}
+        assert model.theta_rows is model.theta_rows
+
+
 def chunked_pairs():
     """Pairs of mixed lengths over alphabets with bigrams, more than one
     chunk holds, with an empty side each way, an uncovered pair, a duplicate

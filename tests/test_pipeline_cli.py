@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import orthomap
-from orthomap import numerics, pipeline, self_learning
+from orthomap import candidates, numerics, pipeline, self_learning
 from orthomap.benchmark import generate_cipher_benchmark
 from orthomap.cli import (
     THREADS_ENV_VAR,
@@ -31,7 +31,12 @@ from orthomap.edit_model import (
     edit_operations,
     em_train,
 )
-from orthomap.errors import CandidateError, ConfigError, ConvergenceError
+from orthomap.errors import (
+    CandidateError,
+    ConfigError,
+    ConvergenceError,
+    NoTransliterationPath,
+)
 from orthomap.evaluation import precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
     DEFAULT_GRID,
@@ -453,7 +458,7 @@ class TestSweepWorkers:
         def no_fork(*args, **kwargs):
             raise AssertionError("a one-point sweep forked")
 
-        monkeypatch.setattr(pipeline, "_forked_outcomes", no_fork)
+        monkeypatch.setattr(pipeline, "_forked", no_fork)
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "one", 2,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.3",
@@ -510,10 +515,10 @@ class TestSweepWorkers:
         caplog.set_level(logging.INFO, logger="orthomap")
         stage = pipeline.boost_stage
 
-        def failing(src, tgt, cfg, seed):
+        def failing(src, tgt, cfg, seed, **kwargs):
             if seed == 6:
                 raise CandidateError("candidate filtering produced no pairs")
-            return stage(src, tgt, cfg, seed)
+            return stage(src, tgt, cfg, seed, **kwargs)
 
         monkeypatch.setattr(pipeline, "boost_stage", failing)
         code, _ = self.sweep(
@@ -566,6 +571,41 @@ class TestSweepWorkers:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_dead_slice_worker_exits_1(self, tiny_benchmark, tmp_path, monkeypatch, capsys):
+        score_slice = pipeline._score_slice
+
+        def dying(*args):
+            if args[-2] > 0:  # a worker's slice
+                os._exit(9)
+            return score_slice(*args)
+
+        monkeypatch.setattr(pipeline, "_score_slice", dying)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "dead", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the worker scoring slice 2 of 2 of seed 4's candidates ended without "
+            "a result (exit code 9)\n"
+        )
+        assert not out.exists()
+
+    def test_stage_seconds_recorded_and_logged(self, tiny_benchmark, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="orthomap")
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "stages", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+            "--runs-per-c", 2,
+        )
+        assert code == 0
+        seconds = json.loads((out / "manifest.json").read_text())["stage_seconds"]
+        assert len(seconds) == 2 and min(seconds) > 0
+        lines = [r.getMessage() for r in caplog.records if " stage: " in r.getMessage()]
+        assert [line.split(" stage: ")[0] for line in lines] == ["seed 4", "seed 5"]
+        for line in lines:
+            assert "main loop" in line and "EM" in line and "filtered and scored" in line
+
     def test_library_sweep_stays_serial(self, tiny_benchmark, tmp_path):
         cfg = base_config(
             tiny_benchmark, tmp_path / "lib", mode="edit-dist", criterion="objective",
@@ -581,6 +621,77 @@ class TestSweepWorkers:
         )
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+
+
+class TestStageWorkers:
+    """A seed's candidate filtering and scoring split over slices of the
+    source words give the serial stage, error and log lines."""
+
+    def stage(self, bench, tmp_path, mode, workers, seed=4):
+        # A scorer table of varied probabilities for the gold pairs.
+        gold = sorted(load_ref_lexicon(bench.gold_lexicon).pairs.items())
+        table = tmp_path / "scores.tsv"
+        table.write_text(
+            "".join(f"{s}\t{t}\t{0.1 + k % 7 / 8}\n" for k, (s, ts) in enumerate(gold) for t in ts),
+            encoding="utf-8",
+        )
+        cfg = base_config(bench, tmp_path / "stage", mode=mode, scorer_table=str(table))
+        return pipeline.boost_stage(*pipeline.load_inputs(cfg), cfg, seed, workers=workers)
+
+    @pytest.mark.parametrize("mode", ["edit-dist", "external-scorer"])
+    def test_stage_independent_of_workers(self, tmp_path, mode):
+        # Noisy, so that unit boosts vary; 100 words make uneven slices at 3.
+        bench = generate_cipher_benchmark(100, 10, seed=12, noise=0.3, out_dir=tmp_path)
+        stages = {w: self.stage(bench, tmp_path, mode, w) for w in (1, 2, 3)}
+        serial = stages[1]
+        assert len(serial.src) > 100 and len(set(serial.unit.tolist())) > 2
+        for w, stage in stages.items():
+            assert np.array_equal(stage.src, serial.src)
+            assert np.array_equal(stage.tgt, serial.tgt)
+            assert np.array_equal(stage.unit.view(np.uint64), serial.unit.view(np.uint64))
+            extras = dict(stage.extras)
+            assert extras.pop("edit_model").theta == serial.extras["edit_model"].theta
+            assert extras == {k: v for k, v in serial.extras.items() if k != "edit_model"}
+            assert stage.init == serial.init
+
+    def test_untransliterable_words_logged_once_with_the_total(
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog
+    ):
+        transliterate = candidates.transliterate
+        top = pipeline.load_inputs(base_config(tiny_benchmark, tmp_path))[0].vocab.top(100)
+        untransliterable = [w for w in top if w[0] in "abc"]
+
+        def failing(word, model):
+            if word in untransliterable:
+                raise NoTransliterationPath(word)
+            return transliterate(word, model)
+
+        monkeypatch.setattr(candidates, "transliterate", failing)
+        with caplog.at_level(logging.WARNING, logger="orthomap"):
+            stage = self.stage(tiny_benchmark, tmp_path, "edit-dist", 3)
+        assert stage.extras["untransliterable"] == len(untransliterable) > 3
+        message = f"{len(untransliterable)} source words had no transliteration path"
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("orthomap.pipeline", message)
+        ]
+
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({0, 2}, 0), ({2}, 2)])
+    def test_earliest_failing_slice_raised(
+        self, tiny_benchmark, tmp_path, monkeypatch, failing, raised
+    ):
+        score_slice = pipeline._score_slice
+        starts = [0, 33, 66]  # of 100 words in 3 slices
+
+        def failing_slices(*args):
+            lo = args[-2]
+            if starts.index(lo) in failing:
+                raise CandidateError(f"slice from word {lo}")
+            return score_slice(*args)
+
+        monkeypatch.setattr(pipeline, "_score_slice", failing_slices)
+        with pytest.raises(CandidateError) as excinfo:
+            self.stage(tiny_benchmark, tmp_path, "edit-dist", 3)
+        assert str(excinfo.value) == f"slice from word {starts[raised]}"
 
 
 class TestCli:
