@@ -85,37 +85,47 @@ def _cmd_induce(args):
     from .pipeline import run_pipeline
 
     cfg = _config_from_args(args)
-    outcome = run_pipeline(cfg)
+    outcome = run_pipeline(cfg, workers=args.workers)
     print(f"lexicon written to {cfg.output_dir}/lexicon.tsv")
     if outcome.eval_report is not None:
         print(outcome.eval_report.summary())
     return 0
 
 
-def _sweep_workers(threads):
-    """Worker processes of a sweep: --threads, else $ORTHOMAP_THREADS, else
-    the cores this process may run on. Workers are forked, so 1 off Linux."""
+def _thread_count(threads):
+    """--threads, else $ORTHOMAP_THREADS, as a count of at least 1; None
+    when neither is given."""
     from .errors import ConfigError
 
-    threads = threads or os.environ.get(THREADS_ENV_VAR)
+    source = "--threads"
+    if threads is None:
+        threads, source = os.environ.get(THREADS_ENV_VAR), THREADS_ENV_VAR
+        if not threads:
+            return None
+        try:
+            threads = int(threads)
+        except ValueError:
+            raise ConfigError(f"{source} must be an integer, got {threads!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
+
+
+def _workers(threads):
+    """Workers of induce and sweep: --threads, else $ORTHOMAP_THREADS, else
+    the cores this process may run on. Workers are forked, so 1 off Linux,
+    where the count is still validated."""
+    count = _thread_count(threads)
     if not sys.platform.startswith("linux"):
         return 1
-    if not threads:
-        return len(os.sched_getaffinity(0))
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {threads!r}") from None
-    if workers < 1:
-        raise ConfigError(f"the worker count must be at least 1, got {workers}")
-    return workers
+    return count or len(os.sched_getaffinity(0))
 
 
 def _cmd_sweep(args):
     from .pipeline import run_sweep
 
     cfg = _config_from_args(args)
-    best, points = run_sweep(cfg, workers=_sweep_workers(args.threads))
+    best, points = run_sweep(cfg, workers=args.workers)
     for point in points:
         print(f"c={point.scale:g}\t{point.mean:.6f}")
     print(f"selected c={best:g}")
@@ -217,8 +227,9 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help=f"numerical backend threads; for sweep, worker processes each on one "
-        f"backend thread (default: ${THREADS_ENV_VAR} or all cores)",
+        help=f"numerical backend threads; for induce, also the processes that may "
+        f"parse the inputs and score candidates; for sweep, worker processes each "
+        f"on one backend thread (default: ${THREADS_ENV_VAR} or all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,9 +276,10 @@ def build_parser():
 
 
 def _apply_thread_limit(threads):
+    """Set the BLAS thread variables to ``threads``, else to
+    $ORTHOMAP_THREADS; leave them alone when neither is given."""
+    threads = _thread_count(threads)
     if threads is None:
-        threads = os.environ.get(THREADS_ENV_VAR)
-    if not threads:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
@@ -275,9 +287,6 @@ def _apply_thread_limit(threads):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # A sweep spends its threads on worker processes, each with one BLAS
-    # thread; every other command gives them to BLAS.
-    _apply_thread_limit(1 if args.command == "sweep" else args.threads)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
@@ -286,6 +295,14 @@ def main(argv=None):
     from .errors import InputFormatError, OrthomapError
 
     try:
+        # Before numpy loads, so that BLAS starts with these threads. A sweep
+        # spends its threads on worker processes, each with one BLAS thread.
+        # induce forks its workers only while BLAS is idle (to parse the
+        # target file, to score candidates), so it gives its threads to BLAS,
+        # as every other command does.
+        if args.command in ("induce", "sweep"):
+            args.workers = _workers(args.threads)
+        _apply_thread_limit(1 if args.command == "sweep" else args.threads)
         return args.func(args)
     except (OrthomapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ then one word per line followed by `dim` decimal numbers. Lexicon files are
 "source target" pairs, one per line, whitespace separated.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -131,67 +132,151 @@ class RefLexicon:
     pairs: dict
 
 
-def load_embeddings(path, max_vocab=None):
-    """Read a text embedding file into an EmbeddingMatrix.
+# Characters of text parsed per block of rows: np.loadtxt's C reader parses
+# a block at a time, so the text held at once stays small.
+_LOAD_BLOCK_CHARS = 256 << 10
+
+
+def _block_values(lines, dim):
+    """Words and (rows, dim) values of ``lines``, parsed by np.loadtxt, or
+    None where the C reader rejects the block or reads it otherwise than
+    _row_tokens would accept it (a short row, a row of another width, a
+    non-finite value)."""
+    parts = [line.split(None, 1) for line in lines]
+    if any(len(p) != 2 for p in parts):
+        return None
+    try:
+        values = np.loadtxt([p[1] for p in parts], np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), dim) or not np.isfinite(values).all():
+        return None
+    return [p[0] for p in parts], values
+
+
+def _row_tokens(path, line, lineno, dim):
+    """The word and value tokens of one row, or InputFormatError."""
+    tokens = line.split()
+    if not tokens:
+        raise InputFormatError(f"{path}:{lineno}: empty line")
+    if len(tokens) != dim + 1:
+        raise InputFormatError(f"{path}:{lineno}: expected {dim} values, found {len(tokens) - 1}")
+    return tokens[0], tokens[1:]
+
+
+def _row_values(path, tokens, lineno):
+    try:
+        vec = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        raise InputFormatError(f"{path}:{lineno}: non-numeric entry") from None
+    if not np.isfinite(vec).all():
+        raise InputFormatError(f"{path}:{lineno}: non-finite entry")
+    return vec
+
+
+def _read_header(fh, path, max_vocab):
+    """(header count, rows to read, dim) from the header line of ``fh``."""
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise InputFormatError(f"{path}: malformed header {header!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InputFormatError(f"{path}: malformed header {header!r}") from None
+    if count < 1 or dim < 1:
+        raise InputFormatError(f"{path}: non-positive header counts")
+    return count, count if max_vocab is None else min(count, max_vocab), dim
+
+
+def embedding_shape(path, max_vocab=None):
+    """(rows, dim) of the array load_embeddings parses ``path`` into: its
+    rows up to max_vocab, duplicates included. Reads only the header."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _read_header(fh, path, max_vocab)[1:]
+
+
+def load_embeddings(path, max_vocab=None, out=None):
+    """Read a text embedding file into an EmbeddingMatrix (see
+    parse_embeddings), warning of the duplicated words it dropped."""
+    emb, duplicates = parse_embeddings(path, max_vocab, out)
+    log_duplicates(path, duplicates)
+    return emb
+
+
+def log_duplicates(path, duplicates):
+    """Warn that ``duplicates`` repeated words of ``path`` were dropped."""
+    if duplicates:
+        logger.warning("%s: dropped %d duplicate words", path, duplicates)
+
+
+def parse_embeddings(path, max_vocab=None, out=None):
+    """A text embedding file's EmbeddingMatrix and the number of rows
+    dropped as duplicates, without a warning.
 
     Exactly min(header count, max_vocab) rows are consumed, and a file that
     ends before them is rejected; duplicated words keep their first
-    occurrence and later ones are dropped with a warning.
+    occurrence and later ones are dropped. ``out``, when given, is the
+    float64 array of shape embedding_shape(path, max_vocab) that the rows
+    are parsed into; the matrix returned views it.
+
+    Rows are parsed in blocks by np.loadtxt, which rounds as Python's
+    float() does. A block it rejects is parsed again row by row with
+    float(), which also reads what np.loadtxt does not (digit separators
+    such as "1_0", non-ASCII digits) and names the line of a bad row; a
+    duplicated word's row is never parsed there. So the values and errors
+    are those of a row-by-row parse.
     """
     if max_vocab is not None and max_vocab < 1:
         raise ValueError("max_vocab must be positive")
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise InputFormatError(f"{path}: malformed header {header!r}")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFormatError(f"{path}: malformed header {header!r}") from None
-        if count < 1 or dim < 1:
-            raise InputFormatError(f"{path}: non-positive header counts")
-        limit = count if max_vocab is None else min(count, max_vocab)
-
+        count, limit, dim = _read_header(fh, path, max_vocab)
         words = []
         seen = set()
-        data = np.empty((limit, dim))
-        kept = 0
+        data = np.empty((limit, dim)) if out is None else out
         duplicates = 0
-        rows_read = 0
-        for lineno, line in enumerate(fh, start=2):
-            if rows_read == limit:
-                break
-            rows_read += 1
-            tokens = line.split()
-            if not tokens:
-                raise InputFormatError(f"{path}:{lineno}: empty line")
-            if len(tokens) != dim + 1:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected {dim} values, found {len(tokens) - 1}"
-                )
-            word = tokens[0]
+
+        def new_word(word):
+            """Whether ``word`` is new (it joins ``words``); a repeated one
+            is counted and its row dropped."""
+            nonlocal duplicates
             if word in seen:
                 duplicates += 1
-                continue
-            try:
-                vec = np.array(tokens[1:], dtype=np.float64)
-            except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: non-numeric entry") from None
-            if not np.isfinite(vec).all():
-                raise InputFormatError(f"{path}:{lineno}: non-finite entry")
+                return False
             seen.add(word)
             words.append(word)
-            data[kept] = vec
-            kept += 1
+            return True
+
+        def parse(block, first):
+            """Parse the rows of ``block``, whose first is on line ``first``."""
+            parsed = _block_values(block, dim)
+            if parsed is not None:
+                for word, row in zip(*parsed):
+                    if new_word(word):
+                        data[len(words) - 1] = row
+                return
+            for lineno, line in enumerate(block, start=first):
+                word, tokens = _row_tokens(path, line, lineno, dim)
+                if new_word(word):
+                    data[len(words) - 1] = _row_values(path, tokens, lineno)
+
+        # Row r (from 1) is line r + 1 of the file.
+        block, chars, rows_read = [], 0, 0
+        for line in itertools.islice(fh, limit):
+            rows_read += 1
+            block.append(line)
+            chars += len(line)
+            if chars >= _LOAD_BLOCK_CHARS:
+                parse(block, rows_read - len(block) + 2)
+                block, chars = [], 0
+        if block:
+            parse(block, rows_read - len(block) + 2)
     if rows_read < limit:
         raise InputFormatError(
             f"{path}: file ends after {rows_read} of {limit} rows"
             f" (header declares {count})"
         )
-    if duplicates:
-        logger.warning("%s: dropped %d duplicate words", path, duplicates)
-    return EmbeddingMatrix(Vocabulary(words), data[:kept])
+    return EmbeddingMatrix(Vocabulary(words), data[: len(words)]), duplicates
 
 
 def write_embeddings(emb, path):

@@ -7,6 +7,7 @@ square roots of uncentered second-moment matrices.
 """
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +112,38 @@ def compute_whitening(emb, rows=None):
     return WhiteningPair(forward, inverse, floor)
 
 
-def weighted_cross_svd(x, z, dictionary):
-    """SVD of sum_(i,j,w) w * x_i^T z_j over the dictionary entries."""
+# The variables OpenBLAS takes its thread count from, first one first.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads():
+    """The BLAS thread count the environment sets: the first of
+    _BLAS_THREAD_VARS that holds a positive integer, as OpenBLAS reads
+    them, or None when none does (BLAS then runs on every core). The CLI
+    sets these variables before numpy loads."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def weighted_cross_svd(x, z, dictionary, before_svd=None):
+    """SVD of sum_(i,j,w) w * x_i^T z_j over the dictionary entries.
+
+    ``before_svd``, when given, is called once that sum is built, just
+    before the SVD, which runs without the interpreter lock: a caller
+    starts there another thread's Python work, so that the two never wait
+    for each other's lock.
+    """
     if len(dictionary) == 0:
         raise ValueError("dictionary is empty")
     xs = x[dictionary.src] * dictionary.weight[:, None]
     m = xs.T @ z[dictionary.tgt]
+    if before_svd is not None:
+        before_svd()
     u, s, vt = np.linalg.svd(m)
     return u, s, vt

@@ -17,7 +17,13 @@ nearest-neighbour kernel. It never holds a whole score matrix: ScoreTiles
 builds the matrix one row tile at a time from its factors, csls_means reads
 the tiles once for the hubness statistics (pass 1), and _best_entries
 rebuilds them, adjusts, boosts and masks each one, and reduces it to the
-best entry of every row and column (pass 2).
+best entry of every row and column (pass 2). Their reductions copy a slice
+of a tile at a time, never a whole tile.
+
+Given two or more cores, a loop with a wide enough solve keeps one helper
+thread: it draws a step's keep-mask uniforms while the SVD runs and builds
+one map product while the other is built. Every result is the same bit
+for bit with or without it.
 """
 
 import logging
@@ -29,7 +35,7 @@ import numpy as np
 from .corpus_io import SparseDictionary
 from .errors import ConvergenceError
 from .memory import log_peak_rss
-from .numerics import compute_whitening, normalize_rows, weighted_cross_svd
+from .numerics import blas_threads, compute_whitening, normalize_rows, weighted_cross_svd
 from .ortho_extension import strip_extension
 
 logger = logging.getLogger(__name__)
@@ -37,6 +43,19 @@ logger = logging.getLogger(__name__)
 # Bytes of float64 scores per row tile: the kernel's working set is a few
 # tiles plus O(n * csls_k), whatever the vocabulary sizes.
 _TILE_BYTES = 4 << 20
+# Bytes of a slice of a tile that its reductions copy at once: the top-k
+# partitions and retrieval's adjusted scores hold one slice, not a tile.
+# Slices of 64 KiB made the partitions of 200- to 450-row tiles 15-25%
+# slower, in per-call overhead; at 256 KiB they take a whole tile's time.
+_SLICE_BYTES = 256 << 10
+# Solve width (used columns of the narrower side) from which a loop with
+# two or more workers, and BLAS on one thread, keeps a helper thread: it
+# draws the keep-mask uniforms beside the SVD and builds the target-side
+# map product beside the source-side one. Narrower solves gain less than
+# the thread's handoffs and its second BLAS buffer cost: measured at the
+# benchmark's 20 and 128 columns (slower or more memory) and 300 (faster);
+# the crossover between 128 and 300 was not measured.
+_HELPER_MIN_WIDTH = 256
 
 
 @dataclass
@@ -131,21 +150,32 @@ def _tile_rows(n_cols):
     return max(1, _TILE_BYTES // (8 * n_cols))
 
 
+def _tile_shape(n_rows, n_cols):
+    """Shape of the row tiles of an n_rows x n_cols ScoreTiles matrix."""
+    return min(n_rows, _tile_rows(n_cols)), n_cols
+
+
+def _slice_len(n):
+    """Length of a slice of a tile whose other side is n long."""
+    return max(1, _SLICE_BYTES // (8 * n))
+
+
 class ScoreTiles:
     """A score matrix that exists one row tile at a time.
 
     ``build(lo, hi, out)`` writes rows [lo, hi) into ``out``. Tiles have
     _tile_rows(n_cols) rows and share one buffer, so a matrix that fits one
-    tile is built once however many passes read it.
+    tile is built once however many passes read it. ``buffer``, when
+    given, is that buffer, of shape _tile_shape(n_rows, n_cols).
     """
 
-    def __init__(self, n_rows, n_cols, build):
+    def __init__(self, n_rows, n_cols, build, buffer=None):
         if n_rows == 0 or n_cols == 0:
             raise ValueError("empty vocabulary")
         self.shape = (n_rows, n_cols)
-        self.tile_shape = (min(n_rows, _tile_rows(n_cols)), n_cols)
+        self.tile_shape = _tile_shape(n_rows, n_cols)
         self._build = build
-        self._buffer = np.empty(self.tile_shape)
+        self._buffer = np.empty(self.tile_shape) if buffer is None else buffer
         self._held = None  # first row of the tile the buffer holds as built
 
     def tiles(self, stop=None, consume=False):
@@ -164,25 +194,43 @@ class ScoreTiles:
             yield lo, hi, tile
 
 
-def _product(left, right):
-    """ScoreTiles of ``left @ right.T``."""
+def _product(left, right, buffer=None):
+    """ScoreTiles of ``left @ right.T``, built in ``buffer`` when given."""
     right_t = right.T
     return ScoreTiles(
-        len(left), len(right), lambda lo, hi, out: np.matmul(left[lo:hi], right_t, out=out)
+        len(left),
+        len(right),
+        lambda lo, hi, out: np.matmul(left[lo:hi], right_t, out=out),
+        buffer,
     )
 
 
+# The partitions below treat each row (or column) on its own, so a slice
+# at a time gives the whole tile's values bit for bit, in the same order.
+
+
 def topk_row_mean(sim, k):
-    """Mean of the k largest entries of each row."""
+    """Mean of the k largest entries of each row, partitioned a slice of
+    rows at a time."""
     k = min(k, sim.shape[1])
-    return np.partition(sim, -k, axis=1)[:, -k:].mean(axis=1)
+    out = np.empty(len(sim))
+    step = _slice_len(sim.shape[1])
+    for lo in range(0, len(sim), step):
+        top = np.partition(sim[lo : lo + step], -k, axis=1)[:, -k:]
+        top.mean(axis=1, out=out[lo : lo + step])
+    return out
 
 
 def _top_rows(block, k):
     """The k largest entries of each column of ``block`` (all of them when
-    it has at most k rows), in the order np.partition leaves them."""
+    it has at most k rows), in the order np.partition leaves them,
+    partitioned a slice of columns at a time."""
     k = min(k, len(block))
-    return np.partition(block, -k, axis=0)[-k:].copy()
+    out = np.empty((k, block.shape[1]))
+    step = _slice_len(len(block))
+    for lo in range(0, block.shape[1], step):
+        out[:, lo : lo + step] = np.partition(block[:, lo : lo + step], -k, axis=0)[-k:]
+    return out
 
 
 def csls_means(scores, k, stats_rows=None, row_means=True):
@@ -251,19 +299,33 @@ def _row_uniforms(seed, iteration):
     return fill
 
 
-def _best_entries(scores, means=None, boost=None, state=None, backward=True, cosines=False):
+def _uniforms_into(buffer, state):
+    """``draw(lo, hi)``: the keep-mask uniforms of rows [lo, hi), written
+    into ``buffer``, which has at least hi - lo rows."""
+    fill = _row_uniforms(state.rng_seed, state.iteration)
+    return lambda lo, hi: fill(lo, buffer[: hi - lo])
+
+
+def _best_entries(
+    scores, means=None, boost=None, state=None, backward=True, cosines=False, uniforms=None
+):
     """Pass 2: the best entry of every row and of every column.
 
     Each tile of the ScoreTiles ``scores`` is rebuilt, adjusted by
     ``means`` (row means or None, column means), boosted, and masked: with
     state.p_keep < 1, entries are dropped with probability 1 - p_keep,
-    seeded per row. Returns (row argmax, row max, column argmax, column max,
+    seeded per row. ``uniforms(lo, hi)`` gives the mask's uniforms of rows
+    [lo, hi), as _uniforms_into draws them (by default into a tile-sized
+    buffer). Returns (row argmax, row max, column argmax, column max,
     cosines). Columns merge across tiles with a strict ``>``, so the
     earliest row wins a tie, as in a dense argmax; a column with every
     entry dropped keeps argmax -1. With ``backward`` False the column
     arrays are not computed (-1 and -inf throughout); with ``cosines`` the
     last array holds each row's unadjusted score at its argmax, else it is
-    None.
+    None. The cosines need the unadjusted tile, so then each tile is
+    adjusted into a copy one slice of rows at a time; every step treats a
+    row on its own, or merges columns in row order, so slices give the
+    whole tile's results.
     """
     n_rows, n_cols = scores.shape
     forward = np.empty(n_rows, np.int64)
@@ -271,50 +333,55 @@ def _best_entries(scores, means=None, boost=None, state=None, backward=True, cos
     col_arg = np.full(n_cols, -1, np.int64)
     col_best = np.full(n_cols, -np.inf)
     cos = np.empty(n_rows) if cosines else None
-    adjusted = np.empty(scores.tile_shape) if cosines else None
+    step = _slice_len(n_cols) if cosines else scores.tile_shape[0]
+    adjusted = np.empty((min(step, n_rows), n_cols)) if cosines else None
     stochastic = state is not None and state.p_keep < 1.0
-    if stochastic:
-        fill = _row_uniforms(state.rng_seed, state.iteration)
-        draws = np.empty(scores.tile_shape)
-    for lo, hi, tile in scores.tiles(consume=True):
-        block = tile
-        if means is not None:
-            row_means, col_means = means
-            block = csls_adjust(
-                tile,
-                None if row_means is None else row_means[lo:hi],
-                col_means,
-                out=tile if adjusted is None else adjusted[: hi - lo],
-            )
-        if boost is not None:
-            boost.add_to(block, lo)
-        if stochastic:
-            block[fill(lo, draws[: hi - lo]) >= state.p_keep] = -np.inf
-        rows = np.arange(hi - lo)
-        arg = block.argmax(axis=1)
-        forward[lo:hi] = arg
-        row_best[lo:hi] = block[rows, arg]
-        if cos is not None:
-            cos[lo:hi] = tile[rows, arg]
-        if backward:
-            blk_arg = block.argmax(axis=0)
-            blk_max = block[blk_arg, np.arange(n_cols)]
-            better = blk_max > col_best
-            col_best[better] = blk_max[better]
-            col_arg[better] = blk_arg[better] + lo
+    if stochastic and uniforms is None:
+        uniforms = _uniforms_into(np.empty(scores.tile_shape), state)
+    for t_lo, t_hi, tile in scores.tiles(consume=True):
+        for lo in range(t_lo, t_hi, step):
+            hi = min(lo + step, t_hi)
+            raw = tile[lo - t_lo : hi - t_lo]
+            block = raw
+            if means is not None:
+                row_means, col_means = means
+                block = csls_adjust(
+                    raw,
+                    None if row_means is None else row_means[lo:hi],
+                    col_means,
+                    out=raw if adjusted is None else adjusted[: hi - lo],
+                )
+            if boost is not None:
+                boost.add_to(block, lo)
+            if stochastic:
+                block[uniforms(lo, hi) >= state.p_keep] = -np.inf
+            rows = np.arange(hi - lo)
+            arg = block.argmax(axis=1)
+            forward[lo:hi] = arg
+            row_best[lo:hi] = block[rows, arg]
+            if cos is not None:
+                cos[lo:hi] = raw[rows, arg]
+            if backward:
+                blk_arg = block.argmax(axis=0)
+                blk_max = block[blk_arg, np.arange(n_cols)]
+                better = blk_max > col_best
+                col_best[better] = blk_max[better]
+                col_arg[better] = blk_arg[better] + lo
     return forward, row_best, col_arg, col_best, cos
 
 
-def induce_dictionary(scores, state, means=None, boost=None):
+def induce_dictionary(scores, state, means=None, boost=None, uniforms=None):
     """Bidirectional dictionary from a ScoreTiles matrix.
 
-    Scores are adjusted by ``means``, boosted and masked as in
-    _best_entries; each source picks its best kept target and vice versa,
-    and mutual choices get weight 2. The dictionary and each entry's score
-    before masking are also stored in ``state``.
+    Scores are adjusted by ``means``, boosted and masked (with
+    ``uniforms``) as in _best_entries; each source picks its best kept
+    target and vice versa, and mutual choices get weight 2. The dictionary
+    and each entry's score before masking are also stored in ``state``.
     """
     n_src, n_tgt = scores.shape
-    forward, row_best, backward, col_best, _ = _best_entries(scores, means, boost, state)
+    forward, row_best, backward, col_best, _ = _best_entries(
+        scores, means, boost, state, uniforms=uniforms
+    )
     src_fwd = np.nonzero(row_best > -np.inf)[0]
     tgt_bwd = np.nonzero(backward >= 0)[0]
     src = np.concatenate([src_fwd, backward[tgt_bwd]])
@@ -465,14 +532,71 @@ def _cutoff(src_emb, tgt_emb, cfg):
     return min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
 
 
-def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None):
+class _LoopHelper:
+    """A loop's helper thread (a one-thread pool) and the arrays it writes,
+    allocated once for the loop: both map products, the score tile and the
+    keep-mask uniforms of one tile.
+
+    Only untraced numpy work runs on it (the uniforms' fill and np.matmul),
+    since a tracer keeps one span stack per process. A loop without it
+    allocates these arrays per step, as the kernel does by default: pinned
+    for the loop, they raised the peak RSS of runs whose peak falls in the
+    loop's SVD, which otherwise reuses their memory (the benchmark's
+    ortho-ext: 42.6 to 43.5 MB).
+    """
+
+    def __init__(self, pool, cutoff, r):
+        self.pool = pool
+        self.cutoff = cutoff
+        self.shape = _tile_shape(cutoff, cutoff)
+        self.left = np.empty((cutoff, r))
+        self.right = np.empty((cutoff, r))
+        self.tile = np.empty(self.shape)
+        self.draws = np.empty(self.shape)
+
+    def draw(self, state):
+        """(start, uniforms): the step's keep-mask uniforms for
+        induce_dictionary, and ``start()``, which has the helper draw them
+        all, or None where they are drawn tile by tile as they are used
+        (at p_keep 1, or for a matrix of several tiles).
+
+        The uniforms depend only on the seed and iteration, so ``start`` is
+        weighted_cross_svd's ``before_svd``. The drawing holds the
+        interpreter lock for most of its time, re-taking it after every
+        row, so while it ran this thread waited for the lock between the
+        numpy calls that build the SVD's input; the SVD itself needs no
+        lock."""
+        uniforms = _uniforms_into(self.draws, state)
+        if state.p_keep >= 1.0 or self.shape[0] < self.cutoff:
+            return None, uniforms
+        drawn = []
+
+        def start():
+            drawn.append(self.pool.submit(uniforms, 0, self.cutoff))
+
+        return start, lambda lo, hi: drawn[0].result()[lo:hi]
+
+    def product(self, x, u, z, v):
+        """ScoreTiles of (x @ u) @ (z @ v).T, with z @ v built on the
+        helper while this thread builds x @ u."""
+        right = self.pool.submit(np.matmul, z, v, out=self.right)
+        np.matmul(x, u, out=self.left)
+        right.result()
+        return _product(self.left, self.right, self.tile)
+
+
+def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
     """The self-learning loop from the initial dictionary to convergence.
 
     ``boost`` is an optional SimilarityBoost; its entries inside the cutoff
     block are added to the adjusted similarities of every iteration.
     ``init`` is the initial dictionary when the caller already holds
     init_dictionary_unsupervised's result for these matrices and cutoff; it
-    is computed here otherwise.
+    is computed here otherwise. With ``workers`` above 1, the number of
+    cores this process may use alone, BLAS on one thread (so that a core
+    is idle beside it) and a solve at least _HELPER_MIN_WIDTH wide, one
+    helper thread runs beside each step (see _LoopHelper); the results are
+    the same bit for bit.
     """
     cutoff = _cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
@@ -491,29 +615,52 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None):
         src_emb.dim,
         tgt_emb.dim,
     )
+    r = min(x_used.shape[1], z_used.shape[1])
+    blas = blas_threads()
+    helped = workers > 1 and blas == 1 and r >= _HELPER_MIN_WIDTH
+    logger.info(
+        "loop helper thread %s: solve width %d, %d worker%s, BLAS threads %s "
+        "(on from width %d, 2 workers and 1 BLAS thread)",
+        "on" if helped else "off", r, workers, "" if workers == 1 else "s",
+        "unset" if blas is None else blas, _HELPER_MIN_WIDTH,
+    )
     # Once p_keep is 1 a step depends only on its input dictionary. When its
     # induction returns that input, every later step would recompute the
     # same objective, dictionary and scores, and state already holds the
     # last two: such steps return the recorded objective at once.
     fixed = None  # (dictionary, objective) of the fixed point
 
-    def step(state):
+    def step(state, helper):
         nonlocal fixed
         d = init if state.dictionary is None else state.dictionary
         if fixed is not None and d is fixed[0]:
             return fixed[1]
-        u, s, vt = weighted_cross_svd(x_used, z_used, d)
-        r = len(s)
+        if helper is None:
+            uniforms = None
+            u, s, vt = weighted_cross_svd(x_used, z_used, d)
+            scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
+        else:
+            start, uniforms = helper.draw(state)
+            u, s, vt = weighted_cross_svd(x_used, z_used, d, before_svd=start)
+            scores = helper.product(x_used, u[:, :r], z_used, vt[:r].T)
         objective = float(s.sum() / d.weight_sum)
-        scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
-        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost)
+        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost, uniforms)
         state.churn = _churn(new_d, d)
         if state.p_keep >= 1.0 and new_d == d:
             fixed = new_d, objective
             logger.info("iteration %d: dictionary reached its fixed point", state.iteration)
         return objective
 
-    state, trace = run_schedule(cfg, step)
+    if helped:
+        # The helper lives only as long as the loop, so that no thread is
+        # alive when the caller forks workers.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, "orthomap-loop-helper") as pool:
+            helper = _LoopHelper(pool, cutoff, r)
+            state, trace = run_schedule(cfg, lambda state: step(state, helper))
+    else:
+        state, trace = run_schedule(cfg, lambda state: step(state, None))
     logger.info(
         "converged after %d iterations, final objective %.6f",
         state.iteration,
@@ -551,16 +698,16 @@ def _whitened_maps(src_emb, tgt_emb, dictionary, cutoff, n_extension_cols):
 
 
 def run_self_learning(
-    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None
+    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None, workers=1
 ):
     """Full unsupervised run: run_loop, then the whitened final pass.
 
     ``n_extension_cols`` trailing columns are stripped from both matrices
     before the final pass (0 when no orthographic extension is active).
-    ``boost`` and ``init`` are as in run_loop; the boost is also added to
-    the final retrieval.
+    ``boost``, ``init`` and ``workers`` are as in run_loop; the boost is
+    also added to the final retrieval.
     """
-    loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init)
+    loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init, workers=workers)
     cutoff = _cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)

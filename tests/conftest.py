@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -33,3 +34,13 @@ def no_live_children():
         proc.terminate()
         proc.join()
     assert alive == [], f"the test left live child processes: {alive}"
+
+
+@pytest.fixture(autouse=True)
+def no_live_threads():
+    """Fail a test that leaves a thread running besides the main one: a
+    loop's helper thread must end with its loop, so that no thread is alive
+    when a caller forks workers (a forked worker gets no copy of it)."""
+    yield
+    alive = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    assert alive == [], f"the test left live threads: {alive}"

@@ -187,6 +187,48 @@ def keep_mask(seed, iteration, row, n, p_keep):
     return gen.random(n) < p_keep
 
 
+def reference_load_embeddings(path, max_vocab=None):
+    """Words and rows of an embedding file parsed row by row with
+    float(), as load_embeddings parsed every row before it read blocks
+    with np.loadtxt; raises its InputFormatError messages."""
+    from orthomap.errors import InputFormatError
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise InputFormatError(f"{path}: malformed header {header!r}")
+        count, dim = int(parts[0]), int(parts[1])
+        limit = count if max_vocab is None else min(count, max_vocab)
+        words, rows, rows_read = [], [], 0
+        for lineno, line in enumerate(fh, start=2):
+            if rows_read == limit:
+                break
+            rows_read += 1
+            tokens = line.split()
+            if not tokens:
+                raise InputFormatError(f"{path}:{lineno}: empty line")
+            if len(tokens) != dim + 1:
+                raise InputFormatError(
+                    f"{path}:{lineno}: expected {dim} values, found {len(tokens) - 1}"
+                )
+            if tokens[0] in words:
+                continue
+            try:
+                vec = np.array(tokens[1:], dtype=np.float64)
+            except ValueError:
+                raise InputFormatError(f"{path}:{lineno}: non-numeric entry") from None
+            if not np.isfinite(vec).all():
+                raise InputFormatError(f"{path}:{lineno}: non-finite entry")
+            words.append(tokens[0])
+            rows.append(vec)
+    if rows_read < limit:
+        raise InputFormatError(
+            f"{path}: file ends after {rows_read} of {limit} rows (header declares {count})"
+        )
+    return words, np.array(rows).reshape(len(rows), dim)
+
+
 # The dense scoring path that self_learning replaced: whole cutoff x
 # cutoff matrices, a boost materialized as a dense addend, and retrieval in
 # 1024-row blocks. Differential tests compare the tiled kernel against it.
@@ -205,6 +247,13 @@ def topk_row_mean(sim, k):
     """Mean of the k largest entries of each row."""
     k = min(k, sim.shape[1])
     return np.partition(sim, -k, axis=1)[:, -k:].mean(axis=1)
+
+
+def top_rows(block, k):
+    """The k largest entries of each column of ``block`` (all of them when
+    it has at most k rows), partitioned over the whole block at once."""
+    k = min(k, len(block))
+    return np.partition(block, -k, axis=0)[-k:].copy()
 
 
 def csls_means(sim, k):

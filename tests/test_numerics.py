@@ -228,6 +228,24 @@ class TestProcrustes:
         with pytest.raises(ValueError):
             procrustes_maps(src, src, SparseDictionary([], [], []))
 
+    def test_before_svd_called_once_before_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x, z = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        d = SparseDictionary([0, 2, 5, 8], [1, 2, 7, 0], [1, 2, 1, 2])
+        expected = weighted_cross_svd(x, z, d)
+        events = []
+        svd = np.linalg.svd
+
+        def recording_svd(m):
+            events.append("svd")
+            return svd(m)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        got = weighted_cross_svd(x, z, d, before_svd=lambda: events.append("before"))
+        assert events == ["before", "svd"]
+        for a, b in zip(got, expected):
+            assert np.array_equal(bits(a), bits(b))
+
 
 class TestSimilarityBlock:
     def test_identity_case(self):
@@ -264,3 +282,23 @@ class TestSimilarityBlock:
         src = emb(np.eye(3))
         with pytest.raises(ValueError):
             similarity_block(src, np.eye(3), src, np.eye(3), (0, 4), (0, 3))
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({}, None),
+        ({"OMP_NUM_THREADS": "3"}, 3),
+        ({"OMP_NUM_THREADS": "3", "GOTO_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "many"}, None),
+    ],
+    ids=["unset", "omp", "goto-before-omp", "openblas-first", "zero-skipped", "not-a-number"],
+)
+def test_blas_threads_read_in_openblas_order(monkeypatch, env, expected):
+    for var in numerics._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert numerics.blas_threads() == expected

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from orthomap.benchmark import generate_cipher_benchmark
 from orthomap.cli import (
     THREADS_ENV_VAR,
     _apply_thread_limit,
-    _sweep_workers,
+    _workers,
     build_parser,
     main,
 )
@@ -453,6 +454,40 @@ class TestSweepWorkers:
         if criterion == "objective":  # the points differ, so a mix-up would show
             rows = [line.split("\t") for line in runs[1][0].decode().splitlines()[1:]]
             assert len({v for row in rows for v in row[2].split(",")}) > 1
+
+    def test_stage_helper_ends_before_workers_fork(
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog
+    ):
+        # With the width rule lowered, the stage's main loop keeps a helper
+        # thread. The sweep forks its slice and point workers only once the
+        # loop has ended it, and no worker starts a helper of its own.
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 1)
+        parent = os.getpid()
+        helpers, forks = [], []
+        helper_init = self_learning._LoopHelper.__init__
+        forked = pipeline._forked
+
+        def init(helper, *args):
+            assert os.getpid() == parent, "a sweep worker started a loop helper"
+            helpers.append(args)
+            helper_init(helper, *args)
+
+        def recording_forked(*args):
+            forks.append([t.name for t in threading.enumerate()])
+            return forked(*args)
+
+        monkeypatch.setattr(self_learning._LoopHelper, "__init__", init)
+        monkeypatch.setattr(pipeline, "_forked", recording_forked)
+        caplog.set_level(logging.INFO, logger="orthomap")
+        code, _ = self.sweep(
+            tiny_benchmark, tmp_path, "helper", 2,
+            "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
+        )
+        assert code == 0
+        assert len(helpers) == 1  # the stage's main loop
+        assert "loop helper thread on: solve width 10, 2 workers" in caplog.text
+        assert len(forks) == 2  # the stage's scoring slices, then the points
+        assert all(names == ["MainThread"] for names in forks)
 
     def test_one_point_grid_forks_nothing(self, tiny_benchmark, tmp_path, monkeypatch):
         def no_fork(*args, **kwargs):
@@ -1063,6 +1098,95 @@ class TestCli:
         assert self.sweep_exit_code(tiny_benchmark, bad, tmp_path) == 3
 
 
+class TestInduceWorkers:
+    """induce's artifacts do not depend on its worker count."""
+
+    ARTIFACTS = ("lexicon.tsv", "trace.tsv", "predictions.tsv", "eval_summary.txt",
+                 "edit_model.tsv")
+    # Outputs that name the run's directory or describe the process.
+    VOLATILE = ("edit_model_path", "peak_rss_mb", "workers")
+
+    def artifacts(self, out):
+        files = {n: (out / n).read_bytes() for n in self.ARTIFACTS if (out / n).exists()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"].pop("output_dir")
+        workers = manifest["workers"]
+        for key in self.VOLATILE:
+            manifest.pop(key, None)
+        return files, manifest, workers
+
+    @pytest.mark.parametrize("mode", ["baseline", "ortho-ext", "edit-dist"])
+    def test_outputs_identical_at_one_two_and_three(
+        self, tiny_benchmark, tmp_path, monkeypatch, mode
+    ):
+        # Both parallel parts on at two and three: the target file is parsed
+        # in a worker and every loop keeps its helper thread, as it does
+        # where BLAS runs on one thread.
+        monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 1)
+        monkeypatch.setattr(self_learning, "blas_threads", lambda: 1)
+        runs = {}
+        for threads in (1, 2, 3):
+            out = tmp_path / f"w{threads}"
+            code = main([
+                "--threads", str(threads), "induce",
+                "--src-emb", str(tiny_benchmark.src_embeddings),
+                "--tgt-emb", str(tiny_benchmark.tgt_embeddings),
+                "--test", str(tiny_benchmark.gold_lexicon),
+                "--output-dir", str(out), "--seed", "3", "--mode", mode, "--scale", "0.4",
+                "--stall-window", "3", "--objective-eps", "0.02",
+            ])
+            assert code == 0
+            files, manifest, workers = self.artifacts(out)
+            assert workers == threads
+            runs[threads] = files, manifest
+        assert runs[1] == runs[2] == runs[3]
+        assert len(runs[1][0]) == (5 if mode == "edit-dist" else 4)
+        replay = tmp_path / "replay"
+        assert main(["--threads", "2", "induce", "--config", str(tmp_path / "w3" / "manifest.json"),
+                     "--output-dir", str(replay)]) == 0
+        assert self.artifacts(replay)[:2] == runs[1]
+
+    def test_forks_beside_a_blas_thread_pool(self, tiny_benchmark, tmp_path):
+        # At --threads 2 induce runs BLAS on two threads, and its boosted
+        # stage forks a scoring worker once the main loop has used them.
+        src = str(Path(orthomap.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.pop(THREADS_ENV_VAR, None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"w{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "orthomap.cli", "--threads", threads, "induce",
+                 "--src-emb", str(tiny_benchmark.src_embeddings),
+                 "--tgt-emb", str(tiny_benchmark.tgt_embeddings),
+                 "--output-dir", str(out), "--mode", "edit-dist", "--scale", "0.4",
+                 "--stall-window", "3", "--objective-eps", "0.02"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = json.loads((out / "manifest.json").read_text())["workers"]
+        assert runs == {"1": 1, "2": 2}
+
+    def test_parse_and_helper_logged_once(self, tiny_benchmark, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
+        caplog.set_level(logging.INFO, logger="orthomap")
+        assert main([
+            "--threads", "2", "induce",
+            "--src-emb", str(tiny_benchmark.src_embeddings),
+            "--tgt-emb", str(tiny_benchmark.tgt_embeddings),
+            "--output-dir", str(tmp_path / "out"), "--stall-window", "2",
+        ]) == 0
+        lines = [r.getMessage() for r in caplog.records]
+        assert [m for m in lines if "parsed by" in m] == ["inputs parsed by 2 processes"]
+        helper = [m for m in lines if m.startswith("loop helper thread")]
+        assert helper == [
+            "loop helper thread off: solve width 10, 2 workers, BLAS threads 2 "
+            "(on from width 256, 2 workers and 1 BLAS thread)"
+        ]
+
+
 def test_run_options_store_into_config_fields():
     # Replay and flag overrides copy args by field name, so each run option
     # must store into exactly one RunConfig field.
@@ -1107,18 +1231,56 @@ def test_sweep_runs_blas_on_one_thread(tmp_path, monkeypatch, argv, expected):
 def test_sweep_worker_count(monkeypatch):
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert _sweep_workers(None) == len(os.sched_getaffinity(0))
+    assert _workers(None) == len(os.sched_getaffinity(0))
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert _sweep_workers(None) == 3
-    assert _sweep_workers(2) == 2
-    for bad in ("many", "-1"):
+    assert _workers(None) == 3
+    assert _workers(2) == 2
+    for bad in ("many", "-1", "0"):
         monkeypatch.setenv(THREADS_ENV_VAR, bad)
         with pytest.raises(ConfigError):
-            _sweep_workers(None)
-    with pytest.raises(ConfigError):
-        _sweep_workers(-2)
+            _workers(None)
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    for bad in (0, -2):  # --threads is checked, not replaced by the variable
+        with pytest.raises(ConfigError, match="--threads must be at least 1"):
+            _workers(bad)
     monkeypatch.setattr(sys, "platform", "darwin")  # no fork: points run in-process
-    assert _sweep_workers(4) == 1
+    assert _workers(4) == 1
+    # Off Linux the count is still checked.
+    for threads, env in ((0, "3"), (None, "-1"), (None, "many")):
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+        with pytest.raises(ConfigError):
+            _workers(threads)
+
+
+@pytest.mark.parametrize("command", ["induce", "sweep", "evaluate"])
+@pytest.mark.parametrize(
+    "threads, env", [("0", None), ("-1", None), (None, "0"), (None, "two")],
+    ids=["flag-0", "flag-negative", "env-0", "env-text"],
+)
+def test_bad_thread_count_exits_2_before_reading_input(
+    tmp_path, monkeypatch, capsys, command, threads, env
+):
+    calls = []
+    monkeypatch.setattr(pipeline, "load_embeddings", lambda *a, **k: calls.append(a))
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.setenv(var, "2")
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+    bench = generate_cipher_benchmark(20, 4, seed=3, noise=0.0, out_dir=tmp_path)
+    if command == "evaluate":
+        args = ["--lexicon", str(bench.gold_lexicon), "--reference", str(bench.gold_lexicon)]
+    else:
+        args = ["--src-emb", str(bench.src_embeddings), "--tgt-emb", str(bench.tgt_embeddings),
+                "--output-dir", str(tmp_path / "out"), "--mode", "baseline"]
+    code = main([*(["--threads", threads] if threads else []), command, *args])
+    assert code == ConfigError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+    assert calls == [] and not (tmp_path / "out").exists()
+    assert [os.environ[var] for var in blas_vars] == ["2"] * 3
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -1138,7 +1300,8 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     # forks workers pays it.
     code = (
         "import sys, orthomap.cli, orthomap.pipeline; "
-        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'; "
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'"
     )
     src = str(Path(orthomap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,12 +1,14 @@
 """Dictionary induction, the rescaling discount, scheduling, and full runs."""
 
+import logging
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from orthomap import self_learning
+from orthomap import numerics, self_learning
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
 from orthomap.errors import ConvergenceError
 from orthomap.numerics import normalize_embeddings, normalize_rows, weighted_cross_svd
@@ -37,7 +39,9 @@ from oracles import (
     objective_value,
     random_orthogonal,
     reference_self_learning,
+    top_rows,
 )
+from oracles import topk_row_mean as whole_topk_row_mean
 
 
 def emb(data, prefix="w"):
@@ -462,9 +466,9 @@ class TestUsedColumns:
         products = []
         solve_widths = []
 
-        def recording_product(left, right):
+        def recording_product(left, right, *buffer):
             products.append(left @ right.T)
-            return product(left, right)
+            return product(left, right, *buffer)
 
         def recording_svd(x, z, dictionary):
             solve_widths.append((x.shape[1], z.shape[1]))
@@ -579,7 +583,7 @@ def run_with_loop_maps(monkeypatch, src, tgt, cfg, boost=None):
     return result, u, vt.T
 
 
-def whole_product(left, right):
+def whole_product(left, right, buffer=None):
     """ScoreTiles of ``left @ right.T`` computed as one product.
 
     BLAS may round an entry differently depending on the row count of the
@@ -587,7 +591,9 @@ def whole_product(left, right):
     makes exact comparisons with the dense oracle meaningful.
     """
     full = left @ right.T
-    return ScoreTiles(len(left), len(right), lambda lo, hi, out: np.copyto(out, full[lo:hi]))
+    return ScoreTiles(
+        len(left), len(right), lambda lo, hi, out: np.copyto(out, full[lo:hi]), buffer
+    )
 
 
 def tile_budget(monkeypatch, n_cols, tile_rows):
@@ -778,3 +784,198 @@ def test_final_pass_holds_three_full_matrices(monkeypatch):
         tracemalloc.stop()
     matrix = 8 * n * d
     assert peak <= 3 * matrix + self_learning._TILE_BYTES
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def slice_budget(monkeypatch, length, other):
+    """Give tiles whose other side is ``other`` long slices of ``length``."""
+    monkeypatch.setattr(self_learning, "_SLICE_BYTES", 8 * other * length)
+
+
+class TestSlicedReductions:
+    """Row and column top-k and retrieval's adjusted copy work a slice of
+    the tile at a time, with the whole tile's results bit for bit.
+
+    Slices of 7 rows or columns; tiles of 5 (narrower than a slice), 7
+    (equal) and 23 (wider, with a ragged last slice).
+    """
+
+    @pytest.mark.parametrize("n", [5, 7, 23])
+    @pytest.mark.parametrize("k", [1, 3, 10, 30])
+    def test_topk_row_mean(self, monkeypatch, n, k):
+        rng = np.random.default_rng(n * k)
+        tile = rng.standard_normal((n, 19))
+        tile[n - 1] = tile[0]  # duplicate rows and tied entries
+        tile[:, 4] = tile[:, 3]
+        slice_budget(monkeypatch, 7, 19)
+        assert np.array_equal(bits(topk_row_mean(tile, k)), bits(whole_topk_row_mean(tile, k)))
+
+    @pytest.mark.parametrize("n", [5, 7, 23])
+    @pytest.mark.parametrize("k", [1, 3, 10, 30])
+    def test_top_rows(self, monkeypatch, n, k):
+        rng = np.random.default_rng(100 + n * k)
+        block = rng.standard_normal((19, n))
+        block[:, n - 1] = block[:, 0]
+        block[4] = block[3]
+        slice_budget(monkeypatch, 7, 19)
+        assert np.array_equal(bits(self_learning._top_rows(block, k)), bits(top_rows(block, k)))
+
+    @pytest.mark.parametrize("n_rows", [5, 7, 23, 60])
+    @pytest.mark.parametrize("p_keep", [0.3, 1.0])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_best_entries_with_cosines(self, monkeypatch, n_rows, p_keep, backward):
+        # Row tiles of 23 rows; 60 rows make three tiles, the last ragged.
+        rng = np.random.default_rng(n_rows)
+        sim = rng.standard_normal((n_rows, 11))
+        sim[-1] = sim[0]  # column ties go to the earlier row
+        tile_budget(monkeypatch, 11, 23)
+        # Entries on both sides of the slice boundaries 6|7, 13|14 and 20|21,
+        # the tile boundary 22|23, and a duplicate pair, which sums.
+        rows = np.array([0, 6, 7, 13, 14, 14, 20, 21, 22, 23, 59])
+        boost = SimilarityBoost(rows, rows % 11, rng.uniform(0.5, 3.0, len(rows)))
+        boost = boost.restricted(n_rows, 11)
+        col_means = rng.uniform(-1, 1, 11)
+        row_means = rng.uniform(-1, 1, n_rows) if backward else None
+
+        def entries(slice_rows):
+            slice_budget(monkeypatch, slice_rows, 11)
+            state = TrainState(p_keep=p_keep, rng_seed=9, iteration=4)
+            return self_learning._best_entries(
+                dense_tiles(sim), (row_means, col_means), boost, state,
+                backward=backward, cosines=True,
+            )
+
+        whole = entries(10**6)
+        for got, expected in zip(entries(7), whole):
+            assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(whole[4], sim[np.arange(n_rows), whole[0]])
+
+    def test_retrieval_holds_one_slice_of_adjusted_scores(self, monkeypatch):
+        # Retrieval's adjusted copy is one slice of rows, not a tile.
+        rng = np.random.default_rng(3)
+        n, d = 2000, 20
+        src = normalize_embeddings(emb(rng.standard_normal((n, d))))
+        tgt = normalize_embeddings(emb(rng.standard_normal((n, d)), prefix="t"))
+        w = np.eye(d)
+        cfg = LoopConfig(train_cutoff=500, csls_k=10)
+        expected = self_learning.retrieve_lexicon(src, tgt, w, w, cfg)
+        tracemalloc.start()
+        try:
+            got = self_learning.retrieve_lexicon(src, tgt, w, w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
+        # Mapped rows of both sides, one tile, a few slices and the column
+        # top-k merge; a tile-sized copy more would exceed it.
+        matrices = 2 * 8 * n * d
+        k = cfg.csls_k
+        bound = matrices + self_learning._TILE_BYTES + 4 * self_learning._SLICE_BYTES + 64 * n * k
+        assert peak < bound < matrices + 2 * self_learning._TILE_BYTES
+
+
+def helper_case(name):
+    """(src, tgt, cfg, boost, tile_bytes) of one helper differential case."""
+    rng = np.random.default_rng(61)
+    src, tgt, inverse = cipher_pair(rng, 90, 12, noise=0.3)
+    cfg = LoopConfig(train_cutoff=70, stall_window=4, rng_seed=8)
+    boost = tile_bytes = None
+    if name == "boosted":
+        rows = rng.choice(70, size=25, replace=False)
+        boost = SimilarityBoost(rows, inverse[rows], rng.uniform(0.2, 1.0, 25))
+    if name == "multi-tile":  # the loop's 70-wide matrix in tiles of 16 rows
+        tile_bytes = 8 * 70 * 16
+    return normalize_embeddings(src), normalize_embeddings(tgt), cfg, boost, tile_bytes
+
+
+def blas_on(monkeypatch, threads):
+    """Make the BLAS thread variables say ``threads`` (None: unset)."""
+    for var in numerics._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+
+
+class TestLoopHelper:
+    """A loop with a helper thread gives the serial loop's results bit for bit."""
+
+    @pytest.mark.parametrize("name", ["one-tile", "boosted", "multi-tile"])
+    def test_matches_serial_loop(self, monkeypatch, caplog, name):
+        blas_on(monkeypatch, "1")
+        src, tgt, cfg, boost, tile_bytes = helper_case(name)
+        if tile_bytes is not None:
+            monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
+        serial = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
+        helpers, threads = [], set()
+        draw = self_learning._LoopHelper.draw
+
+        def counting_draw(helper, state):
+            helpers.append(helper)
+            return draw(helper, state)
+
+        monkeypatch.setattr(self_learning._LoopHelper, "draw", counting_draw)
+        row_uniforms = self_learning._row_uniforms
+
+        def recording_uniforms(seed, iteration):
+            fill = row_uniforms(seed, iteration)
+            return lambda lo, out: (threads.add(threading.current_thread().name), fill(lo, out))[1]
+
+        monkeypatch.setattr(self_learning, "_row_uniforms", recording_uniforms)
+        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
+            helped = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
+        assert "loop helper thread on: solve width 12, 2 workers, BLAS threads 1 " in caplog.text
+        assert len(set(map(id, helpers))) == 1 and len(helpers) > 5
+        # The helper draws the uniforms of a one-tile matrix; those of a
+        # matrix of several tiles are drawn tile by tile as they are used.
+        drawn_on = "MainThread" if name == "multi-tile" else "orthomap-loop-helper_0"
+        assert threads == {drawn_on}
+        assert helped.trace == serial.trace
+        assert helped.loop_dictionary == serial.loop_dictionary
+        assert np.array_equal(bits(helped.loop_dictionary_scores), bits(serial.loop_dictionary_scores))
+        assert helped.lexicon == serial.lexicon
+        assert np.array_equal(bits(helped.lexicon_cosine), bits(serial.lexicon_cosine))
+        assert threading.active_count() == 1  # the helper ended with its loop
+
+    @pytest.mark.parametrize(
+        "workers, width, blas",
+        [(1, 12, "1"), (2, 13, "1"), (2, 12, "2"), (2, 12, None)],
+        ids=["one-worker", "narrow", "two-blas-threads", "blas-unset"],
+    )
+    def test_off_below_two_workers_or_the_width_or_with_blas_threads(
+        self, monkeypatch, caplog, workers, width, blas
+    ):
+        # BLAS on more than one thread, or on every core, leaves the helper
+        # no idle core.
+        blas_on(monkeypatch, blas)
+        src, tgt, cfg, _, _ = helper_case("one-tile")
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", width)
+
+        def no_helper(*args):
+            raise AssertionError("the loop started a helper")
+
+        monkeypatch.setattr(self_learning, "_LoopHelper", no_helper)
+        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
+            self_learning.run_loop(src, tgt, cfg, workers=workers)
+        worker_s = "worker" if workers == 1 else "workers"
+        blas_s = "unset" if blas is None else blas
+        assert (
+            f"loop helper thread off: solve width 12, {workers} {worker_s}, BLAS threads {blas_s} "
+            in caplog.text
+        )
+
+    def test_helper_error_ends_the_loop_and_its_thread(self, monkeypatch):
+        blas_on(monkeypatch, "1")
+        src, tgt, cfg, _, _ = helper_case("one-tile")
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("helper failed")
+
+        monkeypatch.setattr(self_learning.np, "matmul", failing)
+        with pytest.raises(FloatingPointError, match="helper failed"):
+            self_learning.run_loop(src, tgt, cfg, workers=2)
+        assert threading.active_count() == 1
