@@ -12,8 +12,11 @@ model, candidates scored at c = 1) once per seed, then one boosted loop per
 (c, seed). Forked worker processes may share a stage's candidate scoring
 and run the boosted loops side by side. Given two or more workers, a run
 parses a large target embedding file in a forked worker while it parses
-the source file, and its loops may keep a helper thread (see run_loop).
-Every output is the same for every worker count.
+the source file, and the loops it runs in its own process may keep a
+helper thread that draws the keep mask beside the SVD (see run_loop).
+Every output is the same for every worker count; both manifests record
+the worker count and the BLAS thread count, which can move the last bits
+of induce's cosines.
 """
 
 import contextlib
@@ -53,7 +56,7 @@ from .evaluation import (
     write_predictions_tsv,
 )
 from .memory import log_peak_rss, peak_rss_mb
-from .numerics import normalize_embeddings
+from .numerics import blas_threads, normalize_embeddings
 from .ortho_extension import build_ngram_alphabet, extend_embeddings, extension_matrix
 from .self_learning import (
     LoopConfig,
@@ -553,6 +556,7 @@ def run_pipeline(cfg, workers=1):
         "mean_cosine": outcome.mean_cosine,
         "peak_rss_mb": peak_rss_mb(),
         "workers": workers,
+        "blas_threads": blas_threads(),
     }
     outputs.update(
         {k: v for k, v in outcome.extras.items() if isinstance(v, (int, float, str))}
@@ -589,9 +593,9 @@ class PointOutcome:
     seconds: float
 
 
-def _run_point(cfg, scale, seed, inputs, stages):
+def _run_point(cfg, scale, seed, inputs, stages, workers=1):
     start = time.perf_counter()
-    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed))
+    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed), workers)
     return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
 
 
@@ -605,6 +609,11 @@ def _work(conn, work, jobs):
             exc.add_note(traceback.format_exc())
             conn.send(exc)
             return
+
+
+# Worker processes _forked has started in this process, so that a sweep
+# knows whether its manifest has a workers' peak RSS to report.
+_workers_forked = 0
 
 
 @contextlib.contextmanager
@@ -625,6 +634,7 @@ def _forked(work, jobs, workers, describe):
     """
     import multiprocessing
 
+    global _workers_forked
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
 
@@ -650,6 +660,7 @@ def _forked(work, jobs, workers, describe):
             proc = ctx.Process(target=_work, args=(send, work, jobs[w::workers]), daemon=True)
             proc.start()
             procs.append(proc)
+            _workers_forked += 1
             send.close()
         yield results()
     finally:
@@ -663,35 +674,41 @@ def _forked(work, jobs, workers, describe):
 def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
     """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
 
-    In the boosted modes each seed's BoostStage is built first, in this
-    process, which splits its candidates over ``workers`` slices; its
-    seconds are appended to ``stage_seconds``. With more than one worker,
-    forked processes run the points and inherit the inputs and the stages
-    copy-on-write. A failing stage is raised at the first point of its
-    seed, where it is first needed. Closing the generator ends every
-    worker.
+    Only the boosted modes fan out, over up to ``workers`` processes: an
+    ortho-ext or baseline point builds its own cutoff x cutoff initial
+    dictionary, so two at once may not fit in memory. There each seed's
+    BoostStage is built first, in this process, which splits its
+    candidates over as many slices as the sweep has workers for its
+    points; its seconds are appended to ``stage_seconds``. With more than
+    one such worker, forked processes run the points, each on one core,
+    and inherit the inputs and the stages copy-on-write. Points run in
+    this process may use all ``workers`` cores. A failing stage is raised
+    at the first point of its seed, where it is first needed. Closing the
+    generator ends every worker.
     """
     stages, failed = {}, None
+    fan_out = 1
     if cfg.mode in BOOSTED_MODES:
+        fan_out = min(workers, len(points))
         for seed in dict.fromkeys(seed for _, seed in points):
             start = time.perf_counter()
             try:
-                stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers)
+                stages[seed] = boost_stage(*inputs, cfg, seed, workers=fan_out)
             except Exception as exc:
                 failed = exc
                 break
             stage_seconds.append(time.perf_counter() - start)
         points = list(itertools.takewhile(lambda point: point[1] in stages, points))
-    workers = min(workers, len(points))
-    if workers > 1:
+    fan_out = min(fan_out, len(points))
+    if fan_out > 1:
         with _forked(
-            lambda point: _run_point(cfg, *point, inputs, stages), points, workers,
+            lambda point: _run_point(cfg, *point, inputs, stages), points, fan_out,
             lambda point: f"running c={point[0]:g}, seed {point[1]}",
         ) as results:
             yield from results
     else:
         for scale, seed in points:
-            yield _run_point(cfg, scale, seed, inputs, stages)
+            yield _run_point(cfg, scale, seed, inputs, stages, workers)
     if failed is not None:
         raise failed
 
@@ -700,10 +717,12 @@ def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
     With ``workers`` above 1 a sweep may parse its target file in a forked
-    worker (see load_inputs), and a boosted sweep splits each seed's
-    candidate filtering and scoring, and runs its (c, seed) points, over up
-    to that many processes; the report, the selection, and a failing
-    point's error and log line are those of the serial sweep.
+    worker (see load_inputs), a boosted sweep splits each seed's candidate
+    filtering and scoring, and runs its (c, seed) points, over up to that
+    many processes, and the loops of points run in this process may keep
+    a helper thread (see run_loop); the report, the selection, and a
+    failing point's error and log line are those of the serial sweep. The
+    manifest records ``workers``, and the workers' peak RSS when any ran.
     """
     cfg.validate(for_sweep=True)
     if not cfg.output_dir:
@@ -712,14 +731,11 @@ def run_sweep(cfg, workers=1):
 
     # Only the scale varies between the runs of a sweep: the inputs and,
     # in the boosted modes, each seed's c-independent stage are shared.
+    forked = _workers_forked
     inputs = load_inputs(cfg, workers)
     seeds = sweep_seeds(cfg)
     # The order in which select_scaling_constant asks for the points.
     points = [(c, seed) for c in sorted(cfg.grid) for seed in seeds[: cfg.runs_per_c]]
-    # Only the boosted modes fan out: an ortho-ext or baseline point builds
-    # its own cutoff x cutoff initial dictionary, so two at once may not fit
-    # in memory.
-    workers = max(1, min(workers, len(points))) if cfg.mode in BOOSTED_MODES else 1
     stage_seconds, seconds = [], []
     outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds)
 
@@ -749,9 +765,10 @@ def run_sweep(cfg, workers=1):
         selected_scale=best,
         peak_rss_mb=peak_rss_mb(),
         workers=workers,
+        blas_threads=blas_threads(),
         stage_seconds=stage_seconds,
         point_seconds=seconds,
-        worker_peak_rss_mb=peak_rss_mb(children=True) if workers > 1 else None,
+        worker_peak_rss_mb=peak_rss_mb(children=True) if _workers_forked > forked else None,
     )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -21,9 +21,8 @@ best entry of every row and column (pass 2). Their reductions copy a slice
 of a tile at a time, never a whole tile.
 
 Given two or more cores, a loop with a wide enough solve keeps one helper
-thread: it draws a step's keep-mask uniforms while the SVD runs and builds
-one map product while the other is built. Every result is the same bit
-for bit with or without it.
+thread, which draws a step's keep mask while the SVD runs. Every result
+is the same bit for bit with or without it.
 """
 
 import logging
@@ -49,13 +48,14 @@ _TILE_BYTES = 4 << 20
 # slower, in per-call overhead; at 256 KiB they take a whole tile's time.
 _SLICE_BYTES = 256 << 10
 # Solve width (used columns of the narrower side) from which a loop with
-# two or more workers, and BLAS on one thread, keeps a helper thread: it
-# draws the keep-mask uniforms beside the SVD and builds the target-side
-# map product beside the source-side one. Narrower solves gain less than
-# the thread's handoffs and its second BLAS buffer cost: measured at the
-# benchmark's 20 and 128 columns (slower or more memory) and 300 (faster);
-# the crossover between 128 and 300 was not measured.
-_HELPER_MIN_WIDTH = 256
+# two or more workers, and BLAS on one thread, keeps a helper thread that
+# draws the keep mask beside the SVD. Loops on 200-word ciphers
+# on 2 cores, helper on against off in one process, median time ratio of
+# 30-40 alternating pairs per round: 0.95-1.06 at 20 columns and
+# 0.91-1.09 at 32, where the handoff costs what the draws save; 0.81-0.95
+# at 48, 0.86-0.95 at 64, 0.79-0.82 at 96 (but 1.14 at 48 and 1.35 at 64
+# in a round on a busy host: the helper pays only where a core is idle).
+_HELPER_MIN_WIDTH = 48
 
 
 @dataclass
@@ -165,17 +165,16 @@ class ScoreTiles:
 
     ``build(lo, hi, out)`` writes rows [lo, hi) into ``out``. Tiles have
     _tile_rows(n_cols) rows and share one buffer, so a matrix that fits one
-    tile is built once however many passes read it. ``buffer``, when
-    given, is that buffer, of shape _tile_shape(n_rows, n_cols).
+    tile is built once however many passes read it.
     """
 
-    def __init__(self, n_rows, n_cols, build, buffer=None):
+    def __init__(self, n_rows, n_cols, build):
         if n_rows == 0 or n_cols == 0:
             raise ValueError("empty vocabulary")
         self.shape = (n_rows, n_cols)
         self.tile_shape = _tile_shape(n_rows, n_cols)
         self._build = build
-        self._buffer = np.empty(self.tile_shape) if buffer is None else buffer
+        self._buffer = np.empty(self.tile_shape)
         self._held = None  # first row of the tile the buffer holds as built
 
     def tiles(self, stop=None, consume=False):
@@ -194,14 +193,11 @@ class ScoreTiles:
             yield lo, hi, tile
 
 
-def _product(left, right, buffer=None):
-    """ScoreTiles of ``left @ right.T``, built in ``buffer`` when given."""
+def _product(left, right):
+    """ScoreTiles of ``left @ right.T``."""
     right_t = right.T
     return ScoreTiles(
-        len(left),
-        len(right),
-        lambda lo, hi, out: np.matmul(left[lo:hi], right_t, out=out),
-        buffer,
+        len(left), len(right), lambda lo, hi, out: np.matmul(left[lo:hi], right_t, out=out)
     )
 
 
@@ -299,24 +295,18 @@ def _row_uniforms(seed, iteration):
     return fill
 
 
-def _uniforms_into(buffer, state):
-    """``draw(lo, hi)``: the keep-mask uniforms of rows [lo, hi), written
-    into ``buffer``, which has at least hi - lo rows."""
-    fill = _row_uniforms(state.rng_seed, state.iteration)
-    return lambda lo, hi: fill(lo, buffer[: hi - lo])
-
-
 def _best_entries(
-    scores, means=None, boost=None, state=None, backward=True, cosines=False, uniforms=None
+    scores, means=None, boost=None, state=None, backward=True, cosines=False, dropped=None
 ):
     """Pass 2: the best entry of every row and of every column.
 
     Each tile of the ScoreTiles ``scores`` is rebuilt, adjusted by
     ``means`` (row means or None, column means), boosted, and masked: with
     state.p_keep < 1, entries are dropped with probability 1 - p_keep,
-    seeded per row. ``uniforms(lo, hi)`` gives the mask's uniforms of rows
-    [lo, hi), as _uniforms_into draws them (by default into a tile-sized
-    buffer). Returns (row argmax, row max, column argmax, column max,
+    seeded per row. ``dropped(lo, hi)`` is True at the dropped entries of
+    rows [lo, hi), those whose _row_uniforms draw is at least p_keep (by
+    default drawn into a tile-sized buffer as each tile is used).
+    Returns (row argmax, row max, column argmax, column max,
     cosines). Columns merge across tiles with a strict ``>``, so the
     earliest row wins a tie, as in a dense argmax; a column with every
     entry dropped keeps argmax -1. With ``backward`` False the column
@@ -336,8 +326,10 @@ def _best_entries(
     step = _slice_len(n_cols) if cosines else scores.tile_shape[0]
     adjusted = np.empty((min(step, n_rows), n_cols)) if cosines else None
     stochastic = state is not None and state.p_keep < 1.0
-    if stochastic and uniforms is None:
-        uniforms = _uniforms_into(np.empty(scores.tile_shape), state)
+    if stochastic and dropped is None:
+        fill = _row_uniforms(state.rng_seed, state.iteration)
+        draws = np.empty(scores.tile_shape)
+        dropped = lambda lo, hi: fill(lo, draws[: hi - lo]) >= state.p_keep
     for t_lo, t_hi, tile in scores.tiles(consume=True):
         for lo in range(t_lo, t_hi, step):
             hi = min(lo + step, t_hi)
@@ -354,7 +346,7 @@ def _best_entries(
             if boost is not None:
                 boost.add_to(block, lo)
             if stochastic:
-                block[uniforms(lo, hi) >= state.p_keep] = -np.inf
+                block[dropped(lo, hi)] = -np.inf
             rows = np.arange(hi - lo)
             arg = block.argmax(axis=1)
             forward[lo:hi] = arg
@@ -370,17 +362,17 @@ def _best_entries(
     return forward, row_best, col_arg, col_best, cos
 
 
-def induce_dictionary(scores, state, means=None, boost=None, uniforms=None):
+def induce_dictionary(scores, state, means=None, boost=None, dropped=None):
     """Bidirectional dictionary from a ScoreTiles matrix.
 
     Scores are adjusted by ``means``, boosted and masked (with
-    ``uniforms``) as in _best_entries; each source picks its best kept
+    ``dropped``) as in _best_entries; each source picks its best kept
     target and vice versa, and mutual choices get weight 2. The dictionary
     and each entry's score before masking are also stored in ``state``.
     """
     n_src, n_tgt = scores.shape
     forward, row_best, backward, col_best, _ = _best_entries(
-        scores, means, boost, state, uniforms=uniforms
+        scores, means, boost, state, dropped=dropped
     )
     src_fwd = np.nonzero(row_best > -np.inf)[0]
     tgt_bwd = np.nonzero(backward >= 0)[0]
@@ -532,57 +524,43 @@ def _cutoff(src_emb, tgt_emb, cfg):
     return min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
 
 
-class _LoopHelper:
-    """A loop's helper thread (a one-thread pool) and the arrays it writes,
-    allocated once for the loop: both map products, the score tile and the
-    keep-mask uniforms of one tile.
+def _helper_mask(pool, cutoff, state):
+    """(start, dropped) of a step whose keep mask the loop's helper thread,
+    the one-thread pool ``pool``, draws. ``start()`` has it draw the whole
+    matrix's uniforms a slice of rows at a time and mark the entries they
+    drop in a boolean array, which ``dropped`` gives to induce_dictionary.
+    Both are None where induce_dictionary draws the mask as it uses each
+    tile: at p_keep 1, or for a matrix of several tiles.
 
-    Only untraced numpy work runs on it (the uniforms' fill and np.matmul),
-    since a tracer keeps one span stack per process. A loop without it
-    allocates these arrays per step, as the kernel does by default: pinned
-    for the loop, they raised the peak RSS of runs whose peak falls in the
-    loop's SVD, which otherwise reuses their memory (the benchmark's
-    ortho-ext: 42.6 to 43.5 MB).
+    ``start`` is weighted_cross_svd's ``before_svd``: the drawing holds the
+    interpreter lock for most of its time, which the SVD does not need.
+    Only this untraced numpy work runs on the helper, since a tracer keeps
+    one span stack per process. The mask is held from the SVD on, which a
+    step without the helper never does, so it takes a byte per entry; it
+    is allocated here, on the loop's thread, since arrays allocated on the
+    helper come from the helper's own malloc arena (a tile of uniforms
+    allocated there raised `wide-baseline`'s peak RSS by 2.4 MB).
     """
+    shape = _tile_shape(cutoff, cutoff)
+    if state.p_keep >= 1.0 or shape[0] < cutoff:
+        return None, None
+    fill = _row_uniforms(state.rng_seed, state.iteration)
+    keep = state.p_keep
+    mask = np.empty(shape, bool)
+    draws = np.empty((min(cutoff, _slice_len(cutoff)), cutoff))
 
-    def __init__(self, pool, cutoff, r):
-        self.pool = pool
-        self.cutoff = cutoff
-        self.shape = _tile_shape(cutoff, cutoff)
-        self.left = np.empty((cutoff, r))
-        self.right = np.empty((cutoff, r))
-        self.tile = np.empty(self.shape)
-        self.draws = np.empty(self.shape)
+    def draw():
+        for lo in range(0, cutoff, len(draws)):
+            rows = fill(lo, draws[: cutoff - lo])
+            np.greater_equal(rows, keep, out=mask[lo : lo + len(rows)])
+        return mask
 
-    def draw(self, state):
-        """(start, uniforms): the step's keep-mask uniforms for
-        induce_dictionary, and ``start()``, which has the helper draw them
-        all, or None where they are drawn tile by tile as they are used
-        (at p_keep 1, or for a matrix of several tiles).
+    drawn = []
 
-        The uniforms depend only on the seed and iteration, so ``start`` is
-        weighted_cross_svd's ``before_svd``. The drawing holds the
-        interpreter lock for most of its time, re-taking it after every
-        row, so while it ran this thread waited for the lock between the
-        numpy calls that build the SVD's input; the SVD itself needs no
-        lock."""
-        uniforms = _uniforms_into(self.draws, state)
-        if state.p_keep >= 1.0 or self.shape[0] < self.cutoff:
-            return None, uniforms
-        drawn = []
+    def start():
+        drawn.append(pool.submit(draw))
 
-        def start():
-            drawn.append(self.pool.submit(uniforms, 0, self.cutoff))
-
-        return start, lambda lo, hi: drawn[0].result()[lo:hi]
-
-    def product(self, x, u, z, v):
-        """ScoreTiles of (x @ u) @ (z @ v).T, with z @ v built on the
-        helper while this thread builds x @ u."""
-        right = self.pool.submit(np.matmul, z, v, out=self.right)
-        np.matmul(x, u, out=self.left)
-        right.result()
-        return _product(self.left, self.right, self.tile)
+    return start, lambda lo, hi: drawn[0].result()[lo:hi]
 
 
 def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
@@ -595,7 +573,7 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
     is computed here otherwise. With ``workers`` above 1, the number of
     cores this process may use alone, BLAS on one thread (so that a core
     is idle beside it) and a solve at least _HELPER_MIN_WIDTH wide, one
-    helper thread runs beside each step (see _LoopHelper); the results are
+    helper thread runs beside each step (see _helper_mask); the results are
     the same bit for bit.
     """
     cutoff = _cutoff(src_emb, tgt_emb, cfg)
@@ -630,21 +608,20 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
     # last two: such steps return the recorded objective at once.
     fixed = None  # (dictionary, objective) of the fixed point
 
-    def step(state, helper):
+    def step(state, pool):
         nonlocal fixed
         d = init if state.dictionary is None else state.dictionary
         if fixed is not None and d is fixed[0]:
             return fixed[1]
-        if helper is None:
-            uniforms = None
+        if pool is None:
+            dropped = None
             u, s, vt = weighted_cross_svd(x_used, z_used, d)
-            scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
         else:
-            start, uniforms = helper.draw(state)
+            start, dropped = _helper_mask(pool, cutoff, state)
             u, s, vt = weighted_cross_svd(x_used, z_used, d, before_svd=start)
-            scores = helper.product(x_used, u[:, :r], z_used, vt[:r].T)
+        scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
         objective = float(s.sum() / d.weight_sum)
-        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost, uniforms)
+        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost, dropped)
         state.churn = _churn(new_d, d)
         if state.p_keep >= 1.0 and new_d == d:
             fixed = new_d, objective
@@ -657,8 +634,7 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(1, "orthomap-loop-helper") as pool:
-            helper = _LoopHelper(pool, cutoff, r)
-            state, trace = run_schedule(cfg, lambda state: step(state, helper))
+            state, trace = run_schedule(cfg, lambda state: step(state, pool))
     else:
         state, trace = run_schedule(cfg, lambda state: step(state, None))
     logger.info(

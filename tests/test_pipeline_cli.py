@@ -463,20 +463,20 @@ class TestSweepWorkers:
         # loop has ended it, and no worker starts a helper of its own.
         monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 1)
         parent = os.getpid()
-        helpers, forks = [], []
-        helper_init = self_learning._LoopHelper.__init__
+        pools, forks = [], []
+        helper_mask = self_learning._helper_mask
         forked = pipeline._forked
 
-        def init(helper, *args):
-            assert os.getpid() == parent, "a sweep worker started a loop helper"
-            helpers.append(args)
-            helper_init(helper, *args)
+        def draws(pool, *args):
+            assert os.getpid() == parent, "a sweep worker used a loop helper"
+            pools.append(pool)
+            return helper_mask(pool, *args)
 
         def recording_forked(*args):
             forks.append([t.name for t in threading.enumerate()])
             return forked(*args)
 
-        monkeypatch.setattr(self_learning._LoopHelper, "__init__", init)
+        monkeypatch.setattr(self_learning, "_helper_mask", draws)
         monkeypatch.setattr(pipeline, "_forked", recording_forked)
         caplog.set_level(logging.INFO, logger="orthomap")
         code, _ = self.sweep(
@@ -484,7 +484,7 @@ class TestSweepWorkers:
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
         )
         assert code == 0
-        assert len(helpers) == 1  # the stage's main loop
+        assert len(set(map(id, pools))) == 1  # the stage's main loop
         assert "loop helper thread on: solve width 10, 2 workers" in caplog.text
         assert len(forks) == 2  # the stage's scoring slices, then the points
         assert all(names == ["MainThread"] for names in forks)
@@ -500,7 +500,7 @@ class TestSweepWorkers:
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["workers"] == 1
+        assert manifest["workers"] == 2  # the sweep's, as induce records it
         assert manifest["worker_peak_rss_mb"] is None
         assert len(manifest["point_seconds"]) == 1
 
@@ -655,7 +655,60 @@ class TestSweepWorkers:
             "--mode", "ortho-ext", "--criterion", "objective", "--grid", "0.1,0.2",
         )
         assert code == 0
-        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == 2
+        assert manifest["worker_peak_rss_mb"] is None  # no worker ran
+
+    @pytest.mark.parametrize(
+        "mode, grid", [("ortho-ext", "0.1,0.2"), ("edit-dist", "0.3")],
+        ids=["unboosted", "one-boosted-point"],
+    )
+    def test_forked_load_recorded(self, tiny_benchmark, tmp_path, monkeypatch, caplog, mode, grid):
+        # The only worker of these sweeps parses the target file.
+        monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
+        caplog.set_level(logging.INFO, logger="orthomap")
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "load", 2,
+            "--mode", mode, "--criterion", "objective", "--grid", grid,
+        )
+        assert code == 0
+        assert "inputs parsed by 2 processes" in caplog.text
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == 2
+        assert manifest["worker_peak_rss_mb"] > 0
+
+    def test_points_in_this_process_keep_the_helper(self, tmp_path, capsys, caplog):
+        # ortho-ext's points run in the sweep's process, where their 128-wide
+        # loops keep the helper at two workers, with the one-worker output.
+        bench = generate_cipher_benchmark(200, 8, seed=21, noise=0.1, out_dir=tmp_path)
+        caplog.set_level(logging.INFO, logger="orthomap")
+        runs = {}
+        for threads in (1, 2):
+            caplog.clear()
+            code, out = self.sweep(
+                bench, tmp_path, f"w{threads}", threads,
+                "--mode", "ortho-ext", "--criterion", "objective", "--grid", "0.3,0.6",
+                "--stall-window", 10, "--objective-eps", 0.02,
+            )
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["config"].pop("output_dir")
+            assert manifest.pop("workers") == threads
+            assert manifest.pop("worker_peak_rss_mb") is None
+            for key in ("peak_rss_mb", "point_seconds", "stage_seconds"):
+                manifest.pop(key)
+            assert manifest["blas_threads"] == 1
+            helper = [m for m in caplog.messages if m.startswith("loop helper thread")]
+            state = "on" if threads == 2 else "off"
+            assert helper == [
+                f"loop helper thread {state}: solve width 128, {threads} worker"
+                f"{'s' if threads == 2 else ''}, BLAS threads 1 (on from width 48, 2 workers "
+                "and 1 BLAS thread)"
+            ] * 2
+            runs[threads] = (
+                capsys.readouterr().out, (out / "sweep_report.tsv").read_bytes(), manifest
+            )
+        assert runs[1] == runs[2]
 
 
 class TestStageWorkers:
@@ -1104,7 +1157,7 @@ class TestInduceWorkers:
     ARTIFACTS = ("lexicon.tsv", "trace.tsv", "predictions.tsv", "eval_summary.txt",
                  "edit_model.tsv")
     # Outputs that name the run's directory or describe the process.
-    VOLATILE = ("edit_model_path", "peak_rss_mb", "workers")
+    VOLATILE = ("edit_model_path", "peak_rss_mb", "workers", "blas_threads")
 
     def artifacts(self, out):
         files = {n: (out / n).read_bytes() for n in self.ARTIFACTS if (out / n).exists()}
@@ -1183,8 +1236,37 @@ class TestInduceWorkers:
         helper = [m for m in lines if m.startswith("loop helper thread")]
         assert helper == [
             "loop helper thread off: solve width 10, 2 workers, BLAS threads 2 "
-            "(on from width 256, 2 workers and 1 BLAS thread)"
+            "(on from width 48, 2 workers and 1 BLAS thread)"
         ]
+
+    @pytest.mark.parametrize(
+        "threads, env, expected",
+        [("2", None, 2), (None, "1", 1), (None, None, None)],
+        ids=["threads-2", "openblas-1", "unset"],
+    )
+    def test_blas_threads_recorded(self, tiny_benchmark, tmp_path, monkeypatch, threads, env, expected):
+        for var in (*numerics._BLAS_THREAD_VARS, "MKL_NUM_THREADS", THREADS_ENV_VAR):
+            monkeypatch.delenv(var, raising=False)
+        if env is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+        out = tmp_path / "run"
+        assert main([
+            *(["--threads", threads] if threads else []), "induce",
+            "--src-emb", str(tiny_benchmark.src_embeddings),
+            "--tgt-emb", str(tiny_benchmark.tgt_embeddings),
+            "--test", str(tiny_benchmark.gold_lexicon),
+            "--output-dir", str(out), "--stall-window", "2",
+        ]) == 0
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == expected
+        replay = tmp_path / "replay"
+        assert main([
+            *(["--threads", threads] if threads else []), "induce",
+            "--config", str(out / "manifest.json"), "--output-dir", str(replay),
+        ]) == 0
+        files, manifest, _ = self.artifacts(out)
+        replayed, replayed_manifest, _ = self.artifacts(replay)
+        assert replayed == files and replayed_manifest == manifest
+        assert json.loads((replay / "manifest.json").read_text())["blas_threads"] == expected
 
 
 def test_run_options_store_into_config_fields():

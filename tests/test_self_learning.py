@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from orthomap import numerics, self_learning
-from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary
+from orthomap.benchmark import generate_cipher_benchmark
+from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary, load_embeddings
 from orthomap.errors import ConvergenceError
 from orthomap.numerics import normalize_embeddings, normalize_rows, weighted_cross_svd
-from orthomap.ortho_extension import strip_extension
+from orthomap.ortho_extension import (
+    build_ngram_alphabet,
+    extend_embeddings,
+    extension_matrix,
+    strip_extension,
+)
 from orthomap.self_learning import (
     LoopConfig,
     ScoreTiles,
@@ -466,9 +472,9 @@ class TestUsedColumns:
         products = []
         solve_widths = []
 
-        def recording_product(left, right, *buffer):
+        def recording_product(left, right):
             products.append(left @ right.T)
-            return product(left, right, *buffer)
+            return product(left, right)
 
         def recording_svd(x, z, dictionary):
             solve_widths.append((x.shape[1], z.shape[1]))
@@ -583,7 +589,7 @@ def run_with_loop_maps(monkeypatch, src, tgt, cfg, boost=None):
     return result, u, vt.T
 
 
-def whole_product(left, right, buffer=None):
+def whole_product(left, right):
     """ScoreTiles of ``left @ right.T`` computed as one product.
 
     BLAS may round an entry differently depending on the row count of the
@@ -591,9 +597,7 @@ def whole_product(left, right, buffer=None):
     makes exact comparisons with the dense oracle meaningful.
     """
     full = left @ right.T
-    return ScoreTiles(
-        len(left), len(right), lambda lo, hi, out: np.copyto(out, full[lo:hi]), buffer
-    )
+    return ScoreTiles(len(left), len(right), lambda lo, hi, out: np.copyto(out, full[lo:hi]))
 
 
 def tile_budget(monkeypatch, n_cols, tile_rows):
@@ -891,6 +895,30 @@ def helper_case(name):
     return normalize_embeddings(src), normalize_embeddings(tgt), cfg, boost, tile_bytes
 
 
+def ortho_ext_case(tmp_path):
+    """(src, tgt, cfg, n_extension_cols) of a 200-word cipher (8 dims,
+    noise 0.1) extended as ortho-ext extends it at c = 0.3: the loop
+    solves over 128 columns."""
+    bench = generate_cipher_benchmark(200, 8, seed=21, noise=0.1, out_dir=tmp_path)
+    raw = [load_embeddings(path) for path in (bench.src_embeddings, bench.tgt_embeddings)]
+    alphabet = build_ngram_alphabet(raw[0].vocab.words, raw[1].vocab.words, 100)
+    src, tgt = (
+        extend_embeddings(e, extension_matrix(e.vocab.words, alphabet, 0.3)) for e in raw
+    )
+    cfg = LoopConfig(train_cutoff=200, stall_window=4, objective_eps=0.02, rng_seed=8)
+    return src, tgt, cfg, len(alphabet)
+
+
+def assert_same_run(got, expected):
+    """Trace, loop dictionary, its scores, lexicon and cosines equal, the
+    arrays bit for bit."""
+    assert got.trace == expected.trace
+    assert got.loop_dictionary == expected.loop_dictionary
+    assert np.array_equal(bits(got.loop_dictionary_scores), bits(expected.loop_dictionary_scores))
+    assert got.lexicon == expected.lexicon
+    assert np.array_equal(bits(got.lexicon_cosine), bits(expected.lexicon_cosine))
+
+
 def blas_on(monkeypatch, threads):
     """Make the BLAS thread variables say ``threads`` (None: unset)."""
     for var in numerics._BLAS_THREAD_VARS:
@@ -902,22 +930,24 @@ def blas_on(monkeypatch, threads):
 class TestLoopHelper:
     """A loop with a helper thread gives the serial loop's results bit for bit."""
 
-    @pytest.mark.parametrize("name", ["one-tile", "boosted", "multi-tile"])
+    @pytest.mark.parametrize("name", ["one-tile", "boosted", "multi-tile", "sliced-mask"])
     def test_matches_serial_loop(self, monkeypatch, caplog, name):
         blas_on(monkeypatch, "1")
         src, tgt, cfg, boost, tile_bytes = helper_case(name)
         if tile_bytes is not None:
             monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
+        if name == "sliced-mask":  # the helper draws the 70 rows' mask 16 rows at a time
+            monkeypatch.setattr(self_learning, "_SLICE_BYTES", 8 * 70 * 16)
         serial = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
         monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
-        helpers, threads = [], set()
-        draw = self_learning._LoopHelper.draw
+        pools, threads = [], set()
+        helper_mask = self_learning._helper_mask
 
-        def counting_draw(helper, state):
-            helpers.append(helper)
-            return draw(helper, state)
+        def counting_draws(pool, cutoff, state):
+            pools.append(pool)
+            return helper_mask(pool, cutoff, state)
 
-        monkeypatch.setattr(self_learning._LoopHelper, "draw", counting_draw)
+        monkeypatch.setattr(self_learning, "_helper_mask", counting_draws)
         row_uniforms = self_learning._row_uniforms
 
         def recording_uniforms(seed, iteration):
@@ -928,17 +958,58 @@ class TestLoopHelper:
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
             helped = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
         assert "loop helper thread on: solve width 12, 2 workers, BLAS threads 1 " in caplog.text
-        assert len(set(map(id, helpers))) == 1 and len(helpers) > 5
+        assert len(set(map(id, pools))) == 1 and len(pools) > 5
         # The helper draws the uniforms of a one-tile matrix; those of a
         # matrix of several tiles are drawn tile by tile as they are used.
         drawn_on = "MainThread" if name == "multi-tile" else "orthomap-loop-helper_0"
         assert threads == {drawn_on}
-        assert helped.trace == serial.trace
-        assert helped.loop_dictionary == serial.loop_dictionary
-        assert np.array_equal(bits(helped.loop_dictionary_scores), bits(serial.loop_dictionary_scores))
-        assert helped.lexicon == serial.lexicon
-        assert np.array_equal(bits(helped.lexicon_cosine), bits(serial.lexicon_cosine))
+        assert_same_run(helped, serial)
         assert threading.active_count() == 1  # the helper ended with its loop
+
+    @pytest.mark.parametrize("name", ["below-the-rule", "at-the-rule", "extended"])
+    def test_matches_serial_loop_across_the_width_rule(self, monkeypatch, caplog, tmp_path, name):
+        # The rule as it stands, on both sides of it, and the 128 columns of
+        # an ortho-ext loop: helper on against one worker.
+        blas_on(monkeypatch, "1")
+        width = self_learning._HELPER_MIN_WIDTH
+        if name == "extended":
+            src, tgt, cfg, n_ext = ortho_ext_case(tmp_path)
+            r = 128
+        else:
+            r = width - 1 if name == "below-the-rule" else width
+            src, tgt, _ = cipher_pair(np.random.default_rng(r), 90, r, noise=0.3)
+            src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
+            cfg, n_ext = LoopConfig(train_cutoff=70, stall_window=4, rng_seed=8), 0
+        serial = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext, workers=1)
+        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
+            helped = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext, workers=2)
+        on = "on" if r >= width else "off"
+        assert f"loop helper thread {on}: solve width {r}, 2 workers, BLAS threads 1 " in caplog.text
+        assert_same_run(helped, serial)
+
+    def test_helped_loop_holds_one_tile_of_uniforms_more(self, monkeypatch):
+        # The helper draws a step's mask, through a slice of uniforms, into
+        # arrays of the step's own before the SVD, where the serial step
+        # draws its uniforms into its pass 2 buffer; nothing else is held
+        # for the loop.
+        import concurrent.futures  # loaded before tracing starts
+
+        blas_on(monkeypatch, "1")
+        src, tgt, cfg, _, _ = helper_case("one-tile")
+        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
+        init = init_dictionary_unsupervised(src, tgt, cfg.train_cutoff)
+
+        def traced_peak(workers):
+            tracemalloc.start()
+            try:
+                self_learning.run_loop(src, tgt, cfg, init=init, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        self_learning.run_loop(src, tgt, cfg, init=init, workers=2)  # warm up
+        serial, helped = traced_peak(1), traced_peak(2)
+        assert helped <= serial + 8 * cfg.train_cutoff**2
 
     @pytest.mark.parametrize(
         "workers, width, blas",
@@ -955,9 +1026,9 @@ class TestLoopHelper:
         monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", width)
 
         def no_helper(*args):
-            raise AssertionError("the loop started a helper")
+            raise AssertionError("the loop used a helper")
 
-        monkeypatch.setattr(self_learning, "_LoopHelper", no_helper)
+        monkeypatch.setattr(self_learning, "_helper_mask", no_helper)
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
             self_learning.run_loop(src, tgt, cfg, workers=workers)
         worker_s = "worker" if workers == 1 else "workers"
@@ -968,14 +1039,22 @@ class TestLoopHelper:
         )
 
     def test_helper_error_ends_the_loop_and_its_thread(self, monkeypatch):
+        # The helper's one job is the draw: it fails on the helper's thread
+        # and reaches the loop through the draw's result.
         blas_on(monkeypatch, "1")
         src, tgt, cfg, _, _ = helper_case("one-tile")
         monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
+        failed_on = []
 
-        def failing(*args, **kwargs):
-            raise FloatingPointError("helper failed")
+        def failing_uniforms(seed, iteration):
+            def fill(lo, out):
+                failed_on.append(threading.current_thread().name)
+                raise FloatingPointError("helper failed")
 
-        monkeypatch.setattr(self_learning.np, "matmul", failing)
+            return fill
+
+        monkeypatch.setattr(self_learning, "_row_uniforms", failing_uniforms)
         with pytest.raises(FloatingPointError, match="helper failed"):
             self_learning.run_loop(src, tgt, cfg, workers=2)
+        assert failed_on == ["orthomap-loop-helper_0"]
         assert threading.active_count() == 1
