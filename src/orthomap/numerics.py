@@ -131,19 +131,11 @@ def blas_threads():
     return None
 
 
-def weighted_cross_svd(x, z, dictionary, before_svd=None):
-    """SVD of sum_(i,j,w) w * x_i^T z_j over the dictionary entries.
-
-    ``before_svd``, when given, is called once that sum is built, just
-    before the SVD, which runs without the interpreter lock: a caller
-    starts there another thread's Python work, so that the two never wait
-    for each other's lock.
-    """
+def weighted_cross_svd(x, z, dictionary):
+    """SVD of sum_(i,j,w) w * x_i^T z_j over the dictionary entries."""
     if len(dictionary) == 0:
         raise ValueError("dictionary is empty")
     xs = x[dictionary.src] * dictionary.weight[:, None]
     m = xs.T @ z[dictionary.tgt]
-    if before_svd is not None:
-        before_svd()
     u, s, vt = np.linalg.svd(m)
     return u, s, vt

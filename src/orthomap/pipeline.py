@@ -12,11 +12,10 @@ model, candidates scored at c = 1) once per seed, then one boosted loop per
 (c, seed). Forked worker processes may share a stage's candidate scoring
 and run the boosted loops side by side. Given two or more workers, a run
 parses a large target embedding file in a forked worker while it parses
-the source file, and the loops it runs in its own process may keep a
-helper thread that draws the keep mask beside the SVD (see run_loop).
-Every output is the same for every worker count; both manifests record
-the worker count and the BLAS thread count, which can move the last bits
-of induce's cosines.
+the source file, and one forked drawer draws the keep masks of its loops'
+stochastic steps ahead of them (see KeepMasks). Every output is the same
+for every worker count; both manifests record the worker count and the
+BLAS thread count, which can move the last bits of induce's cosines.
 """
 
 import contextlib
@@ -59,6 +58,7 @@ from .memory import log_peak_rss, peak_rss_mb
 from .numerics import blas_threads, normalize_embeddings
 from .ortho_extension import build_ngram_alphabet, extend_embeddings, extension_matrix
 from .self_learning import (
+    KeepMasks,
     LoopConfig,
     SimilarityBoost,
     init_dictionary_unsupervised,
@@ -315,12 +315,74 @@ def _load_beside(cfg, shape):
     return src, EmbeddingMatrix(Vocabulary(words), shared[: len(words)])
 
 
-def _run_plain(src, tgt, cfg, seed, workers):
+def _mask_readers(cfg, points):
+    """The number of loops that read each phase seed's keep masks, for the
+    (c, seed) ``points`` of a run or sweep, in the order the phases run: a
+    boosted mode's main loops (one per seed, in its stage) come first."""
+    seeds = [seed for _, seed in points]
+    if cfg.mode in BOOSTED_MODES:
+        loops = [(seed, _PHASE_MAIN) for seed in dict.fromkeys(seeds)]
+        loops += [(seed, _PHASE_BOOSTED) for seed in seeds]
+    else:
+        loops = [(seed, _PHASE_MAIN) for seed in seeds]
+    readers = {}
+    for seed, phase in loops:
+        key = derive_seed(seed, phase)
+        readers[key] = readers.get(key, 0) + 1
+    return readers
+
+
+@contextlib.contextmanager
+def _mask_drawer(cfg, inputs, points, workers):
+    """(masks, stop) for the loops of ``points`` on ``inputs``: masks is a
+    KeepMasks whose forked drawer runs until ``stop()``, or until the
+    context ends; None, and stop a no-op, unless there are two or more
+    workers, BLAS runs on one thread (so that a core is free beside the
+    loops) and the loops are one-tile stochastic ones (KeepMasks.fit)."""
+    cutoff = min(cfg.train_cutoff, len(inputs[0].vocab), len(inputs[1].vocab))
+    loop_cfg = cfg.loop_config(0)
+    blas = blas_threads()
+    fits = KeepMasks.fit(loop_cfg, cutoff)
+    on = workers > 1 and blas == 1 and fits
+    logger.info(
+        "keep-mask drawer %s: %d worker%s, BLAS threads %s, %s one-tile stochastic loop "
+        "matrix of %d x %d",
+        "on" if on else "off", workers, "" if workers == 1 else "s",
+        "unset" if blas is None else blas, "a" if fits else "no", cutoff, cutoff,
+    )
+    if not on:
+        yield None, lambda: None
+        return
+    masks = KeepMasks(loop_cfg, cutoff, _mask_readers(cfg, points))
+
+    def draw(_):
+        # At the lowest priority, so that the drawer takes only a core the
+        # run's own processes leave idle.
+        import os
+
+        os.nice(19)
+        return masks.draw()
+
+    with contextlib.ExitStack() as drawer:
+        drawer.enter_context(_forked(draw, [None], 1, lambda _: "drawing keep masks"))
+        masks.detach()
+
+        def stop():
+            drawer.close()
+            masks.stop()
+
+        try:
+            yield masks, stop
+        finally:
+            stop()
+
+
+def _run_plain(src, tgt, cfg, seed, masks):
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(src, tgt, loop_cfg, workers=workers)
+    return run_self_learning(src, tgt, loop_cfg, masks=masks)
 
 
-def _run_extended(src_raw, tgt_raw, cfg, seed, extras, workers):
+def _run_extended(src_raw, tgt_raw, cfg, seed, extras, masks):
     cutoff = min(cfg.train_cutoff, len(src_raw.vocab), len(tgt_raw.vocab))
     alphabet = build_ngram_alphabet(
         src_raw.vocab.top(cutoff), tgt_raw.vocab.top(cutoff), cfg.alphabet_k
@@ -333,9 +395,7 @@ def _run_extended(src_raw, tgt_raw, cfg, seed, extras, workers):
         tgt_raw, extension_matrix(tgt_raw.vocab.words, alphabet, cfg.scale)
     )
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(
-        src, tgt, loop_cfg, n_extension_cols=len(alphabet), workers=workers
-    )
+    return run_self_learning(src, tgt, loop_cfg, n_extension_cols=len(alphabet), masks=masks)
 
 
 def _synthetic_pairs(loop, src_vocab, tgt_vocab, n):
@@ -381,23 +441,23 @@ def _score_slice(src_words, tgt_words, model, cfg, index, table, lo, hi):
     return pairs, np.array(unit, float), skipped
 
 
-def boost_stage(src, tgt, cfg, seed, workers=1):
+def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
     """Initial dictionary, main loop, edit model and unit-scale candidate
     boosts for one seed.
 
     Only the main loop's dictionary is read, so it runs without the final
     pass of a plain run; the boosted loop's final pass whitens the same
-    rows. With ``workers`` above 1, the main loop may keep a helper thread
-    (see run_loop), and candidate filtering and scoring split the source
-    words into that many contiguous slices: this process does the first,
-    forked workers the others, and the slices joined in order are the
-    serial result.
+    rows. The main loop takes its keep masks from ``masks`` where it can
+    (see run_loop). With ``workers`` above 1, candidate filtering and
+    scoring split the source words into that many contiguous slices: this
+    process does the first, forked workers the others, and the slices
+    joined in order are the serial result.
     """
     start = time.perf_counter()
     cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
     init = init_dictionary_unsupervised(src, tgt, cutoff)
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    loop = run_loop(src, tgt, loop_cfg, init=init, workers=workers)
+    loop = run_loop(src, tgt, loop_cfg, init=init, masks=masks)
     pairs = _synthetic_pairs(loop, src.vocab, tgt.vocab, cfg.synth_pairs)
     extras = {"synthetic_pairs": len(pairs)}
     loop_end = time.perf_counter()
@@ -441,38 +501,44 @@ def boost_stage(src, tgt, cfg, seed, workers=1):
     return BoostStage(cands[:, 0], cands[:, 1], unit, extras, init)
 
 
-def _run_boosted(src, tgt, cfg, seed, stage, extras, workers):
+def _run_boosted(src, tgt, cfg, seed, stage, extras, masks):
     values = cfg.scale * stage.unit
     keep = values > 0.0
     extras.update(stage.extras, boosted_pairs=int(keep.sum()))
     boost = SimilarityBoost(stage.src[keep], stage.tgt[keep], values[keep])
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_BOOSTED))
-    return run_self_learning(
-        src, tgt, loop_cfg, boost=boost, init=stage.init, workers=workers
-    )
+    return run_self_learning(src, tgt, loop_cfg, boost=boost, init=stage.init, masks=masks)
 
 
-def execute_run(cfg, seed, inputs=None, stage=None, workers=1):
+def execute_run(cfg, seed, inputs=None, stage=None, masks=None, workers=1):
     """Run the configured mode and return the in-memory outcome.
 
-    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, and in
-    the boosted modes ``stage``, the seed's BoostStage, so that calls
-    differing only in ``cfg.scale`` load the inputs once and run the
-    c-independent stages once per seed. Without them everything is computed
-    afresh. ``workers`` is the number of cores the run may use (see
-    load_inputs, run_loop and boost_stage); the outcome is the same for
+    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, in
+    the boosted modes ``stage``, the seed's BoostStage, and ``masks``, its
+    KeepMasks or None, so that calls differing only in ``cfg.scale`` load
+    the inputs once and run the c-independent stages once per seed. Without
+    inputs everything is computed afresh, the keep masks by a drawer of the
+    run's own. ``workers`` is the number of cores the run may use (see
+    load_inputs, _mask_drawer and boost_stage); the outcome is the same for
     every count.
     """
-    src, tgt = load_inputs(cfg, workers) if inputs is None else inputs
+    if inputs is not None:
+        return _outcome(cfg, seed, *inputs, stage, workers, masks)
+    inputs = load_inputs(cfg, workers)
+    with _mask_drawer(cfg, inputs, [(cfg.scale, seed)], workers) as (masks, _):
+        return _outcome(cfg, seed, *inputs, stage, workers, masks)
+
+
+def _outcome(cfg, seed, src, tgt, stage, workers, masks):
     extras = {}
     if cfg.mode == "baseline":
-        result = _run_plain(src, tgt, cfg, seed, workers)
+        result = _run_plain(src, tgt, cfg, seed, masks)
     elif cfg.mode == "ortho-ext":
-        result = _run_extended(src, tgt, cfg, seed, extras, workers)
+        result = _run_extended(src, tgt, cfg, seed, extras, masks)
     else:
         if stage is None:
-            stage = boost_stage(src, tgt, cfg, seed, workers=workers)
-        result = _run_boosted(src, tgt, cfg, seed, stage, extras, workers)
+            stage = boost_stage(src, tgt, cfg, seed, workers=workers, masks=masks)
+        result = _run_boosted(src, tgt, cfg, seed, stage, extras, masks)
     src_words = src.vocab.words
     tgt_words = tgt.vocab.words
     predictions = {
@@ -531,6 +597,7 @@ def run_pipeline(cfg, workers=1):
         _ensure_disjoint(dev, test)
 
     seed = cfg.seeds[0]
+    forked = _workers_forked
     outcome = execute_run(cfg, seed, workers=workers)
 
     out_dir = Path(cfg.output_dir)
@@ -557,6 +624,7 @@ def run_pipeline(cfg, workers=1):
         "peak_rss_mb": peak_rss_mb(),
         "workers": workers,
         "blas_threads": blas_threads(),
+        "worker_peak_rss_mb": peak_rss_mb(children=True) if _workers_forked > forked else None,
     }
     outputs.update(
         {k: v for k, v in outcome.extras.items() if isinstance(v, (int, float, str))}
@@ -593,9 +661,9 @@ class PointOutcome:
     seconds: float
 
 
-def _run_point(cfg, scale, seed, inputs, stages, workers=1):
+def _run_point(cfg, scale, seed, inputs, stages, masks):
     start = time.perf_counter()
-    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed), workers)
+    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed), masks)
     return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
 
 
@@ -626,11 +694,10 @@ def _forked(work, jobs, workers, describe):
 
     Forked, not spawned: the workers read the inputs, stages and indexes
     that this process holds, copy-on-write, where spawned workers would
-    each unpickle a copy. A loop's helper thread ends with its loop, so
-    no Python thread but the caller's is running when the workers are
-    forked. The sweep command runs BLAS on one thread; induce may run it
-    on several, and OpenBLAS stops its thread pool before a fork and
-    starts it again on its next call.
+    each unpickle a copy. No Python thread but the caller's runs in this
+    package, so none is lost to a fork. The sweep command runs BLAS on one
+    thread; induce may run it on several, and OpenBLAS stops its thread
+    pool before a fork and starts it again on its next call.
     """
     import multiprocessing
 
@@ -671,7 +738,7 @@ def _forked(work, jobs, workers, describe):
             conn.close()
 
 
-def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
+def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks, stop_drawer):
     """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
 
     Only the boosted modes fan out, over up to ``workers`` processes: an
@@ -680,11 +747,12 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
     BoostStage is built first, in this process, which splits its
     candidates over as many slices as the sweep has workers for its
     points; its seconds are appended to ``stage_seconds``. With more than
-    one such worker, forked processes run the points, each on one core,
-    and inherit the inputs and the stages copy-on-write. Points run in
-    this process may use all ``workers`` cores. A failing stage is raised
-    at the first point of its seed, where it is first needed. Closing the
-    generator ends every worker.
+    one such worker, ``stop_drawer()`` ends the keep-mask drawer, and
+    forked processes run the points, each on one core; they inherit the
+    inputs, the stages and the masks drawn so far copy-on-write. Every loop
+    takes its masks from ``masks`` (see _mask_drawer). A failing stage is
+    raised at the first point of its seed, where it is first needed.
+    Closing the generator ends every worker.
     """
     stages, failed = {}, None
     fan_out = 1
@@ -693,7 +761,7 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
         for seed in dict.fromkeys(seed for _, seed in points):
             start = time.perf_counter()
             try:
-                stages[seed] = boost_stage(*inputs, cfg, seed, workers=fan_out)
+                stages[seed] = boost_stage(*inputs, cfg, seed, workers=fan_out, masks=masks)
             except Exception as exc:
                 failed = exc
                 break
@@ -701,14 +769,15 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds):
         points = list(itertools.takewhile(lambda point: point[1] in stages, points))
     fan_out = min(fan_out, len(points))
     if fan_out > 1:
+        stop_drawer()
         with _forked(
-            lambda point: _run_point(cfg, *point, inputs, stages), points, fan_out,
+            lambda point: _run_point(cfg, *point, inputs, stages, masks), points, fan_out,
             lambda point: f"running c={point[0]:g}, seed {point[1]}",
         ) as results:
             yield from results
     else:
         for scale, seed in points:
-            yield _run_point(cfg, scale, seed, inputs, stages, workers)
+            yield _run_point(cfg, scale, seed, inputs, stages, masks)
     if failed is not None:
         raise failed
 
@@ -717,12 +786,12 @@ def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
     With ``workers`` above 1 a sweep may parse its target file in a forked
-    worker (see load_inputs), a boosted sweep splits each seed's candidate
+    worker (see load_inputs), draws its loops' keep masks in another (see
+    _mask_drawer), and a boosted sweep splits each seed's candidate
     filtering and scoring, and runs its (c, seed) points, over up to that
-    many processes, and the loops of points run in this process may keep
-    a helper thread (see run_loop); the report, the selection, and a
-    failing point's error and log line are those of the serial sweep. The
-    manifest records ``workers``, and the workers' peak RSS when any ran.
+    many processes; the report, the selection, and a failing point's error
+    and log line are those of the serial sweep. The manifest records
+    ``workers``, and the workers' peak RSS when any ran.
     """
     cfg.validate(for_sweep=True)
     if not cfg.output_dir:
@@ -737,7 +806,6 @@ def run_sweep(cfg, workers=1):
     # The order in which select_scaling_constant asks for the points.
     points = [(c, seed) for c in sorted(cfg.grid) for seed in seeds[: cfg.runs_per_c]]
     stage_seconds, seconds = [], []
-    outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds)
 
     def runner(scale, seed):
         outcome = next(outcomes)
@@ -745,15 +813,17 @@ def run_sweep(cfg, workers=1):
         logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
         return outcome
 
-    with contextlib.closing(outcomes):
-        best, report = select_scaling_constant(
-            runner,
-            cfg.grid,
-            cfg.criterion,
-            runs_per_c=cfg.runs_per_c,
-            seeds=seeds,
-            dev=dev,
-        )
+    with _mask_drawer(cfg, inputs, points, workers) as drawer:
+        outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, *drawer)
+        with contextlib.closing(outcomes):
+            best, report = select_scaling_constant(
+                runner,
+                cfg.grid,
+                cfg.criterion,
+                runs_per_c=cfg.runs_per_c,
+                seeds=seeds,
+                dev=dev,
+            )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_report.tsv", "w", encoding="utf-8") as fh:

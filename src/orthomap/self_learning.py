@@ -20,13 +20,17 @@ rebuilds them, adjusts, boosts and masks each one, and reduces it to the
 best entry of every row and column (pass 2). Their reductions copy a slice
 of a tile at a time, never a whole tile.
 
-Given two or more cores, a loop with a wide enough solve keeps one helper
-thread, which draws a step's keep mask while the SVD runs. Every result
-is the same bit for bit with or without it.
+A step's keep mask depends only on the phase seed, the iteration and the
+entry, never on what the loop computes. A loop may therefore take its
+masks from KeepMasks, which a forked drawer fills ahead of the loops; a
+step whose mask has not been drawn yet draws it inline, so the loop never
+waits, and every result is the same bit for bit with or without it.
 """
 
 import logging
 import math
+import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +38,7 @@ import numpy as np
 from .corpus_io import SparseDictionary
 from .errors import ConvergenceError
 from .memory import log_peak_rss
-from .numerics import blas_threads, compute_whitening, normalize_rows, weighted_cross_svd
+from .numerics import compute_whitening, normalize_rows, weighted_cross_svd
 from .ortho_extension import strip_extension
 
 logger = logging.getLogger(__name__)
@@ -47,15 +51,11 @@ _TILE_BYTES = 4 << 20
 # Slices of 64 KiB made the partitions of 200- to 450-row tiles 15-25%
 # slower, in per-call overhead; at 256 KiB they take a whole tile's time.
 _SLICE_BYTES = 256 << 10
-# Solve width (used columns of the narrower side) from which a loop with
-# two or more workers, and BLAS on one thread, keeps a helper thread that
-# draws the keep mask beside the SVD. Loops on 200-word ciphers
-# on 2 cores, helper on against off in one process, median time ratio of
-# 30-40 alternating pairs per round: 0.95-1.06 at 20 columns and
-# 0.91-1.09 at 32, where the handoff costs what the draws save; 0.81-0.95
-# at 48, 0.86-0.95 at 64, 0.79-0.82 at 96 (but 1.14 at 48 and 1.35 at 64
-# in a round on a busy host: the helper pays only where a core is idle).
-_HELPER_MIN_WIDTH = 48
+# Bytes of keep-mask levels, one per entry of a loop's score matrix, that
+# KeepMasks may hold at once; steps past it draw their masks inline.
+_MASK_BYTES = 32 << 20
+# A drawer's report of one drawn mask: phase, iteration, slot.
+_REPORT = struct.Struct("3q")
 
 
 @dataclass
@@ -278,12 +278,20 @@ def _row_uniforms(seed, iteration):
     per row through its public state: a fresh one per row costs twice as
     much, because each construction also reads OS entropy.
     """
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], np.uint64))
+    bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
     # A freshly keyed state: counter zeros, buffer empty (buffer_pos 4).
-    # Assigning it copies the values, so the dict itself stays fresh.
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
+    # Assigning it copies the values, so the dict itself stays fresh; held
+    # as Python ints it is assigned in half the time of numpy arrays.
+    key = [seed & 0xFFFFFFFFFFFFFFFF, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     def fill(lo, out):
         for r in range(out.shape[0]):
@@ -346,7 +354,7 @@ def _best_entries(
             if boost is not None:
                 boost.add_to(block, lo)
             if stochastic:
-                block[dropped(lo, hi)] = -np.inf
+                np.putmask(block, dropped(lo, hi), -np.inf)
             rows = np.arange(hi - lo)
             arg = block.argmax(axis=1)
             forward[lo:hi] = arg
@@ -524,57 +532,199 @@ def _cutoff(src_emb, tgt_emb, cfg):
     return min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
 
 
-def _helper_mask(pool, cutoff, state):
-    """(start, dropped) of a step whose keep mask the loop's helper thread,
-    the one-thread pool ``pool``, draws. ``start()`` has it draw the whole
-    matrix's uniforms a slice of rows at a time and mark the entries they
-    drop in a boolean array, which ``dropped`` gives to induce_dictionary.
-    Both are None where induce_dictionary draws the mask as it uses each
-    tile: at p_keep 1, or for a matrix of several tiles.
+def keep_schedule(cfg):
+    """The keep probabilities below 1 that run_schedule steps through, in
+    order, or None when there are more than 255 (a mask level is a byte)."""
+    schedule, p = [], cfg.p_init
+    while p < 1.0:
+        if len(schedule) == 255:
+            return None
+        schedule.append(p)
+        p = min(1.0, p * cfg.p_factor)
+    return schedule
 
-    ``start`` is weighted_cross_svd's ``before_svd``: the drawing holds the
-    interpreter lock for most of its time, which the SVD does not need.
-    Only this untraced numpy work runs on the helper, since a tracer keeps
-    one span stack per process. The mask is held from the SVD on, which a
-    step without the helper never does, so it takes a byte per entry; it
-    is allocated here, on the loop's thread, since arrays allocated on the
-    helper come from the helper's own malloc arena (a tile of uniforms
-    allocated there raised `wide-baseline`'s peak RSS by 2.4 MB).
+
+def _draw_levels(seed, iteration, schedule, out):
+    """Write into the uint8 ``out`` the keep-mask level of every entry of
+    step ``iteration`` of phase ``seed``: the count of ``schedule``'s
+    probabilities at or below the entry's _row_uniforms draw. An entry is
+    dropped at schedule[k] (its draw is at least schedule[k]) exactly when
+    its level exceeds k. Rows are drawn a slice at a time."""
+    fill = _row_uniforms(seed, iteration)
+    n_rows, n_cols = out.shape
+    draws = np.empty((min(n_rows, _slice_len(n_cols)), n_cols))
+    for lo in range(0, n_rows, len(draws)):
+        rows = fill(lo, draws[: n_rows - lo])
+        level = out[lo : lo + len(rows)]
+        level.fill(0)
+        for p in schedule:
+            level += rows >= p
+
+
+class KeepMasks:
+    """Keep masks of the stochastic steps of a run's loops, drawn ahead of them.
+
+    ``readers`` maps each phase seed to the number of loops that will read
+    its masks, in the order the loops run. ``draw`` runs in a forked
+    drawer: phase by phase, it writes each iteration's levels (see
+    _draw_levels) into a slot of an anonymous shared mapping and reports
+    (phase, iteration, slot) through a pipe. The loops record in the
+    mapping the last step they have started and how many of them have
+    left their stochastic steps. The drawer skips steps a loop has already
+    started, moves on once a phase's loops have all left, and, once any
+    loop has left, draws no further ahead of a phase's loops than the most
+    steps such a loop took; it stops when the slots, at most _MASK_BYTES
+    of them, are used up, or when the process that built it has ended. A
+    loop's step takes the drawn mask when it has been reported and draws
+    it inline otherwise (``dropped``), so the loop never waits for the
+    drawer. A slot is released once each loop that reads it in this
+    process has read it, so a single reader holds one mask at a time;
+    loops in forked processes count their own reads and so release only
+    slots no other loop reads.
     """
-    shape = _tile_shape(cutoff, cutoff)
-    if state.p_keep >= 1.0 or shape[0] < cutoff:
-        return None, None
-    fill = _row_uniforms(state.rng_seed, state.iteration)
-    keep = state.p_keep
-    mask = np.empty(shape, bool)
-    draws = np.empty((min(cutoff, _slice_len(cutoff)), cutoff))
 
-    def draw():
-        for lo in range(0, cutoff, len(draws)):
-            rows = fill(lo, draws[: cutoff - lo])
-            np.greater_equal(rows, keep, out=mask[lo : lo + len(rows)])
-        return mask
+    def __init__(self, cfg, cutoff, readers, max_bytes=None):
+        import mmap
 
-    drawn = []
+        self.schedule = keep_schedule(cfg)
+        self.cutoff = cutoff
+        self._owner = os.getpid()
+        self._probabilities = (cfg.p_init, cfg.p_factor)
+        self._max_iterations = cfg.max_iterations
+        self._seeds = list(readers)
+        self._sharing = dict(readers)  # loops that read each seed's masks
+        page = mmap.PAGESIZE
+        self._stride = -(-cutoff * cutoff // page) * page
+        max_bytes = _MASK_BYTES if max_bytes is None else max_bytes
+        self._n_slots = min(max_bytes // self._stride, len(readers) * cfg.max_iterations)
+        self._map = mmap.mmap(-1, page + self._n_slots * self._stride)
+        # Per phase: the last iteration a loop has started, and how many of
+        # its loops have left their stochastic steps.
+        control = np.frombuffer(self._map, np.int64, 2 * len(readers))
+        self._started, self._finished = control.reshape(2, -1)
+        self._drawn = {}  # (seed, iteration) -> reported slot
+        self._reads = {}  # slot -> reads in this process
+        self._reports, self._report_to = os.pipe()
+        os.set_blocking(self._reports, False)
 
-    def start():
-        drawn.append(pool.submit(draw))
+    def _offset(self, slot):
+        return len(self._map) - (self._n_slots - slot) * self._stride
 
-    return start, lambda lo, hi: drawn[0].result()[lo:hi]
+    def _slot(self, slot):
+        """The levels of ``slot``, a cutoff x cutoff view of the mapping."""
+        n = self.cutoff
+        return np.frombuffer(self._map, np.uint8, n * n, self._offset(slot)).reshape(n, n)
+
+    @staticmethod
+    def fit(cfg, cutoff):
+        """Whether a loop with ``cfg`` over ``cutoff`` rows could use drawn
+        masks: its score matrix is one tile and it has stochastic steps."""
+        return _tile_shape(cutoff, cutoff)[0] >= cutoff and bool(keep_schedule(cfg))
+
+    def draw(self):
+        """Draw and report masks until the slots or the phases run out
+        (the drawer's one job); returns the count drawn."""
+        import time
+
+        forked = os.getpid() != self._owner
+        if forked:  # so that a write fails, not waits, once the owner has ended
+            os.close(self._reports)
+        slot = 0
+        for phase, seed in enumerate(self._seeds):
+            iteration = 0
+            while slot < self._n_slots and self._finished[phase] < self._sharing[seed]:
+                if forked and os.getppid() != self._owner:
+                    return slot
+                started = int(self._started[phase])
+                iteration = max(iteration, started)
+                if iteration == self._max_iterations:
+                    break
+                if iteration >= started + self._lookahead():
+                    time.sleep(0.001)  # until a loop of the phase moves on
+                    continue
+                iteration += 1
+                _draw_levels(seed, iteration, self.schedule, self._slot(slot))
+                os.write(self._report_to, _REPORT.pack(phase, iteration, slot))
+                slot += 1
+        return slot
+
+    def _lookahead(self):
+        """The most stochastic steps a loop that has left them took (the
+        last step started in its phase), or no limit before any has."""
+        left = self._finished > 0
+        return int(self._started[left].max()) if left.any() else self._max_iterations
+
+    def detach(self):
+        """Close this process's end of the report pipe, once the drawer has
+        been forked: reading then ends when the drawer does."""
+        if self._report_to is not None:
+            os.close(self._report_to)
+            self._report_to = None
+
+    def _take_reports(self):
+        while self._reports is not None:
+            try:
+                data = os.read(self._reports, _REPORT.size << 10)
+            except BlockingIOError:
+                return
+            if not data:  # the drawer has ended
+                os.close(self._reports)
+                self._reports = None
+                return
+            for phase, iteration, slot in _REPORT.iter_unpack(data):
+                self._drawn[self._seeds[phase], iteration] = slot
+
+    def dropped(self, cfg, cutoff, state):
+        """``dropped(lo, hi)`` (see _best_entries) of the stochastic step
+        ``state`` of a loop with ``cfg`` over ``cutoff`` rows, from its drawn
+        mask, or None where that mask has not been reported."""
+        seed = state.rng_seed
+        if (
+            seed not in self._sharing
+            or cutoff != self.cutoff
+            or (cfg.p_init, cfg.p_factor) != self._probabilities
+        ):
+            return None
+        phase = self._seeds.index(seed)
+        self._started[phase] = max(int(self._started[phase]), state.iteration)
+        self._take_reports()
+        slot = self._drawn.get((seed, state.iteration))
+        if slot is None:
+            return None
+        mask = self._slot(slot) > self.schedule.index(state.p_keep)
+        self._reads[slot] = self._reads.get(slot, 0) + 1
+        if self._reads[slot] == self._sharing[seed]:
+            import mmap
+
+            del self._drawn[seed, state.iteration]
+            self._map.madvise(mmap.MADV_REMOVE, self._offset(slot), self._stride)
+        return lambda lo, hi: mask[lo:hi]
+
+    def finish(self, seed):
+        """Record that a loop reading ``seed``'s masks has left its
+        stochastic steps."""
+        if seed in self._sharing:
+            self._finished[self._seeds.index(seed)] += 1
+
+    def stop(self):
+        """Take the last reports of a drawer that has ended, and no more."""
+        self.detach()
+        self._take_reports()
+        if self._reports is not None:  # a forked worker holds the pipe open
+            os.close(self._reports)
+            self._reports = None
 
 
-def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
+def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, masks=None):
     """The self-learning loop from the initial dictionary to convergence.
 
     ``boost`` is an optional SimilarityBoost; its entries inside the cutoff
     block are added to the adjusted similarities of every iteration.
     ``init`` is the initial dictionary when the caller already holds
     init_dictionary_unsupervised's result for these matrices and cutoff; it
-    is computed here otherwise. With ``workers`` above 1, the number of
-    cores this process may use alone, BLAS on one thread (so that a core
-    is idle beside it) and a solve at least _HELPER_MIN_WIDTH wide, one
-    helper thread runs beside each step (see _helper_mask); the results are
-    the same bit for bit.
+    is computed here otherwise. ``masks`` is a KeepMasks whose drawn masks
+    the stochastic steps take where they can; the results are the same bit
+    for bit.
     """
     cutoff = _cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
@@ -594,53 +744,52 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, workers=1):
         tgt_emb.dim,
     )
     r = min(x_used.shape[1], z_used.shape[1])
-    blas = blas_threads()
-    helped = workers > 1 and blas == 1 and r >= _HELPER_MIN_WIDTH
-    logger.info(
-        "loop helper thread %s: solve width %d, %d worker%s, BLAS threads %s "
-        "(on from width %d, 2 workers and 1 BLAS thread)",
-        "on" if helped else "off", r, workers, "" if workers == 1 else "s",
-        "unset" if blas is None else blas, _HELPER_MIN_WIDTH,
-    )
     # Once p_keep is 1 a step depends only on its input dictionary. When its
     # induction returns that input, every later step would recompute the
     # same objective, dictionary and scores, and state already holds the
     # last two: such steps return the recorded objective at once.
     fixed = None  # (dictionary, objective) of the fixed point
+    masked = {"drawn ahead": 0, "drawn inline": 0}
 
-    def step(state, pool):
+    def drawn_mask(state):
+        """The step's drawn mask (see KeepMasks.dropped), or None."""
+        nonlocal masks
+        if masks is None:
+            dropped = None
+        elif state.p_keep < 1.0:
+            dropped = masks.dropped(cfg, cutoff, state)
+        else:  # the first step at p_keep 1, which the fixed point follows
+            masks.finish(cfg.rng_seed)
+            masks = dropped = None
+        if state.p_keep < 1.0:
+            masked["drawn inline" if dropped is None else "drawn ahead"] += 1
+        return dropped
+
+    def step(state):
         nonlocal fixed
         d = init if state.dictionary is None else state.dictionary
         if fixed is not None and d is fixed[0]:
             return fixed[1]
-        if pool is None:
-            dropped = None
-            u, s, vt = weighted_cross_svd(x_used, z_used, d)
-        else:
-            start, dropped = _helper_mask(pool, cutoff, state)
-            u, s, vt = weighted_cross_svd(x_used, z_used, d, before_svd=start)
+        u, s, vt = weighted_cross_svd(x_used, z_used, d)
         scores = _product(x_used @ u[:, :r], z_used @ vt[:r].T)
         objective = float(s.sum() / d.weight_sum)
-        new_d = induce_dictionary(scores, state, csls_means(scores, cfg.csls_k), boost, dropped)
+        means = csls_means(scores, cfg.csls_k)
+        new_d = induce_dictionary(scores, state, means, boost, drawn_mask(state))
         state.churn = _churn(new_d, d)
         if state.p_keep >= 1.0 and new_d == d:
             fixed = new_d, objective
             logger.info("iteration %d: dictionary reached its fixed point", state.iteration)
         return objective
 
-    if helped:
-        # The helper lives only as long as the loop, so that no thread is
-        # alive when the caller forks workers.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1, "orthomap-loop-helper") as pool:
-            state, trace = run_schedule(cfg, lambda state: step(state, pool))
-    else:
-        state, trace = run_schedule(cfg, lambda state: step(state, None))
+    state, trace = run_schedule(cfg, step)
     logger.info(
         "converged after %d iterations, final objective %.6f",
         state.iteration,
         state.objective,
+    )
+    logger.info(
+        "keep masks of %d stochastic steps: %d drawn ahead, %d drawn inline",
+        sum(masked.values()), masked["drawn ahead"], masked["drawn inline"],
     )
     log_peak_rss(logger, "the loop")
     return LoopResult(trace, state.dictionary, state.dictionary_scores, state)
@@ -674,16 +823,16 @@ def _whitened_maps(src_emb, tgt_emb, dictionary, cutoff, n_extension_cols):
 
 
 def run_self_learning(
-    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None, workers=1
+    src_emb, tgt_emb, cfg, *, n_extension_cols=0, boost=None, init=None, masks=None
 ):
     """Full unsupervised run: run_loop, then the whitened final pass.
 
     ``n_extension_cols`` trailing columns are stripped from both matrices
     before the final pass (0 when no orthographic extension is active).
-    ``boost``, ``init`` and ``workers`` are as in run_loop; the boost is
+    ``boost``, ``init`` and ``masks`` are as in run_loop; the boost is
     also added to the final retrieval.
     """
-    loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init, workers=workers)
+    loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init, masks=masks)
     cutoff = _cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)

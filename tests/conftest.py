@@ -38,9 +38,9 @@ def no_live_children():
 
 @pytest.fixture(autouse=True)
 def no_live_threads():
-    """Fail a test that leaves a thread running besides the main one: a
-    loop's helper thread must end with its loop, so that no thread is alive
-    when a caller forks workers (a forked worker gets no copy of it)."""
+    """Fail a test that leaves a thread running besides the main one: no
+    thread may be alive when a caller forks workers (a forked worker gets
+    no copy of it)."""
     yield
     alive = [t for t in threading.enumerate() if t is not threading.main_thread()]
     assert alive == [], f"the test left live threads: {alive}"

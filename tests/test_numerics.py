@@ -228,24 +228,6 @@ class TestProcrustes:
         with pytest.raises(ValueError):
             procrustes_maps(src, src, SparseDictionary([], [], []))
 
-    def test_before_svd_called_once_before_the_svd(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        x, z = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
-        d = SparseDictionary([0, 2, 5, 8], [1, 2, 7, 0], [1, 2, 1, 2])
-        expected = weighted_cross_svd(x, z, d)
-        events = []
-        svd = np.linalg.svd
-
-        def recording_svd(m):
-            events.append("svd")
-            return svd(m)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        got = weighted_cross_svd(x, z, d, before_svd=lambda: events.append("before"))
-        assert events == ["before", "svd"]
-        for a, b in zip(got, expected):
-            assert np.array_equal(bits(a), bits(b))
-
 
 class TestSimilarityBlock:
     def test_identity_case(self):

@@ -2,11 +2,14 @@
 
 import json
 import logging
+import mmap
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
-import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +51,7 @@ from orthomap.pipeline import (
     run_sweep,
     sweep_seeds,
 )
+from orthomap.self_learning import KeepMasks
 from oracles import reference_em_train
 
 
@@ -60,6 +64,45 @@ def base_config(bench, out_dir, **overrides):
     )
     cfg.update(overrides)
     return RunConfig(**cfg)
+
+
+def record_masks(monkeypatch, path, patient=True):
+    """Append "pid drawn" or "pid inline" to ``path`` for every stochastic
+    loop step that asks KeepMasks for its mask, in whichever process it
+    runs. With ``patient``, a step first waits until the drawer has
+    reported its mask, or has ended, or 5 s have passed once, so that the
+    drawn masks are read however slow the drawer."""
+    dropped = KeepMasks.dropped
+    waited = []
+
+    def recording(self, cfg, cutoff, state):
+        key = state.rng_seed, state.iteration
+        deadline = time.monotonic() + 5.0
+        while patient and not waited and self._reports is not None and key not in self._drawn:
+            self._take_reports()
+            if time.monotonic() > deadline:
+                waited.append(key)
+            time.sleep(0.0005)
+        got = dropped(self, cfg, cutoff, state)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {'inline' if got is None else 'drawn'}\n")
+        return got
+
+    monkeypatch.setattr(KeepMasks, "dropped", recording)
+
+    def steps():
+        """Counter of (pid, "drawn" | "inline") over the steps recorded."""
+        if not path.exists():
+            return Counter()
+        return Counter(tuple(line.split()) for line in path.read_text().splitlines())
+
+    return steps
+
+
+def mask_counts(messages):
+    """(drawn ahead, drawn inline) of each loop, from its -v line."""
+    pattern = r"keep masks of \d+ stochastic steps: (\d+) drawn ahead, (\d+) drawn inline"
+    return [tuple(map(int, m.groups())) for m in map(re.compile(pattern).fullmatch, messages) if m]
 
 
 def gold_scorer_table(bench, path):
@@ -458,42 +501,72 @@ class TestSweepWorkers:
     def test_stage_helper_ends_before_workers_fork(
         self, tiny_benchmark, tmp_path, monkeypatch, caplog
     ):
-        # With the width rule lowered, the stage's main loop keeps a helper
-        # thread. The sweep forks its slice and point workers only once the
-        # loop has ended it, and no worker starts a helper of its own.
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 1)
+        # The stage's main loop takes its masks from the drawer. The sweep
+        # ends the drawer before it forks its points, and no worker forks a
+        # drawer of its own, yet the forked points read the boosted phase's
+        # masks drawn before that (a slow EM leaves the drawer time).
         parent = os.getpid()
-        pools, forks = [], []
-        helper_mask = self_learning._helper_mask
+        forks = []
         forked = pipeline._forked
+        em_train = pipeline.em_train
 
-        def draws(pool, *args):
-            assert os.getpid() == parent, "a sweep worker used a loop helper"
-            pools.append(pool)
-            return helper_mask(pool, *args)
+        def recording_forked(work, jobs, workers, describe):
+            assert os.getpid() == parent, "a sweep worker forked"
+            forks.append((describe(jobs[0]), len(multiprocessing.active_children())))
+            return forked(work, jobs, workers, describe)
 
-        def recording_forked(*args):
-            forks.append([t.name for t in threading.enumerate()])
-            return forked(*args)
+        def slow_em(*args):
+            time.sleep(0.5)
+            return em_train(*args)
 
-        monkeypatch.setattr(self_learning, "_helper_mask", draws)
         monkeypatch.setattr(pipeline, "_forked", recording_forked)
+        monkeypatch.setattr(pipeline, "em_train", slow_em)
+        steps = record_masks(monkeypatch, tmp_path / "steps")
         caplog.set_level(logging.INFO, logger="orthomap")
         code, _ = self.sweep(
             tiny_benchmark, tmp_path, "helper", 2,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
         )
         assert code == 0
-        assert len(set(map(id, pools))) == 1  # the stage's main loop
-        assert "loop helper thread on: solve width 10, 2 workers" in caplog.text
-        assert len(forks) == 2  # the stage's scoring slices, then the points
-        assert all(names == ["MainThread"] for names in forks)
+        assert "keep-mask drawer on: 2 workers, BLAS threads 1" in caplog.text
+        # The drawer, the stage's scoring slice beside it, then the points
+        # with nothing else alive.
+        assert forks == [
+            ("drawing keep masks", 0),
+            ("scoring slice 2 of 2 of seed 4's candidates", 1),
+            ("running c=0.2, seed 4", 0),
+        ]
+        counts = steps()
+        assert counts[str(parent), "drawn"] > 0  # the stage's main loop
+        points = {pid for pid, how in counts if pid != str(parent) and how == "drawn"}
+        assert len(points) == 2
+
+    @pytest.mark.parametrize("mode", ["edit-dist", "ortho-ext"])
+    def test_mask_readers_in_the_order_the_loops_run(self, tiny_benchmark, tmp_path, mode):
+        # Each seed's stage runs its main loop before any point runs a
+        # boosted loop; unboosted points each run a main loop.
+        cfg = base_config(tiny_benchmark, tmp_path, mode=mode)
+        points = [(c, seed) for c in (0.2, 0.5) for seed in (4, 5)]
+        readers = pipeline._mask_readers(cfg, points)
+        if mode == "edit-dist":
+            expected = [(4, 0, 1), (5, 0, 1), (4, 1, 2), (5, 1, 2)]
+        else:
+            expected = [(4, 0, 2), (5, 0, 2)]
+        assert list(readers.items()) == [(derive_seed(s, p), n) for s, p, n in expected]
 
     def test_one_point_grid_forks_nothing(self, tiny_benchmark, tmp_path, monkeypatch):
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a one-point sweep forked")
+        # No slice or point worker: the one point runs in this process, and
+        # its stage's candidates in one slice. The keep-mask drawer, which
+        # the sweep's two workers allow, serves the stage's main loop and
+        # the point's boosted loop.
+        forked = pipeline._forked
 
-        monkeypatch.setattr(pipeline, "_forked", no_fork)
+        def drawer_only(work, jobs, workers, describe):
+            assert describe(jobs[0]) == "drawing keep masks", "a one-point sweep forked"
+            return forked(work, jobs, workers, describe)
+
+        monkeypatch.setattr(pipeline, "_forked", drawer_only)
+        steps = record_masks(monkeypatch, tmp_path / "steps")
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "one", 2,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.3",
@@ -501,8 +574,9 @@ class TestSweepWorkers:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers"] == 2  # the sweep's, as induce records it
-        assert manifest["worker_peak_rss_mb"] is None
+        assert manifest["worker_peak_rss_mb"] > 0  # the drawer's
         assert len(manifest["point_seconds"]) == 1
+        assert steps() == {(str(os.getpid()), "drawn"): sum(steps().values())}
 
     def test_point_seconds_logged(self, tiny_benchmark, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="orthomap")
@@ -657,7 +731,9 @@ class TestSweepWorkers:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["workers"] == 2
-        assert manifest["worker_peak_rss_mb"] is None  # no worker ran
+        assert len(manifest["point_seconds"]) == 2
+        # The keep-mask drawer is the one worker that ran.
+        assert manifest["worker_peak_rss_mb"] > 0
 
     @pytest.mark.parametrize(
         "mode, grid", [("ortho-ext", "0.1,0.2"), ("edit-dist", "0.3")],
@@ -677,11 +753,13 @@ class TestSweepWorkers:
         assert manifest["workers"] == 2
         assert manifest["worker_peak_rss_mb"] > 0
 
-    def test_points_in_this_process_keep_the_helper(self, tmp_path, capsys, caplog):
-        # ortho-ext's points run in the sweep's process, where their 128-wide
-        # loops keep the helper at two workers, with the one-worker output.
+    def test_points_in_this_process_keep_the_helper(self, tmp_path, monkeypatch, capsys, caplog):
+        # ortho-ext's points run in the sweep's process, where both of their
+        # 128-wide loops take the masks of the one phase seed they share
+        # from the drawer at two workers, with the one-worker output.
         bench = generate_cipher_benchmark(200, 8, seed=21, noise=0.1, out_dir=tmp_path)
         caplog.set_level(logging.INFO, logger="orthomap")
+        record_masks(monkeypatch, tmp_path / "steps")
         runs = {}
         for threads in (1, 2):
             caplog.clear()
@@ -694,17 +772,20 @@ class TestSweepWorkers:
             manifest = json.loads((out / "manifest.json").read_text())
             manifest["config"].pop("output_dir")
             assert manifest.pop("workers") == threads
-            assert manifest.pop("worker_peak_rss_mb") is None
+            assert (manifest.pop("worker_peak_rss_mb") is None) == (threads == 1)
             for key in ("peak_rss_mb", "point_seconds", "stage_seconds"):
                 manifest.pop(key)
             assert manifest["blas_threads"] == 1
-            helper = [m for m in caplog.messages if m.startswith("loop helper thread")]
-            state = "on" if threads == 2 else "off"
-            assert helper == [
-                f"loop helper thread {state}: solve width 128, {threads} worker"
-                f"{'s' if threads == 2 else ''}, BLAS threads 1 (on from width 48, 2 workers "
-                "and 1 BLAS thread)"
-            ] * 2
+            drawer = [m for m in caplog.messages if m.startswith("keep-mask drawer")]
+            assert drawer == [
+                f"keep-mask drawer {'on' if threads == 2 else 'off'}: {threads} worker"
+                f"{'s' if threads == 2 else ''}, BLAS threads 1, a one-tile stochastic loop "
+                "matrix of 200 x 200"
+            ]
+            counts = mask_counts(caplog.messages)
+            assert len(counts) == 2
+            if threads == 2:
+                assert all(ahead > 0 and inline == 0 for ahead, inline in counts)
             runs[threads] = (
                 capsys.readouterr().out, (out / "sweep_report.tsv").read_bytes(), manifest
             )
@@ -1157,7 +1238,9 @@ class TestInduceWorkers:
     ARTIFACTS = ("lexicon.tsv", "trace.tsv", "predictions.tsv", "eval_summary.txt",
                  "edit_model.tsv")
     # Outputs that name the run's directory or describe the process.
-    VOLATILE = ("edit_model_path", "peak_rss_mb", "workers", "blas_threads")
+    VOLATILE = (
+        "edit_model_path", "peak_rss_mb", "workers", "blas_threads", "worker_peak_rss_mb"
+    )
 
     def artifacts(self, out):
         files = {n: (out / n).read_bytes() for n in self.ARTIFACTS if (out / n).exists()}
@@ -1170,16 +1253,18 @@ class TestInduceWorkers:
 
     @pytest.mark.parametrize("mode", ["baseline", "ortho-ext", "edit-dist"])
     def test_outputs_identical_at_one_two_and_three(
-        self, tiny_benchmark, tmp_path, monkeypatch, mode
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog, mode
     ):
         # Both parallel parts on at two and three: the target file is parsed
-        # in a worker and every loop keeps its helper thread, as it does
-        # where BLAS runs on one thread.
+        # in a worker and every loop takes its masks from the drawer, as it
+        # does where BLAS runs on one thread.
         monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 1)
-        monkeypatch.setattr(self_learning, "blas_threads", lambda: 1)
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        record_masks(monkeypatch, tmp_path / "steps")
+        caplog.set_level(logging.INFO, logger="orthomap")
         runs = {}
         for threads in (1, 2, 3):
+            caplog.clear()
             out = tmp_path / f"w{threads}"
             code = main([
                 "--threads", str(threads), "induce",
@@ -1192,6 +1277,10 @@ class TestInduceWorkers:
             assert code == 0
             files, manifest, workers = self.artifacts(out)
             assert workers == threads
+            counts = mask_counts(caplog.messages)
+            assert len(counts) == (2 if mode == "edit-dist" else 1)
+            for ahead, inline in counts:
+                assert (ahead > 0, inline > 0) == ((True, False) if threads > 1 else (False, True))
             runs[threads] = files, manifest
         assert runs[1] == runs[2] == runs[3]
         assert len(runs[1][0]) == (5 if mode == "edit-dist" else 4)
@@ -1223,6 +1312,8 @@ class TestInduceWorkers:
         assert runs == {"1": 1, "2": 2}
 
     def test_parse_and_helper_logged_once(self, tiny_benchmark, tmp_path, monkeypatch, caplog):
+        # At --threads 2 BLAS takes both cores, so the keep-mask drawer
+        # stays off.
         monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
         caplog.set_level(logging.INFO, logger="orthomap")
         assert main([
@@ -1233,10 +1324,10 @@ class TestInduceWorkers:
         ]) == 0
         lines = [r.getMessage() for r in caplog.records]
         assert [m for m in lines if "parsed by" in m] == ["inputs parsed by 2 processes"]
-        helper = [m for m in lines if m.startswith("loop helper thread")]
-        assert helper == [
-            "loop helper thread off: solve width 10, 2 workers, BLAS threads 2 "
-            "(on from width 48, 2 workers and 1 BLAS thread)"
+        drawer = [m for m in lines if m.startswith("keep-mask drawer")]
+        assert drawer == [
+            "keep-mask drawer off: 2 workers, BLAS threads 2, a one-tile stochastic loop "
+            "matrix of 100 x 100"
         ]
 
     @pytest.mark.parametrize(
@@ -1267,6 +1358,112 @@ class TestInduceWorkers:
         replayed, replayed_manifest, _ = self.artifacts(replay)
         assert replayed == files and replayed_manifest == manifest
         assert json.loads((replay / "manifest.json").read_text())["blas_threads"] == expected
+
+    def induce(self, bench, out, threads, *extra):
+        return main([
+            "-v", "--threads", str(threads), "induce",
+            "--src-emb", str(bench.src_embeddings),
+            "--tgt-emb", str(bench.tgt_embeddings),
+            "--test", str(bench.gold_lexicon),
+            "--output-dir", str(out), "--seed", "3", "--mode", "edit-dist", "--scale", "0.4",
+            "--stall-window", "3", "--objective-eps", "0.02", *extra,
+        ])
+
+    @pytest.mark.parametrize(
+        "workers, blas, tile_bytes, p_init",
+        [(1, 1, None, 0.1), (2, 2, None, 0.1), (2, None, None, 0.1), (2, 1, 8000, 0.1),
+         (2, 1, None, 1.0)],
+        ids=[
+            "one-worker", "two-blas-threads", "blas-unset", "several-tiles", "no-stochastic-steps"
+        ],
+    )
+    def test_drawer_off_without_an_idle_core_or_any_one_tile_loop(
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog, workers, blas, tile_bytes, p_init
+    ):
+        # BLAS on more than one thread, or on every core, leaves the drawer
+        # no idle core; a loop of several tiles, or at p_keep 1 throughout,
+        # has no masks it could take.
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: blas)
+        if tile_bytes is not None:  # the 100 x 100 loop matrix in tiles of 10 rows
+            monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(KeepMasks, "__init__", None)  # never built
+        caplog.set_level(logging.INFO, logger="orthomap")
+        cfg = base_config(
+            tiny_benchmark, tmp_path / "out", mode="edit-dist", scale=0.4, stall_window=3,
+            objective_eps=0.02, p_init=p_init,
+        )
+        forked = pipeline._workers_forked
+        run_pipeline(cfg, workers=workers)
+        assert pipeline._workers_forked - forked == (0 if workers == 1 else 1)  # scoring slices
+        fits = tile_bytes is None and p_init < 1.0
+        assert [m for m in caplog.messages if m.startswith("keep-mask drawer")] == [
+            f"keep-mask drawer off: {workers} worker{'s' if workers > 1 else ''}, BLAS threads "
+            f"{'unset' if blas is None else blas}, {'a' if fits else 'no'} one-tile stochastic "
+            "loop matrix of 100 x 100"
+        ]
+
+    @pytest.mark.parametrize(
+        "failure", ["killed", "error", "never-reports", "bounded", "racing"]
+    )
+    def test_outputs_identical_whatever_the_drawer_does(
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog, failure
+    ):
+        # A drawer killed, or failing, after five masks; one that never
+        # reports; one whose byte bound holds five masks: the steps after
+        # the fifth draw their masks inline, with the one-worker artifacts.
+        # Racing, three runs take whichever masks the drawer has reported
+        # by each step, and give those artifacts too.
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        assert self.induce(tiny_benchmark, tmp_path / "serial", 1) == 0
+        serial = self.artifacts(tmp_path / "serial")[:2]
+        if failure == "racing":
+            for run in range(3):
+                assert self.induce(tiny_benchmark, tmp_path / f"race{run}", 2) == 0
+                assert self.artifacts(tmp_path / f"race{run}")[:2] == serial
+            return
+        draw_levels = self_learning._draw_levels
+        drawn = []
+
+        def failing_draw(*args):
+            if len(drawn) == 5:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise FloatingPointError("drawer failed")
+            drawn.append(args)
+            return draw_levels(*args)
+
+        if failure == "never-reports":
+            monkeypatch.setattr(KeepMasks, "draw", lambda self: time.sleep(600))
+        elif failure == "bounded":
+            monkeypatch.setattr(self_learning, "_MASK_BYTES", 5 * 3 * mmap.PAGESIZE)
+        else:
+            monkeypatch.setattr(self_learning, "_draw_levels", failing_draw)
+        record_masks(monkeypatch, tmp_path / "steps", patient=failure != "never-reports")
+        caplog.set_level(logging.INFO, logger="orthomap")
+        assert self.induce(tiny_benchmark, tmp_path / "drawn", 2) == 0
+        assert "keep-mask drawer on" in caplog.text
+        main_loop, boosted_loop = mask_counts(caplog.messages)
+        assert main_loop[0] == (0 if failure == "never-reports" else 5) and main_loop[1] > 0
+        assert boosted_loop[0] == 0
+        assert self.artifacts(tmp_path / "drawn")[:2] == serial
+
+    def test_worker_peak_rss_recorded(self, tiny_benchmark, tmp_path, monkeypatch):
+        # null where nothing forked: one worker, or BLAS on both cores and a
+        # target file too small to parse beside the source; the drawer's
+        # peak otherwise.
+        peaks = {}
+        for name, threads, blas in (("serial", 1, 1), ("blas", 2, 2), ("drawer", 2, 1)):
+            monkeypatch.setattr(pipeline, "blas_threads", lambda: blas)
+            out = tmp_path / name
+            assert main([
+                "--threads", str(threads), "induce",
+                "--src-emb", str(tiny_benchmark.src_embeddings),
+                "--tgt-emb", str(tiny_benchmark.tgt_embeddings),
+                "--output-dir", str(out), "--stall-window", "2",
+            ]) == 0
+            peaks[name] = json.loads((out / "manifest.json").read_text())["worker_peak_rss_mb"]
+        assert peaks["serial"] is None and peaks["blas"] is None
+        assert peaks["drawer"] > 0
 
 
 def test_run_options_store_into_config_fields():

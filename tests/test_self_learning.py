@@ -2,13 +2,16 @@
 
 import logging
 import math
-import threading
+import mmap
+import re
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from orthomap import numerics, self_learning
+from orthomap import self_learning
 from orthomap.benchmark import generate_cipher_benchmark
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary, load_embeddings
 from orthomap.errors import ConvergenceError
@@ -20,6 +23,7 @@ from orthomap.ortho_extension import (
     strip_extension,
 )
 from orthomap.self_learning import (
+    KeepMasks,
     LoopConfig,
     ScoreTiles,
     SimilarityBoost,
@@ -882,7 +886,7 @@ class TestSlicedReductions:
 
 
 def helper_case(name):
-    """(src, tgt, cfg, boost, tile_bytes) of one helper differential case."""
+    """(src, tgt, cfg, boost, tile_bytes) of one drawn-mask differential case."""
     rng = np.random.default_rng(61)
     src, tgt, inverse = cipher_pair(rng, 90, 12, noise=0.3)
     cfg = LoopConfig(train_cutoff=70, stall_window=4, rng_seed=8)
@@ -919,142 +923,194 @@ def assert_same_run(got, expected):
     assert np.array_equal(bits(got.lexicon_cosine), bits(expected.lexicon_cosine))
 
 
-def blas_on(monkeypatch, threads):
-    """Make the BLAS thread variables say ``threads`` (None: unset)."""
-    for var in numerics._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    if threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+def drawn_masks(cfg, cutoff, readers, slots):
+    """KeepMasks with at most ``slots`` masks, all drawn and reported here,
+    before any loop reads them."""
+    stride = -(-cutoff * cutoff // mmap.PAGESIZE) * mmap.PAGESIZE
+    masks = KeepMasks(cfg, cutoff, readers, max_bytes=slots * stride)
+    assert masks.draw() == slots
+    return masks
+
+
+def mask_counts(caplog):
+    """(drawn ahead, drawn inline) of each loop, from its log line."""
+    pattern = r"keep masks of (\d+) stochastic steps: (\d+) drawn ahead, (\d+) drawn inline"
+    found = [re.fullmatch(pattern, m) for m in caplog.messages]
+    counts = [tuple(map(int, m.groups())) for m in found if m]
+    assert all(total == ahead + inline for total, ahead, inline in counts)
+    return [(ahead, inline) for _, ahead, inline in counts]
 
 
 class TestLoopHelper:
-    """A loop with a helper thread gives the serial loop's results bit for bit."""
+    """A loop that takes keep masks drawn ahead by KeepMasks gives the
+    serial loop's results bit for bit."""
 
     @pytest.mark.parametrize("name", ["one-tile", "boosted", "multi-tile", "sliced-mask"])
     def test_matches_serial_loop(self, monkeypatch, caplog, name):
-        blas_on(monkeypatch, "1")
         src, tgt, cfg, boost, tile_bytes = helper_case(name)
         if tile_bytes is not None:
             monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
-        if name == "sliced-mask":  # the helper draws the 70 rows' mask 16 rows at a time
+        if name == "sliced-mask":  # the levels of the 70 rows are drawn 16 rows at a time
             monkeypatch.setattr(self_learning, "_SLICE_BYTES", 8 * 70 * 16)
-        serial = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
-        pools, threads = [], set()
-        helper_mask = self_learning._helper_mask
-
-        def counting_draws(pool, cutoff, state):
-            pools.append(pool)
-            return helper_mask(pool, cutoff, state)
-
-        monkeypatch.setattr(self_learning, "_helper_mask", counting_draws)
+        serial = run_self_learning(src, tgt, cfg, boost=boost)
+        masks = drawn_masks(cfg, 70, {cfg.rng_seed: 1}, 100)
         row_uniforms = self_learning._row_uniforms
 
-        def recording_uniforms(seed, iteration):
-            fill = row_uniforms(seed, iteration)
-            return lambda lo, out: (threads.add(threading.current_thread().name), fill(lo, out))[1]
+        def no_inline_draws(seed, iteration):
+            raise AssertionError("a step drew its mask inline")
 
-        monkeypatch.setattr(self_learning, "_row_uniforms", recording_uniforms)
+        monkeypatch.setattr(self_learning, "_row_uniforms", no_inline_draws)
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
-            helped = run_self_learning(src, tgt, cfg, boost=boost, workers=2)
-        assert "loop helper thread on: solve width 12, 2 workers, BLAS threads 1 " in caplog.text
-        assert len(set(map(id, pools))) == 1 and len(pools) > 5
-        # The helper draws the uniforms of a one-tile matrix; those of a
-        # matrix of several tiles are drawn tile by tile as they are used.
-        drawn_on = "MainThread" if name == "multi-tile" else "orthomap-loop-helper_0"
-        assert threads == {drawn_on}
+            helped = run_self_learning(src, tgt, cfg, boost=boost, masks=masks)
+        monkeypatch.setattr(self_learning, "_row_uniforms", row_uniforms)
+        masks.stop()
+        (ahead, inline), = mask_counts(caplog)
+        assert ahead > 5 and inline == 0
+        # Every mask had one reader, which released it after taking it.
+        assert set(masks._drawn) == {(cfg.rng_seed, i) for i in range(ahead + 1, 101)}
         assert_same_run(helped, serial)
-        assert threading.active_count() == 1  # the helper ended with its loop
 
     @pytest.mark.parametrize("name", ["below-the-rule", "at-the-rule", "extended"])
-    def test_matches_serial_loop_across_the_width_rule(self, monkeypatch, caplog, tmp_path, name):
-        # The rule as it stands, on both sides of it, and the 128 columns of
-        # an ortho-ext loop: helper on against one worker.
-        blas_on(monkeypatch, "1")
-        width = self_learning._HELPER_MIN_WIDTH
+    def test_matches_serial_loop_across_the_width_rule(self, caplog, tmp_path, name):
+        # Drawn masks serve a loop of any solve width: 47 and 48 columns,
+        # where the loop's former helper thread turned on, and the 128
+        # columns of an ortho-ext loop, against the serial loop.
         if name == "extended":
             src, tgt, cfg, n_ext = ortho_ext_case(tmp_path)
-            r = 128
         else:
-            r = width - 1 if name == "below-the-rule" else width
+            r = 47 if name == "below-the-rule" else 48
             src, tgt, _ = cipher_pair(np.random.default_rng(r), 90, r, noise=0.3)
             src, tgt = normalize_embeddings(src), normalize_embeddings(tgt)
             cfg, n_ext = LoopConfig(train_cutoff=70, stall_window=4, rng_seed=8), 0
-        serial = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext, workers=1)
+        serial = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext)
+        cutoff = cfg.train_cutoff
+        masks = drawn_masks(cfg, cutoff, {cfg.rng_seed: 1}, 100)
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
-            helped = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext, workers=2)
-        on = "on" if r >= width else "off"
-        assert f"loop helper thread {on}: solve width {r}, 2 workers, BLAS threads 1 " in caplog.text
+            helped = run_self_learning(src, tgt, cfg, n_extension_cols=n_ext, masks=masks)
+        masks.stop()
+        (ahead, inline), = mask_counts(caplog)
+        assert ahead > 5 and inline == 0
         assert_same_run(helped, serial)
 
-    def test_helped_loop_holds_one_tile_of_uniforms_more(self, monkeypatch):
-        # The helper draws a step's mask, through a slice of uniforms, into
-        # arrays of the step's own before the SVD, where the serial step
-        # draws its uniforms into its pass 2 buffer; nothing else is held
-        # for the loop.
-        import concurrent.futures  # loaded before tracing starts
-
-        blas_on(monkeypatch, "1")
+    def test_helped_loop_holds_one_tile_of_uniforms_more(self):
+        # A step that takes a drawn mask holds it as booleans, where the
+        # serial step draws a tile of uniforms: no more than the serial
+        # loop, and the levels live outside the heap.
         src, tgt, cfg, _, _ = helper_case("one-tile")
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
         init = init_dictionary_unsupervised(src, tgt, cfg.train_cutoff)
 
-        def traced_peak(workers):
+        def traced_peak(masks):
             tracemalloc.start()
             try:
-                self_learning.run_loop(src, tgt, cfg, init=init, workers=workers)
+                self_learning.run_loop(src, tgt, cfg, init=init, masks=masks)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        self_learning.run_loop(src, tgt, cfg, init=init, workers=2)  # warm up
-        serial, helped = traced_peak(1), traced_peak(2)
-        assert helped <= serial + 8 * cfg.train_cutoff**2
+        masks = [drawn_masks(cfg, 70, {cfg.rng_seed: 1}, 100) for _ in range(2)]
+        self_learning.run_loop(src, tgt, cfg, init=init, masks=masks[0])  # warm up
+        serial, helped = traced_peak(None), traced_peak(masks[1])
+        for m in masks:
+            m.stop()
+        assert helped <= serial <= helped + 8 * cfg.train_cutoff**2
+
+    def test_masks_past_the_bound_or_not_reported_are_drawn_inline(self, caplog):
+        # Ten masks drawn, and the first three of them never reported:
+        # steps 1-3 and from 11 on draw inline, 4-10 take the drawn ones.
+        src, tgt, cfg, _, _ = helper_case("one-tile")
+        serial = run_self_learning(src, tgt, cfg)
+        masks = drawn_masks(cfg, 70, {cfg.rng_seed: 1}, 10)
+        for iteration in (1, 2, 3):
+            masks._take_reports()
+            del masks._drawn[cfg.rng_seed, iteration]
+        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
+            helped = run_self_learning(src, tgt, cfg, masks=masks)
+        masks.stop()
+        (ahead, inline), = mask_counts(caplog)
+        assert ahead == 7 and inline > 0
+        assert_same_run(helped, serial)
+
+    def test_shared_masks_released_by_their_last_reader(self, caplog):
+        # Two loops of one phase seed read the same masks, and the second
+        # reader of each releases it; a loop of another cutoff, or of
+        # another schedule, reads none.
+        src, tgt, cfg, _, _ = helper_case("one-tile")
+        serial = run_self_learning(src, tgt, cfg)
+        masks = drawn_masks(cfg, 70, {cfg.rng_seed: 2}, 100)
+        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
+            first = run_self_learning(src, tgt, cfg, masks=masks)
+            assert masks._drawn and masks._finished[0] == 1
+            second = run_self_learning(src, tgt, cfg, masks=masks)
+            assert masks._finished[0] == 2
+            other_cutoff = replace(cfg, train_cutoff=69)
+            run_self_learning(src, tgt, other_cutoff, masks=masks)
+            other_schedule = replace(cfg, p_factor=3.0)
+            run_self_learning(src, tgt, other_schedule, masks=masks)
+        masks.stop()
+        counts = mask_counts(caplog)
+        assert counts[0] == counts[1] and counts[0][1] == 0
+        assert counts[2][0] == counts[3][0] == 0
+        assert set(masks._drawn) == {(cfg.rng_seed, i) for i in range(counts[0][0] + 1, 101)}
+        assert_same_run(first, serial)
+        assert_same_run(second, serial)
+
+    def test_drawer_skips_started_steps_and_finished_phases(self):
+        # A phase whose loops have finished is not drawn, and a phase
+        # whose loop has started step 5 is drawn from step 6.
+        cfg = LoopConfig(train_cutoff=30, rng_seed=3)
+        masks = KeepMasks(cfg, 30, {3: 1, 4: 1, 5: 1}, max_bytes=6 * mmap.PAGESIZE)
+        masks._finished[0] = 1
+        masks._started[0] = 20  # its loop took 20 stochastic steps
+        masks._started[1] = 5
+        assert masks.draw() == 6
+        masks._take_reports()
+        masks.stop()
+        assert sorted(masks._drawn) == [(4, i) for i in range(6, 12)]
+        for (seed, iteration), slot in masks._drawn.items():
+            fill = self_learning._row_uniforms(seed, iteration)
+            draws = fill(0, np.empty((30, 30)))
+            for k, p in enumerate(masks.schedule):
+                assert np.array_equal(masks._slot(slot) > k, draws >= p)
+
+    def test_drawer_stays_within_the_steps_a_finished_loop_took(self):
+        # Phase 0's loop left its stochastic steps after 4 of them, so the
+        # forked drawer draws phase 1 at most 4 steps ahead of its loops:
+        # steps 1-4, then 5-7 once a loop has started step 3.
+        from orthomap.pipeline import _forked
+
+        cfg = LoopConfig(train_cutoff=30, rng_seed=3)
+        masks = KeepMasks(cfg, 30, {3: 1, 4: 1}, max_bytes=20 * mmap.PAGESIZE)
+        masks._started[0] = 4
+        masks._finished[0] = 1
+
+        def drawn_after(last):
+            deadline = time.monotonic() + 30
+            while (4, last) not in masks._drawn and time.monotonic() < deadline:
+                masks._take_reports()
+                time.sleep(0.001)
+            time.sleep(0.2)  # room for a step too many
+            masks._take_reports()
+            return sorted(masks._drawn)
+
+        with _forked(lambda _: masks.draw(), [None], 1, lambda _: "drawing keep masks"):
+            masks.detach()
+            assert drawn_after(4) == [(4, i) for i in range(1, 5)]
+            masks._started[1] = 3
+            assert drawn_after(7) == [(4, i) for i in range(1, 8)]
+        masks.stop()
 
     @pytest.mark.parametrize(
-        "workers, width, blas",
-        [(1, 12, "1"), (2, 13, "1"), (2, 12, "2"), (2, 12, None)],
-        ids=["one-worker", "narrow", "two-blas-threads", "blas-unset"],
+        "p_init, p_factor, expected",
+        [(0.1, 2.0, [0.1, 0.2, 0.4, 0.8]), (1.0, 2.0, []), (0.5, 1.0001, None)],
+        ids=["paper", "no-stochastic-steps", "over-255"],
     )
-    def test_off_below_two_workers_or_the_width_or_with_blas_threads(
-        self, monkeypatch, caplog, workers, width, blas
-    ):
-        # BLAS on more than one thread, or on every core, leaves the helper
-        # no idle core.
-        blas_on(monkeypatch, blas)
-        src, tgt, cfg, _, _ = helper_case("one-tile")
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", width)
-
-        def no_helper(*args):
-            raise AssertionError("the loop used a helper")
-
-        monkeypatch.setattr(self_learning, "_helper_mask", no_helper)
-        with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
-            self_learning.run_loop(src, tgt, cfg, workers=workers)
-        worker_s = "worker" if workers == 1 else "workers"
-        blas_s = "unset" if blas is None else blas
-        assert (
-            f"loop helper thread off: solve width 12, {workers} {worker_s}, BLAS threads {blas_s} "
-            in caplog.text
-        )
-
-    def test_helper_error_ends_the_loop_and_its_thread(self, monkeypatch):
-        # The helper's one job is the draw: it fails on the helper's thread
-        # and reaches the loop through the draw's result.
-        blas_on(monkeypatch, "1")
-        src, tgt, cfg, _, _ = helper_case("one-tile")
-        monkeypatch.setattr(self_learning, "_HELPER_MIN_WIDTH", 12)
-        failed_on = []
-
-        def failing_uniforms(seed, iteration):
-            def fill(lo, out):
-                failed_on.append(threading.current_thread().name)
-                raise FloatingPointError("helper failed")
-
-            return fill
-
-        monkeypatch.setattr(self_learning, "_row_uniforms", failing_uniforms)
-        with pytest.raises(FloatingPointError, match="helper failed"):
-            self_learning.run_loop(src, tgt, cfg, workers=2)
-        assert failed_on == ["orthomap-loop-helper_0"]
-        assert threading.active_count() == 1
+    def test_keep_schedule(self, p_init, p_factor, expected):
+        cfg = LoopConfig(p_init=p_init, p_factor=p_factor)
+        schedule = self_learning.keep_schedule(cfg)
+        assert schedule == expected
+        if schedule:  # the values run_schedule sets, bit for bit
+            p, seen = cfg.p_init, []
+            while p < 1.0:
+                seen.append(p)
+                p = min(1.0, p * cfg.p_factor)
+            assert seen == schedule
