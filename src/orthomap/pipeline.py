@@ -13,9 +13,10 @@ model, candidates scored at c = 1) once per seed, then one boosted loop per
 and run the boosted loops side by side. Given two or more workers, a run
 parses a large target embedding file in a forked worker while it parses
 the source file, and one forked drawer draws the keep masks of its loops'
-stochastic steps ahead of them (see KeepMasks). Every output is the same
-for every worker count; both manifests record the worker count and the
-BLAS thread count, which can move the last bits of induce's cosines.
+stochastic steps ahead of them; orthomap.parallel forks them all. Every
+output is the same for every worker count; both manifests record the
+worker count and the BLAS thread count, which can move the last bits of
+induce's cosines.
 """
 
 import contextlib
@@ -25,14 +26,13 @@ import json
 import logging
 import math
 import time
-import traceback
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .candidates import DeleteIndex, candidate_pairs
 from .corpus_io import (
     EmbeddingMatrix,
@@ -46,7 +46,7 @@ from .corpus_io import (
     write_lexicon,
 )
 from .edit_model import build_edit_alphabets, edit_similarity_boost, em_train
-from .errors import CandidateError, ConfigError, InputFormatError, OrthomapError
+from .errors import CandidateError, ConfigError, InputFormatError
 from .evaluation import (
     external_scorer_boost,
     load_scorer_table,
@@ -58,12 +58,12 @@ from .memory import log_peak_rss, peak_rss_mb
 from .numerics import blas_threads, normalize_embeddings
 from .ortho_extension import build_ngram_alphabet, extend_embeddings, extension_matrix
 from .self_learning import (
-    KeepMasks,
     LoopConfig,
     SimilarityBoost,
     init_dictionary_unsupervised,
     run_loop,
     run_self_learning,
+    training_cutoff,
 )
 
 logger = logging.getLogger(__name__)
@@ -294,21 +294,18 @@ def load_inputs(cfg, workers=1):
 
 def _load_beside(cfg, shape):
     """Both embedding matrices, the source parsed here and the target by a
-    forked worker into an anonymous shared mapping of ``shape``. Only the
+    forked worker into a parallel.shared_array of ``shape``. Only the
     target's words and its count of duplicates come back through the pipe:
     the rows need no copy, and this process allocates what a serial load
     allocates. The target's duplicate warning is logged here, after the
     source's, as a serial load logs them."""
-    import mmap
-
-    shared = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), np.float64)
-    shared = shared.reshape(shape)
+    shared = parallel.shared_array(shape, np.float64)
 
     def parse(path):
         emb, duplicates = parse_embeddings(path, cfg.max_vocab, out=shared)
         return emb.vocab.words, duplicates
 
-    with _forked(parse, [cfg.tgt_embeddings], 1, lambda path: f"loading {path}") as results:
+    with parallel.forked(parse, [cfg.tgt_embeddings], 1, "loading {}".format) as results:
         src = load_embeddings(cfg.src_embeddings, cfg.max_vocab)
         words, duplicates = next(results)
     log_duplicates(cfg.tgt_embeddings, duplicates)
@@ -332,49 +329,10 @@ def _mask_readers(cfg, points):
     return readers
 
 
-@contextlib.contextmanager
-def _mask_drawer(cfg, inputs, points, workers):
-    """(masks, stop) for the loops of ``points`` on ``inputs``: masks is a
-    KeepMasks whose forked drawer runs until ``stop()``, or until the
-    context ends; None, and stop a no-op, unless there are two or more
-    workers, BLAS runs on one thread (so that a core is free beside the
-    loops) and the loops are one-tile stochastic ones (KeepMasks.fit)."""
-    cutoff = min(cfg.train_cutoff, len(inputs[0].vocab), len(inputs[1].vocab))
-    loop_cfg = cfg.loop_config(0)
-    blas = blas_threads()
-    fits = KeepMasks.fit(loop_cfg, cutoff)
-    on = workers > 1 and blas == 1 and fits
-    logger.info(
-        "keep-mask drawer %s: %d worker%s, BLAS threads %s, %s one-tile stochastic loop "
-        "matrix of %d x %d",
-        "on" if on else "off", workers, "" if workers == 1 else "s",
-        "unset" if blas is None else blas, "a" if fits else "no", cutoff, cutoff,
+def _keep_masks(cfg, inputs, points, workers):
+    return parallel.keep_masks(
+        cfg.loop_config(0), training_cutoff(*inputs, cfg), _mask_readers(cfg, points), workers
     )
-    if not on:
-        yield None, lambda: None
-        return
-    masks = KeepMasks(loop_cfg, cutoff, _mask_readers(cfg, points))
-
-    def draw(_):
-        # At the lowest priority, so that the drawer takes only a core the
-        # run's own processes leave idle.
-        import os
-
-        os.nice(19)
-        return masks.draw()
-
-    with contextlib.ExitStack() as drawer:
-        drawer.enter_context(_forked(draw, [None], 1, lambda _: "drawing keep masks"))
-        masks.detach()
-
-        def stop():
-            drawer.close()
-            masks.stop()
-
-        try:
-            yield masks, stop
-        finally:
-            stop()
 
 
 def _run_plain(src, tgt, cfg, seed, masks):
@@ -383,7 +341,7 @@ def _run_plain(src, tgt, cfg, seed, masks):
 
 
 def _run_extended(src_raw, tgt_raw, cfg, seed, extras, masks):
-    cutoff = min(cfg.train_cutoff, len(src_raw.vocab), len(tgt_raw.vocab))
+    cutoff = training_cutoff(src_raw, tgt_raw, cfg)
     alphabet = build_ngram_alphabet(
         src_raw.vocab.top(cutoff), tgt_raw.vocab.top(cutoff), cfg.alphabet_k
     )
@@ -454,7 +412,7 @@ def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
     joined in order are the serial result.
     """
     start = time.perf_counter()
-    cutoff = min(cfg.train_cutoff, len(src.vocab), len(tgt.vocab))
+    cutoff = training_cutoff(src, tgt, cfg)
     init = init_dictionary_unsupervised(src, tgt, cutoff)
     loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
     loop = run_loop(src, tgt, loop_cfg, init=init, masks=masks)
@@ -477,7 +435,7 @@ def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
         return _score_slice(src_words, tgt_words, model, cfg, index, table, *bounds[w : w + 2])
 
     if workers > 1:
-        with _forked(
+        with parallel.forked(
             score, range(1, workers), workers - 1,
             lambda w: f"scoring slice {w + 1} of {workers} of seed {seed}'s candidates",
         ) as results:
@@ -519,13 +477,13 @@ def execute_run(cfg, seed, inputs=None, stage=None, masks=None, workers=1):
     the inputs once and run the c-independent stages once per seed. Without
     inputs everything is computed afresh, the keep masks by a drawer of the
     run's own. ``workers`` is the number of cores the run may use (see
-    load_inputs, _mask_drawer and boost_stage); the outcome is the same for
-    every count.
+    load_inputs, parallel.keep_masks and boost_stage); the outcome is the
+    same for every count.
     """
     if inputs is not None:
         return _outcome(cfg, seed, *inputs, stage, workers, masks)
     inputs = load_inputs(cfg, workers)
-    with _mask_drawer(cfg, inputs, [(cfg.scale, seed)], workers) as (masks, _):
+    with _keep_masks(cfg, inputs, [(cfg.scale, seed)], workers) as masks:
         return _outcome(cfg, seed, *inputs, stage, workers, masks)
 
 
@@ -597,8 +555,9 @@ def run_pipeline(cfg, workers=1):
         _ensure_disjoint(dev, test)
 
     seed = cfg.seeds[0]
-    forked = _workers_forked
+    forks = parallel.workers_forked
     outcome = execute_run(cfg, seed, workers=workers)
+    forked = parallel.workers_forked > forks
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -624,7 +583,7 @@ def run_pipeline(cfg, workers=1):
         "peak_rss_mb": peak_rss_mb(),
         "workers": workers,
         "blas_threads": blas_threads(),
-        "worker_peak_rss_mb": peak_rss_mb(children=True) if _workers_forked > forked else None,
+        "worker_peak_rss_mb": peak_rss_mb(children=True) if forked else None,
     }
     outputs.update(
         {k: v for k, v in outcome.extras.items() if isinstance(v, (int, float, str))}
@@ -667,78 +626,7 @@ def _run_point(cfg, scale, seed, inputs, stages, masks):
     return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
 
 
-def _work(conn, work, jobs):
-    """A forked worker: send ``work(job)`` for each job in turn, or the
-    first error, with its traceback as a note, and stop there."""
-    for job in jobs:
-        try:
-            conn.send(work(job))
-        except Exception as exc:
-            exc.add_note(traceback.format_exc())
-            conn.send(exc)
-            return
-
-
-# Worker processes _forked has started in this process, so that a sweep
-# knows whether its manifest has a workers' peak RSS to report.
-_workers_forked = 0
-
-
-@contextlib.contextmanager
-def _forked(work, jobs, workers, describe):
-    """Fork ``workers`` processes that take ``jobs`` in turn and give an
-    iterator over the ``work(job)`` results in job order. It raises a
-    job's error where that job's result would come, and OrthomapError,
-    naming ``describe(job)``, for a worker that ended without the result.
-    Leaving the context ends every worker.
-
-    Forked, not spawned: the workers read the inputs, stages and indexes
-    that this process holds, copy-on-write, where spawned workers would
-    each unpickle a copy. No Python thread but the caller's runs in this
-    package, so none is lost to a fork. The sweep command runs BLAS on one
-    thread; induce may run it on several, and OpenBLAS stops its thread
-    pool before a fork and starts it again on its next call.
-    """
-    import multiprocessing
-
-    global _workers_forked
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-
-    def results():
-        for i, job in enumerate(jobs):
-            proc = procs[i % workers]
-            try:
-                result = conns[i % workers].recv()
-            except EOFError:
-                proc.join()
-                raise OrthomapError(
-                    f"the worker {describe(job)} ended without a result "
-                    f"(exit code {proc.exitcode})"
-                ) from None
-            if isinstance(result, Exception):
-                raise result
-            yield result
-
-    try:
-        for w in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_work, args=(send, work, jobs[w::workers]), daemon=True)
-            proc.start()
-            procs.append(proc)
-            _workers_forked += 1
-            send.close()
-        yield results()
-    finally:
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
-def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks, stop_drawer):
+def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks):
     """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
 
     Only the boosted modes fan out, over up to ``workers`` processes: an
@@ -747,12 +635,12 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks, stop_dra
     BoostStage is built first, in this process, which splits its
     candidates over as many slices as the sweep has workers for its
     points; its seconds are appended to ``stage_seconds``. With more than
-    one such worker, ``stop_drawer()`` ends the keep-mask drawer, and
+    one such worker, ``masks.stop()`` ends the keep-mask drawer, and
     forked processes run the points, each on one core; they inherit the
-    inputs, the stages and the masks drawn so far copy-on-write. Every loop
-    takes its masks from ``masks`` (see _mask_drawer). A failing stage is
-    raised at the first point of its seed, where it is first needed.
-    Closing the generator ends every worker.
+    inputs, the stages and the masks drawn so far copy-on-write. Every
+    loop takes its masks from ``masks``, a KeepMasks or None. A failing
+    stage is raised at the first point of its seed, where it is first
+    needed. Closing the generator ends every worker.
     """
     stages, failed = {}, None
     fan_out = 1
@@ -769,8 +657,9 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks, stop_dra
         points = list(itertools.takewhile(lambda point: point[1] in stages, points))
     fan_out = min(fan_out, len(points))
     if fan_out > 1:
-        stop_drawer()
-        with _forked(
+        if masks is not None:
+            masks.stop()
+        with parallel.forked(
             lambda point: _run_point(cfg, *point, inputs, stages, masks), points, fan_out,
             lambda point: f"running c={point[0]:g}, seed {point[1]}",
         ) as results:
@@ -787,7 +676,7 @@ def run_sweep(cfg, workers=1):
 
     With ``workers`` above 1 a sweep may parse its target file in a forked
     worker (see load_inputs), draws its loops' keep masks in another (see
-    _mask_drawer), and a boosted sweep splits each seed's candidate
+    parallel.keep_masks), and a boosted sweep splits each seed's candidate
     filtering and scoring, and runs its (c, seed) points, over up to that
     many processes; the report, the selection, and a failing point's error
     and log line are those of the serial sweep. The manifest records
@@ -800,7 +689,7 @@ def run_sweep(cfg, workers=1):
 
     # Only the scale varies between the runs of a sweep: the inputs and,
     # in the boosted modes, each seed's c-independent stage are shared.
-    forked = _workers_forked
+    forks = parallel.workers_forked
     inputs = load_inputs(cfg, workers)
     seeds = sweep_seeds(cfg)
     # The order in which select_scaling_constant asks for the points.
@@ -813,8 +702,8 @@ def run_sweep(cfg, workers=1):
         logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
         return outcome
 
-    with _mask_drawer(cfg, inputs, points, workers) as drawer:
-        outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, *drawer)
+    with _keep_masks(cfg, inputs, points, workers) as masks:
+        outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks)
         with contextlib.closing(outcomes):
             best, report = select_scaling_constant(
                 runner,
@@ -824,6 +713,7 @@ def run_sweep(cfg, workers=1):
                 seeds=seeds,
                 dev=dev,
             )
+    forked = parallel.workers_forked > forks
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_report.tsv", "w", encoding="utf-8") as fh:
@@ -838,7 +728,7 @@ def run_sweep(cfg, workers=1):
         blas_threads=blas_threads(),
         stage_seconds=stage_seconds,
         point_seconds=seconds,
-        worker_peak_rss_mb=peak_rss_mb(children=True) if _workers_forked > forked else None,
+        worker_peak_rss_mb=peak_rss_mb(children=True) if forked else None,
     )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -22,15 +22,14 @@ of a tile at a time, never a whole tile.
 
 A step's keep mask depends only on the phase seed, the iteration and the
 entry, never on what the loop computes. A loop may therefore take its
-masks from KeepMasks, which a forked drawer fills ahead of the loops; a
-step whose mask has not been drawn yet draws it inline, so the loop never
-waits, and every result is the same bit for bit with or without it.
+masks from a KeepMasks, which a drawer that orthomap.parallel forks fills
+ahead of the loops (this module forks nothing); a step whose mask has not
+been drawn yet draws it inline, so the loop never waits, and every result
+is the same bit for bit with or without it.
 """
 
 import logging
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +50,6 @@ _TILE_BYTES = 4 << 20
 # Slices of 64 KiB made the partitions of 200- to 450-row tiles 15-25%
 # slower, in per-call overhead; at 256 KiB they take a whole tile's time.
 _SLICE_BYTES = 256 << 10
-# Bytes of keep-mask levels, one per entry of a loop's score matrix, that
-# KeepMasks may hold at once; steps past it draw their masks inline.
-_MASK_BYTES = 32 << 20
-# A drawer's report of one drawn mask: phase, iteration, slot.
-_REPORT = struct.Struct("3q")
 
 
 @dataclass
@@ -528,7 +522,8 @@ class SelfLearningResult(LoopResult):
     lexicon_cosine: np.ndarray
 
 
-def _cutoff(src_emb, tgt_emb, cfg):
+def training_cutoff(src_emb, tgt_emb, cfg):
+    """``train_cutoff``, or the smaller vocabulary's size when smaller."""
     return min(cfg.train_cutoff, len(src_emb.vocab), len(tgt_emb.vocab))
 
 
@@ -561,160 +556,6 @@ def _draw_levels(seed, iteration, schedule, out):
             level += rows >= p
 
 
-class KeepMasks:
-    """Keep masks of the stochastic steps of a run's loops, drawn ahead of them.
-
-    ``readers`` maps each phase seed to the number of loops that will read
-    its masks, in the order the loops run. ``draw`` runs in a forked
-    drawer: phase by phase, it writes each iteration's levels (see
-    _draw_levels) into a slot of an anonymous shared mapping and reports
-    (phase, iteration, slot) through a pipe. The loops record in the
-    mapping the last step they have started and how many of them have
-    left their stochastic steps. The drawer skips steps a loop has already
-    started, moves on once a phase's loops have all left, and, once any
-    loop has left, draws no further ahead of a phase's loops than the most
-    steps such a loop took; it stops when the slots, at most _MASK_BYTES
-    of them, are used up, or when the process that built it has ended. A
-    loop's step takes the drawn mask when it has been reported and draws
-    it inline otherwise (``dropped``), so the loop never waits for the
-    drawer. A slot is released once each loop that reads it in this
-    process has read it, so a single reader holds one mask at a time;
-    loops in forked processes count their own reads and so release only
-    slots no other loop reads.
-    """
-
-    def __init__(self, cfg, cutoff, readers, max_bytes=None):
-        import mmap
-
-        self.schedule = keep_schedule(cfg)
-        self.cutoff = cutoff
-        self._owner = os.getpid()
-        self._probabilities = (cfg.p_init, cfg.p_factor)
-        self._max_iterations = cfg.max_iterations
-        self._seeds = list(readers)
-        self._sharing = dict(readers)  # loops that read each seed's masks
-        page = mmap.PAGESIZE
-        self._stride = -(-cutoff * cutoff // page) * page
-        max_bytes = _MASK_BYTES if max_bytes is None else max_bytes
-        self._n_slots = min(max_bytes // self._stride, len(readers) * cfg.max_iterations)
-        self._map = mmap.mmap(-1, page + self._n_slots * self._stride)
-        # Per phase: the last iteration a loop has started, and how many of
-        # its loops have left their stochastic steps.
-        control = np.frombuffer(self._map, np.int64, 2 * len(readers))
-        self._started, self._finished = control.reshape(2, -1)
-        self._drawn = {}  # (seed, iteration) -> reported slot
-        self._reads = {}  # slot -> reads in this process
-        self._reports, self._report_to = os.pipe()
-        os.set_blocking(self._reports, False)
-
-    def _offset(self, slot):
-        return len(self._map) - (self._n_slots - slot) * self._stride
-
-    def _slot(self, slot):
-        """The levels of ``slot``, a cutoff x cutoff view of the mapping."""
-        n = self.cutoff
-        return np.frombuffer(self._map, np.uint8, n * n, self._offset(slot)).reshape(n, n)
-
-    @staticmethod
-    def fit(cfg, cutoff):
-        """Whether a loop with ``cfg`` over ``cutoff`` rows could use drawn
-        masks: its score matrix is one tile and it has stochastic steps."""
-        return _tile_shape(cutoff, cutoff)[0] >= cutoff and bool(keep_schedule(cfg))
-
-    def draw(self):
-        """Draw and report masks until the slots or the phases run out
-        (the drawer's one job); returns the count drawn."""
-        import time
-
-        forked = os.getpid() != self._owner
-        if forked:  # so that a write fails, not waits, once the owner has ended
-            os.close(self._reports)
-        slot = 0
-        for phase, seed in enumerate(self._seeds):
-            iteration = 0
-            while slot < self._n_slots and self._finished[phase] < self._sharing[seed]:
-                if forked and os.getppid() != self._owner:
-                    return slot
-                started = int(self._started[phase])
-                iteration = max(iteration, started)
-                if iteration == self._max_iterations:
-                    break
-                if iteration >= started + self._lookahead():
-                    time.sleep(0.001)  # until a loop of the phase moves on
-                    continue
-                iteration += 1
-                _draw_levels(seed, iteration, self.schedule, self._slot(slot))
-                os.write(self._report_to, _REPORT.pack(phase, iteration, slot))
-                slot += 1
-        return slot
-
-    def _lookahead(self):
-        """The most stochastic steps a loop that has left them took (the
-        last step started in its phase), or no limit before any has."""
-        left = self._finished > 0
-        return int(self._started[left].max()) if left.any() else self._max_iterations
-
-    def detach(self):
-        """Close this process's end of the report pipe, once the drawer has
-        been forked: reading then ends when the drawer does."""
-        if self._report_to is not None:
-            os.close(self._report_to)
-            self._report_to = None
-
-    def _take_reports(self):
-        while self._reports is not None:
-            try:
-                data = os.read(self._reports, _REPORT.size << 10)
-            except BlockingIOError:
-                return
-            if not data:  # the drawer has ended
-                os.close(self._reports)
-                self._reports = None
-                return
-            for phase, iteration, slot in _REPORT.iter_unpack(data):
-                self._drawn[self._seeds[phase], iteration] = slot
-
-    def dropped(self, cfg, cutoff, state):
-        """``dropped(lo, hi)`` (see _best_entries) of the stochastic step
-        ``state`` of a loop with ``cfg`` over ``cutoff`` rows, from its drawn
-        mask, or None where that mask has not been reported."""
-        seed = state.rng_seed
-        if (
-            seed not in self._sharing
-            or cutoff != self.cutoff
-            or (cfg.p_init, cfg.p_factor) != self._probabilities
-        ):
-            return None
-        phase = self._seeds.index(seed)
-        self._started[phase] = max(int(self._started[phase]), state.iteration)
-        self._take_reports()
-        slot = self._drawn.get((seed, state.iteration))
-        if slot is None:
-            return None
-        mask = self._slot(slot) > self.schedule.index(state.p_keep)
-        self._reads[slot] = self._reads.get(slot, 0) + 1
-        if self._reads[slot] == self._sharing[seed]:
-            import mmap
-
-            del self._drawn[seed, state.iteration]
-            self._map.madvise(mmap.MADV_REMOVE, self._offset(slot), self._stride)
-        return lambda lo, hi: mask[lo:hi]
-
-    def finish(self, seed):
-        """Record that a loop reading ``seed``'s masks has left its
-        stochastic steps."""
-        if seed in self._sharing:
-            self._finished[self._seeds.index(seed)] += 1
-
-    def stop(self):
-        """Take the last reports of a drawer that has ended, and no more."""
-        self.detach()
-        self._take_reports()
-        if self._reports is not None:  # a forked worker holds the pipe open
-            os.close(self._reports)
-            self._reports = None
-
-
 def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, masks=None):
     """The self-learning loop from the initial dictionary to convergence.
 
@@ -722,11 +563,11 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, masks=None):
     block are added to the adjusted similarities of every iteration.
     ``init`` is the initial dictionary when the caller already holds
     init_dictionary_unsupervised's result for these matrices and cutoff; it
-    is computed here otherwise. ``masks`` is a KeepMasks whose drawn masks
-    the stochastic steps take where they can; the results are the same bit
-    for bit.
+    is computed here otherwise. ``masks`` is a parallel.KeepMasks whose
+    drawn masks the stochastic steps take where they can; the results are
+    the same bit for bit.
     """
-    cutoff = _cutoff(src_emb, tgt_emb, cfg)
+    cutoff = training_cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
     if init is None:
@@ -833,7 +674,7 @@ def run_self_learning(
     also added to the final retrieval.
     """
     loop = run_loop(src_emb, tgt_emb, cfg, boost=boost, init=init, masks=masks)
-    cutoff = _cutoff(src_emb, tgt_emb, cfg)
+    cutoff = training_cutoff(src_emb, tgt_emb, cfg)
     if boost is not None:
         boost = boost.restricted(cutoff, cutoff)
     # Each side's stripped, renormalized rows are built for the solve and
@@ -873,7 +714,7 @@ def retrieve_lexicon(src_emb, tgt_emb, w_src, w_tgt, cfg, boost=None, n_extensio
     xm = _mapped_rows(src_emb, w_src, n_extension_cols)
     zm = _mapped_rows(tgt_emb, w_tgt, n_extension_cols)
     n_src, n_tgt = xm.shape[0], zm.shape[0]
-    cutoff = min(cfg.train_cutoff, n_src, n_tgt)
+    cutoff = training_cutoff(src_emb, tgt_emb, cfg)
     scores = _product(xm, zm)
     _, col_means = csls_means(
         scores, min(cfg.csls_k, cutoff), stats_rows=cutoff, row_means=False

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import orthomap
-from orthomap import candidates, numerics, pipeline, self_learning
+from orthomap import candidates, numerics, parallel, pipeline, self_learning
 from orthomap.benchmark import generate_cipher_benchmark
 from orthomap.cli import (
     THREADS_ENV_VAR,
@@ -51,7 +51,7 @@ from orthomap.pipeline import (
     run_sweep,
     sweep_seeds,
 )
-from orthomap.self_learning import KeepMasks
+from orthomap.parallel import KeepMasks
 from oracles import reference_em_train
 
 
@@ -507,7 +507,7 @@ class TestSweepWorkers:
         # masks drawn before that (a slow EM leaves the drawer time).
         parent = os.getpid()
         forks = []
-        forked = pipeline._forked
+        forked = parallel.forked
         em_train = pipeline.em_train
 
         def recording_forked(work, jobs, workers, describe):
@@ -519,7 +519,7 @@ class TestSweepWorkers:
             time.sleep(0.5)
             return em_train(*args)
 
-        monkeypatch.setattr(pipeline, "_forked", recording_forked)
+        monkeypatch.setattr(parallel, "forked", recording_forked)
         monkeypatch.setattr(pipeline, "em_train", slow_em)
         steps = record_masks(monkeypatch, tmp_path / "steps")
         caplog.set_level(logging.INFO, logger="orthomap")
@@ -559,13 +559,13 @@ class TestSweepWorkers:
         # its stage's candidates in one slice. The keep-mask drawer, which
         # the sweep's two workers allow, serves the stage's main loop and
         # the point's boosted loop.
-        forked = pipeline._forked
+        forked = parallel.forked
 
         def drawer_only(work, jobs, workers, describe):
             assert describe(jobs[0]) == "drawing keep masks", "a one-point sweep forked"
             return forked(work, jobs, workers, describe)
 
-        monkeypatch.setattr(pipeline, "_forked", drawer_only)
+        monkeypatch.setattr(parallel, "forked", drawer_only)
         steps = record_masks(monkeypatch, tmp_path / "steps")
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "one", 2,
@@ -1259,7 +1259,7 @@ class TestInduceWorkers:
         # in a worker and every loop takes its masks from the drawer, as it
         # does where BLAS runs on one thread.
         monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
         record_masks(monkeypatch, tmp_path / "steps")
         caplog.set_level(logging.INFO, logger="orthomap")
         runs = {}
@@ -1383,7 +1383,7 @@ class TestInduceWorkers:
         # BLAS on more than one thread, or on every core, leaves the drawer
         # no idle core; a loop of several tiles, or at p_keep 1 throughout,
         # has no masks it could take.
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: blas)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: blas)
         if tile_bytes is not None:  # the 100 x 100 loop matrix in tiles of 10 rows
             monkeypatch.setattr(self_learning, "_TILE_BYTES", tile_bytes)
         monkeypatch.setattr(KeepMasks, "__init__", None)  # never built
@@ -1392,9 +1392,9 @@ class TestInduceWorkers:
             tiny_benchmark, tmp_path / "out", mode="edit-dist", scale=0.4, stall_window=3,
             objective_eps=0.02, p_init=p_init,
         )
-        forked = pipeline._workers_forked
+        forked = parallel.workers_forked
         run_pipeline(cfg, workers=workers)
-        assert pipeline._workers_forked - forked == (0 if workers == 1 else 1)  # scoring slices
+        assert parallel.workers_forked - forked == (0 if workers == 1 else 1)  # scoring slices
         fits = tile_bytes is None and p_init < 1.0
         assert [m for m in caplog.messages if m.startswith("keep-mask drawer")] == [
             f"keep-mask drawer off: {workers} worker{'s' if workers > 1 else ''}, BLAS threads "
@@ -1413,7 +1413,7 @@ class TestInduceWorkers:
         # the fifth draw their masks inline, with the one-worker artifacts.
         # Racing, three runs take whichever masks the drawer has reported
         # by each step, and give those artifacts too.
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
         assert self.induce(tiny_benchmark, tmp_path / "serial", 1) == 0
         serial = self.artifacts(tmp_path / "serial")[:2]
         if failure == "racing":
@@ -1435,9 +1435,9 @@ class TestInduceWorkers:
         if failure == "never-reports":
             monkeypatch.setattr(KeepMasks, "draw", lambda self: time.sleep(600))
         elif failure == "bounded":
-            monkeypatch.setattr(self_learning, "_MASK_BYTES", 5 * 3 * mmap.PAGESIZE)
+            monkeypatch.setattr(parallel, "_MASK_BYTES", 5 * 3 * mmap.PAGESIZE)
         else:
-            monkeypatch.setattr(self_learning, "_draw_levels", failing_draw)
+            monkeypatch.setattr(parallel, "_draw_levels", failing_draw)
         record_masks(monkeypatch, tmp_path / "steps", patient=failure != "never-reports")
         caplog.set_level(logging.INFO, logger="orthomap")
         assert self.induce(tiny_benchmark, tmp_path / "drawn", 2) == 0
@@ -1453,7 +1453,7 @@ class TestInduceWorkers:
         # peak otherwise.
         peaks = {}
         for name, threads, blas in (("serial", 1, 1), ("blas", 2, 2), ("drawer", 2, 1)):
-            monkeypatch.setattr(pipeline, "blas_threads", lambda: blas)
+            monkeypatch.setattr(parallel, "blas_threads", lambda: blas)
             out = tmp_path / name
             assert main([
                 "--threads", str(threads), "induce",
@@ -1576,11 +1576,12 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Importing multiprocessing.pool costs about 25 ms; only a sweep that
-    # forks workers pays it.
+    # forks workers pays it, and only a run that maps memory imports mmap.
     code = (
         "import sys, orthomap.cli, orthomap.pipeline; "
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'; "
-        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'; "
+        "assert 'mmap' not in sys.modules, 'mmap imported'"
     )
     src = str(Path(orthomap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

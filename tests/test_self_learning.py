@@ -22,8 +22,8 @@ from orthomap.ortho_extension import (
     extension_matrix,
     strip_extension,
 )
+from orthomap.parallel import KeepMasks
 from orthomap.self_learning import (
-    KeepMasks,
     LoopConfig,
     ScoreTiles,
     SimilarityBoost,
@@ -1076,8 +1076,6 @@ class TestLoopHelper:
         # Phase 0's loop left its stochastic steps after 4 of them, so the
         # forked drawer draws phase 1 at most 4 steps ahead of its loops:
         # steps 1-4, then 5-7 once a loop has started step 3.
-        from orthomap.pipeline import _forked
-
         cfg = LoopConfig(train_cutoff=30, rng_seed=3)
         masks = KeepMasks(cfg, 30, {3: 1, 4: 1}, max_bytes=20 * mmap.PAGESIZE)
         masks._started[0] = 4
@@ -1092,12 +1090,13 @@ class TestLoopHelper:
             masks._take_reports()
             return sorted(masks._drawn)
 
-        with _forked(lambda _: masks.draw(), [None], 1, lambda _: "drawing keep masks"):
-            masks.detach()
+        masks.start()
+        try:
             assert drawn_after(4) == [(4, i) for i in range(1, 5)]
             masks._started[1] = 3
             assert drawn_after(7) == [(4, i) for i in range(1, 8)]
-        masks.stop()
+        finally:
+            masks.stop()
 
     @pytest.mark.parametrize(
         "p_init, p_factor, expected",
