@@ -293,6 +293,7 @@ def main(argv=None):
     )
 
     from .errors import InputFormatError, OrthomapError
+    from .memory import pin_allocator
 
     try:
         # Before numpy loads, so that BLAS starts with these threads. A sweep
@@ -303,6 +304,8 @@ def main(argv=None):
         if args.command in ("induce", "sweep"):
             args.workers = _workers(args.threads)
         _apply_thread_limit(1 if args.command == "sweep" else args.threads)
+        # Before any large array exists; forked workers inherit it.
+        pin_allocator()
         return args.func(args)
     except (OrthomapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

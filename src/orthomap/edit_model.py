@@ -99,8 +99,8 @@ class EditModel:
             raise ValueError("the null operation is not representable")
         total = 0.0
         for (a_src, a_tgt), p in self.theta.items():
-            if p < 0.0:
-                raise ValueError(f"negative probability for {(a_src, a_tgt)!r}")
+            if not 0.0 <= p < math.inf:
+                raise ValueError(f"probability {p!r} of {(a_src, a_tgt)!r} is not finite and >= 0")
             if a_src != EPSILON and a_src not in self.alphabets.src:
                 raise ValueError(f"unknown source item {a_src!r}")
             if a_tgt != EPSILON and a_tgt not in self.alphabets.tgt:
@@ -192,8 +192,11 @@ class EditModel:
                     tgt_seen.add(a_tgt)
                     tgt_items.append(a_tgt)
                 theta[(a_src, a_tgt)] = p
-        alphabets = EditAlphabets(NgramAlphabet(src_items), NgramAlphabet(tgt_items))
-        return cls(alphabets, theta)
+        try:
+            alphabets = EditAlphabets(NgramAlphabet(src_items), NgramAlphabet(tgt_items))
+            return cls(alphabets, theta)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _check_coverage(word, chars, side):

@@ -85,7 +85,8 @@ def load_scorer_table(path):
     """Read a "source<TAB>target<TAB>probability" table.
 
     The unigram count is the number of distinct characters of the table's
-    target words.
+    target words; a table with fewer than two is rejected, since the boost
+    formula divides by the logarithm of that count.
     """
     scores = {}
     chars = set()
@@ -105,6 +106,10 @@ def load_scorer_table(path):
                 raise InputFormatError(f"{path}:{lineno}: probability {p} outside (0, 1]")
             scores[(src, tgt)] = p
             chars.update(tgt)
+    if len(chars) < 2:
+        raise InputFormatError(
+            f"{path}: target words use {len(chars)} distinct characters, at least 2 needed"
+        )
     return ScorerTable(scores, len(chars))
 
 

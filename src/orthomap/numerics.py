@@ -18,9 +18,8 @@ from .errors import ConvergenceError
 logger = logging.getLogger(__name__)
 
 
-# Bytes of squares row_norms holds at once, whatever the matrix size. Below
-# glibc's initial 128 KiB mmap threshold, the blocks come from the heap and
-# leave the allocator's dynamic thresholds where the run's arrays set them.
+# Bytes of squares row_norms holds at once, whatever the matrix size, so
+# normalizing needs no full-size temporary.
 _NORM_BLOCK_BYTES = 64 << 10
 
 

@@ -50,3 +50,35 @@ def test_higher_is_better():
 def test_unpaired_values_rejected():
     with pytest.raises(ValueError):
         pairs.gate([1.0, 2.0], [1.0])
+
+
+def test_bound_verdict_within_and_beyond():
+    parent = [100.0, 100.5, 101.0, 101.5, 102.0, 100.2, 100.8, 101.2, 101.8, 100.4]
+    _, median, _ = pairs.quartiles(parent)
+    for shift, expected in ((0.04, "within bound"), (0.06, "worse beyond bound")):
+        change = [p + shift * median for p in parent]
+        parent_median, change_median, verdict = pairs.bound_verdict(parent, change, "lower", 0.05)
+        assert parent_median == pytest.approx(median)
+        assert change_median == pytest.approx(median * (1 + shift))
+        assert verdict == expected
+    # A change that is better by any amount stays within the bound.
+    assert pairs.bound_verdict(parent, [p / 2 for p in parent], "lower", 0.05)[2] == "within bound"
+
+
+def test_bound_verdict_higher_is_better():
+    parent = [1.0] * 10
+    assert pairs.bound_verdict(parent, [0.99] * 10, "higher", 0.02)[2] == "within bound"
+    assert pairs.bound_verdict(parent, [0.97] * 10, "higher", 0.02)[2] == "worse beyond bound"
+    assert pairs.bound_verdict(parent, [1.5] * 10, "higher", 0.02)[2] == "within bound"
+
+
+def test_bound_verdict_unresolved_when_the_parent_spreads_beyond_the_bound():
+    # Quartile distance 0.5 over a median of 0.8: a 62% spread against a 25%
+    # bound resolves neither a worse change nor one that is better in the
+    # median only; a change whose every run beats every parent run is better.
+    parent = [0.8, 0.8, 0.8, 1.3, 1.3] * 2
+    q1, median, q3 = pairs.quartiles(parent)
+    assert (q3 - q1) / median > 0.25
+    for change in ([3.0] * 10, [0.75] * 9 + [0.85]):
+        assert pairs.bound_verdict(parent, change, "lower", 0.25)[2] == "unresolved"
+    assert pairs.bound_verdict(parent, [0.7] * 10, "lower", 0.25)[2] == "within bound"

@@ -1231,6 +1231,59 @@ class TestCli:
         bad.write_text("2 3\nw0 0 1 x\nw1 1 0 0\n", encoding="utf-8")
         assert self.sweep_exit_code(tiny_benchmark, bad, tmp_path) == 3
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (2, "1.2", "sum to"),
+            (2, "nan", "nan"),
+            (2, "inf", "not finite"),
+            (2, "-0.01", "-0.01"),
+            (0, "abc", "unigrams or bigrams"),
+        ],
+        ids=["bad-sum", "nan", "inf", "negative", "trigram"],
+    )
+    def test_malformed_model_file_exit_code(self, tmp_path, capsys, column, value, message):
+        # The first operation's field is replaced in a valid model file.
+        alphabets = build_edit_alphabets(["ab"], ["xy"])
+        ops = list(edit_operations(alphabets))
+        model = tmp_path / "model.tsv"
+        EditModel(alphabets, dict.fromkeys(ops, 1 / len(ops))).save(model)
+        header, first, *rest = model.read_text(encoding="utf-8").splitlines()
+        fields = first.split("\t")
+        fields[column] = value
+        model.write_text("\n".join([header, "\t".join(fields), *rest]) + "\n", encoding="utf-8")
+        code = self.run_cli("transliterate", "--model", model, "ab")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: {model}: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "table", ["", "\n", "ab\tα\t0.5\nba\tαα\t0.9\n"], ids=["empty", "blank", "one-char"]
+    )
+    def test_scorer_table_without_two_target_chars_exits_before_the_loop(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, table
+    ):
+        path = tmp_path / "scores.tsv"
+        path.write_text(table, encoding="utf-8")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("initial dictionary built before the table was read")
+
+        monkeypatch.setattr(pipeline, "init_dictionary_unsupervised", no_init)
+        code = self.run_cli(
+            "--threads", 1, "induce",
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "out",
+            "--mode", "external-scorer", "--scorer-table", path,
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {path}: ") and "at least 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "lexicon.tsv").exists()
+
 
 class TestInduceWorkers:
     """induce's artifacts do not depend on its worker count."""

@@ -16,7 +16,12 @@ summarize`` into DIR/parent.json and DIR/change.json.
 The last lines printed judge the metric by the gain rule of the benchmark:
 the change must win at least nine tenths of the pairs, ties counting for
 neither, and its median must beat the parent's by more than the parent's
-quartile distance. The metric's direction is read from BENCHMARK.json.
+quartile distance. Every other end-to-end metric of BENCHMARK.json is
+judged from the same runs by its bound, as ``perfbench/records.py
+compare`` judges it: "within bound", "worse beyond bound", or "unresolved"
+where the parent's own spread (quartile distance over median) exceeds the
+bound, unless every run of the change reads better than every run of the
+parent. Directions and bounds are read from the parent's BENCHMARK.json.
 """
 
 import argparse
@@ -51,6 +56,23 @@ def gate(parent, change, better="lower"):
     return won, gap, spread, won >= 0.9 * len(parent) and gap > spread
 
 
+def bound_verdict(parent, change, better, bound):
+    """(parent median, change median, verdict) of one metric's paired
+    values against its relative bound."""
+    q1, parent_median, q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    sign = 1.0 if better == "lower" else -1.0
+    scale = abs(parent_median)
+    worse = sign * (change_median - parent_median) / scale if scale else 0.0
+    spread = (q3 - q1) / scale if scale else 0.0
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if spread > bound and not all_better:
+        verdict = "unresolved"
+    else:
+        verdict = "worse beyond bound" if worse > bound else "within bound"
+    return parent_median, change_median, verdict
+
+
 def export(commit, dest):
     """A fresh copy of ``commit``'s tree in ``dest``."""
     dest.mkdir(parents=True)
@@ -63,14 +85,15 @@ def export(commit, dest):
 
 
 def run_once(copy, record, args, seed):
-    """One perfbench run in ``copy``; returns the metric's value."""
+    """One perfbench run in ``copy``; returns its end-to-end metrics."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
          "--seconds", str(args.seconds), "--trace", "0", "--record", str(record)],
         cwd=copy, env=env, check=True, stdout=subprocess.DEVNULL,
     )
-    return json.loads(record.read_text(encoding="utf-8"))["result"]["metrics"][args.metric]["value"]
+    metrics = json.loads(record.read_text(encoding="utf-8"))["result"]["metrics"]
+    return {name: metric["value"] for name, metric in metrics.items()}
 
 
 def main(argv=None):
@@ -88,21 +111,24 @@ def main(argv=None):
     sides = {"parent": args.parent, "change": args.change}
     copies = {side: export(commit, work / side) for side, commit in sides.items()}
     spec = json.loads((copies["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = next(m["better"] for m in spec["end_to_end"] if m["name"] == args.metric)
-    values = {side: [] for side in sides}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    better = metrics[args.metric]["better"]
+    runs = {side: [] for side in sides}
     records = {side: [] for side in sides}
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             record = work / f"{side}-{seed}.json"
-            values[side].append(run_once(copies[side], record, args, seed))
+            runs[side].append(run_once(copies[side], record, args, seed))
             records[side].append(str(record))
         print(f"pair {i + 1} (seed {seed}, {order[0]} first): parent "
-              f"{values['parent'][-1]:.6g}, change {values['change'][-1]:.6g}", flush=True)
+              f"{runs['parent'][-1][args.metric]:.6g}, change "
+              f"{runs['change'][-1][args.metric]:.6g}", flush=True)
     for side, copy in copies.items():
         subprocess.run([sys.executable, "perfbench/records.py", "summarize",
                         str(work / f"{side}.json"), *records[side]], cwd=copy, check=True)
+    values = {side: [run[args.metric] for run in runs[side]] for side in sides}
     won, gap, spread, passed = gate(values["parent"], values["change"], better)
     for side in sides:
         q1, median, q3 = quartiles(values[side])
@@ -110,6 +136,15 @@ def main(argv=None):
     print(f"change better in {won} of {args.pairs} pairs; median gap {gap:.6g} against the "
           f"parent's quartile distance {spread:.6g}: {'gain' if passed else 'no gain'} "
           f"(records in {work})")
+    for name, metric in metrics.items():
+        if name == args.metric:
+            continue
+        parent_median, change_median, verdict = bound_verdict(
+            [run[name] for run in runs["parent"]], [run[name] for run in runs["change"]],
+            metric["better"], metric["bound"],
+        )
+        print(f"{name}: median {parent_median:.6g} -> {change_median:.6g} {metric['unit']} "
+              f"(bound {metric['bound']:.0%}): {verdict}")
     return 0
 
 
