@@ -73,7 +73,7 @@ def _config_from_args(args):
     if args.seed is not None:
         flags["seeds"] = [args.seed]
     grid = flags.pop("grid", None)
-    if grid:
+    if grid is not None:
         try:
             flags["grid"] = [float(v) for v in grid.split(",") if v.strip()]
         except ValueError:

@@ -172,6 +172,7 @@ class EditModel:
             if version != _MODEL_FORMAT_VERSION:
                 raise InputFormatError(f"{path}: unsupported model format {version!r}")
             theta = {}
+            lines = {}  # operation -> the line that gave its probability
             src_items = []
             tgt_items = []
             src_seen = set()
@@ -191,6 +192,12 @@ class EditModel:
                 if a_tgt and a_tgt not in tgt_seen:
                     tgt_seen.add(a_tgt)
                     tgt_items.append(a_tgt)
+                if (a_src, a_tgt) in lines:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: operation {a_src!r}, {a_tgt!r} repeats line "
+                        f"{lines[a_src, a_tgt]}"
+                    )
+                lines[a_src, a_tgt] = lineno
                 theta[(a_src, a_tgt)] = p
         try:
             alphabets = EditAlphabets(NgramAlphabet(src_items), NgramAlphabet(tgt_items))

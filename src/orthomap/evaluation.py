@@ -89,6 +89,7 @@ def load_scorer_table(path):
     formula divides by the logarithm of that count.
     """
     scores = {}
+    lines = {}  # pair -> the line that gave its score
     chars = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -104,6 +105,11 @@ def load_scorer_table(path):
                 raise InputFormatError(f"{path}:{lineno}: bad probability") from None
             if not 0.0 < p <= 1.0:
                 raise InputFormatError(f"{path}:{lineno}: probability {p} outside (0, 1]")
+            if (src, tgt) in lines:
+                raise InputFormatError(
+                    f"{path}:{lineno}: pair {src!r}, {tgt!r} repeats line {lines[src, tgt]}"
+                )
+            lines[src, tgt] = lineno
             scores[(src, tgt)] = p
             chars.update(tgt)
     if len(chars) < 2:

@@ -2,30 +2,28 @@
 
 ``forked`` runs the pipeline's worker jobs, ``shared_array`` maps memory
 that forked processes share, and ``keep_masks`` owns the keep-mask drawer
-from start to end. ``multiprocessing`` (about 0.4 MB of resident memory
-and 10 ms) and ``mmap`` are imported only once a run forks or maps.
+from start to end: a forked process that draws a plan fixed before it
+starts and hears nothing from the loops. ``multiprocessing`` (about
+0.4 MB of resident memory and 10 ms) and ``mmap`` are imported only once
+a run forks or maps.
 """
 
 import contextlib
 import logging
 import os
-import struct
-import time
 import traceback
 
 import numpy as np
 
 from .errors import OrthomapError
 from .numerics import blas_threads
-from .self_learning import _draw_levels, _tile_shape, keep_schedule
+from .self_learning import _draw_levels, _tile_shape, certain_steps, keep_schedule
 
 logger = logging.getLogger(__name__)
 
 # Bytes of keep-mask levels, one per entry of a loop's score matrix, that
 # KeepMasks may hold at once; steps past it draw their masks inline.
 _MASK_BYTES = 32 << 20
-# A drawer's report of one drawn mask: phase, iteration, slot.
-_REPORT = struct.Struct("3q")
 
 # Worker processes ``forked`` has started in this process, so that a run
 # knows whether its manifest has a workers' peak RSS to report.
@@ -108,23 +106,25 @@ def shared_array(shape, dtype):
 @contextlib.contextmanager
 def keep_masks(cfg, cutoff, readers, workers):
     """The KeepMasks of loops with the LoopConfig ``cfg`` (any phase seed)
-    over ``cutoff`` rows, its drawer running until its stop() or the end of
-    the context; or None, unless there are two or more ``workers``, BLAS
-    runs on one thread (so that a core is free beside the loops), and the
-    loops are one-tile ones with stochastic steps."""
+    over ``cutoff`` rows, its drawer running until its plan is drawn, its
+    stop() or the end of the context; or None, unless there are two or
+    more ``workers``, BLAS runs on one thread (so that a core is free
+    beside the loops), and the loops are one-tile ones with stochastic
+    steps."""
     blas = blas_threads()
     fits = _tile_shape(cutoff, cutoff)[0] >= cutoff and bool(keep_schedule(cfg))
     on = workers > 1 and blas == 1 and fits
+    masks = KeepMasks(cfg, cutoff, readers) if on else None
     logger.info(
         "keep-mask drawer %s: %d worker%s, BLAS threads %s, %s one-tile stochastic loop "
-        "matrix of %d x %d",
+        "matrix of %d x %d%s",
         "on" if on else "off", workers, "" if workers == 1 else "s",
         "unset" if blas is None else blas, "a" if fits else "no", cutoff, cutoff,
+        "" if masks is None else f"; {masks.describe()}",
     )
-    if not on:
+    if masks is None:
         yield None
         return
-    masks = KeepMasks(cfg, cutoff, readers)
     try:
         masks.start()
         yield masks
@@ -136,15 +136,12 @@ class KeepMasks:
     """Keep masks of the stochastic steps of a run's loops, drawn ahead of them.
 
     ``readers`` maps each phase seed to the number of loops that will read
-    its masks, in the order the loops run. The drawer (``draw``, forked by
-    ``start``) writes each step's levels (self_learning._draw_levels) into
-    a shared slot, phase by phase, and reports (phase, iteration, slot)
-    through a pipe; the loops record in shared words the last step each
-    phase has started and how many of its loops have left their stochastic
-    steps. The drawer skips started steps, moves on once a phase's loops
-    have all left, draws no further ahead than the most steps a loop that
-    has left took, and stops when its slots (at most _MASK_BYTES) run out
-    or the process that built it has ended. A step takes its mask if it
+    its masks, in the order the loops run. The plan is the steps every
+    such loop takes (self_learning.certain_steps) of each phase seed in
+    that order, cut to the slots that _MASK_BYTES holds. The drawer
+    (``draw``, forked by ``start``) writes each planned step's levels
+    (self_learning._draw_levels) into its slot, in plan order, reports each
+    with one byte through a pipe, and ends. A step takes its mask once it
     has been reported and draws it inline otherwise (``dropped``), so no
     loop waits. A slot is released once each loop of this process that
     reads it has read it, so a single reader holds one mask at a time;
@@ -152,63 +149,51 @@ class KeepMasks:
     slots no other loop reads.
     """
 
-    def __init__(self, cfg, cutoff, readers, max_bytes=None):
+    def __init__(self, cfg, cutoff, readers):
         import mmap
 
         self.schedule = keep_schedule(cfg)
         self.cutoff = cutoff
-        self._owner = os.getpid()
         self._probabilities = (cfg.p_init, cfg.p_factor)
-        self._max_iterations = cfg.max_iterations
-        self._seeds = list(readers)
         self._sharing = dict(readers)  # loops that read each seed's masks
-        self._started, self._finished = shared_array((2, len(readers)), np.int64)
         self._stride = -(-cutoff * cutoff // mmap.PAGESIZE) * mmap.PAGESIZE
-        max_bytes = _MASK_BYTES if max_bytes is None else max_bytes
-        n_slots = min(max_bytes // self._stride, len(readers) * cfg.max_iterations)
-        self._slots = shared_array((n_slots, self._stride), np.uint8)
-        self._drawn = {}  # (seed, iteration) -> reported slot
+        self._capacity = _MASK_BYTES // self._stride
+        self._steps = certain_steps(cfg)
+        plan = [(seed, i) for seed in readers for i in range(1, self._steps + 1)]
+        # (phase seed, iteration) -> slot of each step drawn ahead, in plan order
+        self._slot_of = {step: slot for slot, step in enumerate(plan[: self._capacity])}
+        self._slots = shared_array((len(self._slot_of), self._stride), np.uint8)
+        self._reported = 0  # masks the drawer has reported, in plan order
         self._reads = {}  # slot -> reads in this process
         self._reports, self._report_to = os.pipe()
         os.set_blocking(self._reports, False)
         self._drawer = contextlib.ExitStack()  # ends the forked drawer
+
+    def describe(self):
+        """The plan, as the drawer's log line states it."""
+        seeds = len(self._sharing)
+        return (
+            f"plans {self._steps} masks for each of {seeds} phase seed"
+            f"{'' if seeds == 1 else 's'} ({len(self._slot_of)} of {self._capacity} slots)"
+        )
 
     def _slot(self, slot):
         """The levels of ``slot``, a cutoff x cutoff view of the mapping."""
         return self._slots[slot, : self.cutoff**2].reshape(self.cutoff, self.cutoff)
 
     def draw(self):
-        """Draw and report masks until the slots or the phases run out
-        (the drawer's one job); returns the count drawn."""
-        in_drawer = os.getpid() != self._owner
-        if in_drawer:  # so that a write fails, not waits, once the owner has ended
-            os.close(self._reports)
-        slot = 0
-        for phase, seed in enumerate(self._seeds):
-            iteration = 0
-            while slot < len(self._slots) and self._finished[phase] < self._sharing[seed]:
-                if in_drawer and os.getppid() != self._owner:
-                    return slot
-                started = int(self._started[phase])
-                iteration = max(iteration, started)
-                if iteration == self._max_iterations:
-                    break
-                left = self._finished > 0
-                if left.any() and iteration >= started + self._started[left].max():
-                    time.sleep(0.001)  # until a loop of the phase moves on
-                    continue
-                iteration += 1
-                _draw_levels(seed, iteration, self.schedule, self._slot(slot))
-                os.write(self._report_to, _REPORT.pack(phase, iteration, slot))
-                slot += 1
-        return slot
+        """Draw and report the plan's masks in order (the drawer's one job)."""
+        for (seed, iteration), slot in self._slot_of.items():
+            _draw_levels(seed, iteration, self.schedule, self._slot(slot))
+            os.write(self._report_to, b"\0")
 
     def start(self):
-        """Fork the drawer, at the lowest priority, to run until ``stop``."""
+        """Fork the drawer, at the lowest priority, to draw the plan."""
 
         def draw(_):
             os.nice(19)
-            return self.draw()
+            os.close(self._reports)  # so that a report fails once this process has ended
+            self.draw()
 
         self._drawer.enter_context(forked(draw, [None], 1, lambda _: "drawing keep masks"))
         os.close(self._report_to)  # so that reading ends when the drawer does
@@ -217,47 +202,39 @@ class KeepMasks:
     def _take_reports(self):
         while self._reports is not None:
             try:
-                data = os.read(self._reports, _REPORT.size << 10)
+                data = os.read(self._reports, 1 << 16)
             except BlockingIOError:
                 return
             if not data:  # the drawer has ended
                 os.close(self._reports)
                 self._reports = None
                 return
-            for phase, iteration, slot in _REPORT.iter_unpack(data):
-                self._drawn[self._seeds[phase], iteration] = slot
+            self._reported += len(data)
 
     def dropped(self, cfg, cutoff, state):
         """``dropped(lo, hi)`` (see self_learning._best_entries) of the
         stochastic step ``state`` of a loop with ``cfg`` over ``cutoff``
-        rows, from its drawn mask, or None where that mask has not been
-        reported."""
+        rows, from its drawn mask, or None where that mask is not planned,
+        not reported yet, or released."""
         seed = state.rng_seed
+        slot = self._slot_of.get((seed, state.iteration))
         if (
-            seed not in self._sharing
+            slot is None
             or cutoff != self.cutoff
             or (cfg.p_init, cfg.p_factor) != self._probabilities
+            or self._reads.get(slot, 0) == self._sharing[seed]
         ):
             return None
-        phase = self._seeds.index(seed)
-        self._started[phase] = max(int(self._started[phase]), state.iteration)
         self._take_reports()
-        slot = self._drawn.get((seed, state.iteration))
-        if slot is None:
+        if slot >= self._reported:
             return None
         mask = self._slot(slot) > self.schedule.index(state.p_keep)
         self._reads[slot] = self._reads.get(slot, 0) + 1
         if self._reads[slot] == self._sharing[seed]:
             import mmap
 
-            del self._drawn[seed, state.iteration]
             self._slots.base.madvise(mmap.MADV_REMOVE, slot * self._stride, self._stride)
         return lambda lo, hi: mask[lo:hi]
-
-    def finish(self, seed):
-        """Record that a loop reading ``seed``'s masks left its stochastic steps."""
-        if seed in self._sharing:
-            self._finished[self._seeds.index(seed)] += 1
 
     def stop(self):
         """End the drawer, take its last reports, and no more."""

@@ -23,9 +23,10 @@ of a tile at a time, never a whole tile.
 A step's keep mask depends only on the phase seed, the iteration and the
 entry, never on what the loop computes. A loop may therefore take its
 masks from a KeepMasks, which a drawer that orthomap.parallel forks fills
-ahead of the loops (this module forks nothing); a step whose mask has not
-been drawn yet draws it inline, so the loop never waits, and every result
-is the same bit for bit with or without it.
+ahead of the loops (this module forks nothing) with the certain_steps
+that every loop takes; a step whose mask has not been drawn draws it
+inline, so the loop never waits, and every result is the same bit for bit
+with or without it.
 """
 
 import logging
@@ -539,6 +540,18 @@ def keep_schedule(cfg):
     return schedule
 
 
+def certain_steps(cfg):
+    """The number of stochastic steps that every run of run_schedule takes
+    before it can converge, or all its steps where max_iterations ends it
+    sooner: the first keep probability lasts at least stall_window + 1
+    steps, each later one below 1 at least stall_window. 0 when
+    keep_schedule is empty (or None)."""
+    schedule = keep_schedule(cfg)
+    if not schedule:
+        return 0
+    return min(cfg.max_iterations, 1 + cfg.stall_window * len(schedule))
+
+
 def _draw_levels(seed, iteration, schedule, out):
     """Write into the uint8 ``out`` the keep-mask level of every entry of
     step ``iteration`` of phase ``seed``: the count of ``schedule``'s
@@ -594,16 +607,10 @@ def run_loop(src_emb, tgt_emb, cfg, *, boost=None, init=None, masks=None):
 
     def drawn_mask(state):
         """The step's drawn mask (see KeepMasks.dropped), or None."""
-        nonlocal masks
-        if masks is None:
-            dropped = None
-        elif state.p_keep < 1.0:
-            dropped = masks.dropped(cfg, cutoff, state)
-        else:  # the first step at p_keep 1, which the fixed point follows
-            masks.finish(cfg.rng_seed)
-            masks = dropped = None
-        if state.p_keep < 1.0:
-            masked["drawn inline" if dropped is None else "drawn ahead"] += 1
+        if state.p_keep >= 1.0:
+            return None
+        dropped = None if masks is None else masks.dropped(cfg, cutoff, state)
+        masked["drawn inline" if dropped is None else "drawn ahead"] += 1
         return dropped
 
     def step(state):

@@ -2,7 +2,6 @@
 that no other module forks or maps memory."""
 
 import ast
-import mmap
 import multiprocessing
 import time
 from pathlib import Path
@@ -11,25 +10,24 @@ import pytest
 
 import orthomap
 from orthomap import parallel
-from orthomap.parallel import KeepMasks, keep_masks
+from orthomap.parallel import keep_masks
 from orthomap.self_learning import LoopConfig
 
 
-@pytest.mark.parametrize("phases", [1, 256, 257, 600])
-def test_control_words_and_slots_do_not_overlap(phases):
-    # Two int64 control words per phase seed fill one page up to 256
-    # phases and more from 257: a slot's levels and the words each keep
-    # their values whatever the other is written.
-    cfg = LoopConfig(train_cutoff=30)
-    masks = KeepMasks(cfg, 30, dict.fromkeys(range(phases), 1), max_bytes=2 * mmap.PAGESIZE)
-    for slot in range(2):
-        masks._slot(slot)[:] = 255
-    for seed in range(phases):
-        masks.finish(seed)
-    masks.stop()
-    assert (masks._finished == 1).all() and (masks._started == 0).all()
-    for slot in range(2):
-        assert (masks._slot(slot) == 255).all()
+def test_started_drawer_ends_by_itself_after_its_plan(monkeypatch):
+    # The drawer draws its plan, 2 phase seeds of certain_steps (17 at
+    # stall_window 4), reports each mask and ends without stop().
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+    cfg = LoopConfig(train_cutoff=30, stall_window=4)
+    with keep_masks(cfg, 30, {3: 1, 4: 1}, 2) as masks:
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert multiprocessing.active_children() == []
+        masks._take_reports()
+        assert masks._reports is None  # the drawer's end was read
+        assert masks._reported == 34
+        masks.stop()
 
 
 def test_keep_masks_off_yields_none(monkeypatch):
@@ -43,21 +41,22 @@ def test_keep_masks_off_yields_none(monkeypatch):
 
 def test_stop_ends_the_drawer_and_keeps_its_reports(monkeypatch):
     # stop() ends the forked drawer and takes every mask it reported; the
-    # end of the context then has nothing left to do.
+    # end of the context then has nothing left to do. The plan, 8001 masks
+    # at stall_window 2000, keeps the drawer busy until stop().
     monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
-    cfg = LoopConfig(train_cutoff=30, rng_seed=3)
+    cfg = LoopConfig(train_cutoff=30, rng_seed=3, stall_window=2000)
     with keep_masks(cfg, 30, {3: 1}, 2) as masks:
         assert len(multiprocessing.active_children()) == 1
         deadline = time.monotonic() + 30
-        while (3, 2) not in masks._drawn and time.monotonic() < deadline:
+        while masks._reported < 2 and time.monotonic() < deadline:
             masks._take_reports()
             time.sleep(0.001)
         masks.stop()
         assert multiprocessing.active_children() == []
         assert masks._reports is None and masks._report_to is None
-        drawn = dict(masks._drawn)
-        assert {(3, 1), (3, 2)} <= set(drawn)
-    assert masks._drawn == drawn
+        reported = masks._reported
+        assert 2 <= reported < 8001
+    assert masks._reported == reported
 
 
 # What only orthomap.parallel may use: the modules that fork or map

@@ -69,16 +69,19 @@ def base_config(bench, out_dir, **overrides):
 def record_masks(monkeypatch, path, patient=True):
     """Append "pid drawn" or "pid inline" to ``path`` for every stochastic
     loop step that asks KeepMasks for its mask, in whichever process it
-    runs. With ``patient``, a step first waits until the drawer has
-    reported its mask, or has ended, or 5 s have passed once, so that the
-    drawn masks are read however slow the drawer."""
+    runs. With ``patient``, a step whose mask is planned first waits until
+    the drawer has reported it, or has ended, or 5 s have passed once, so
+    that the drawn masks are read however slow the drawer."""
     dropped = KeepMasks.dropped
     waited = []
 
     def recording(self, cfg, cutoff, state):
         key = state.rng_seed, state.iteration
         deadline = time.monotonic() + 5.0
-        while patient and not waited and self._reports is not None and key not in self._drawn:
+        while (
+            patient and not waited and self._reports is not None
+            and self._slot_of.get(key, -1) >= self._reported
+        ):
             self._take_reports()
             if time.monotonic() > deadline:
                 waited.append(key)
@@ -504,11 +507,18 @@ class TestSweepWorkers:
         # The stage's main loop takes its masks from the drawer. The sweep
         # ends the drawer before it forks its points, and no worker forks a
         # drawer of its own, yet the forked points read the boosted phase's
-        # masks drawn before that (a slow EM leaves the drawer time).
+        # masks drawn before that (a slow EM leaves the drawer time). Each
+        # draw takes 8 ms, so that the drawer's plan, 201 masks for each of
+        # the two phase seeds, outlasts the stage's main loop and EM.
         parent = os.getpid()
         forks = []
         forked = parallel.forked
         em_train = pipeline.em_train
+        draw_levels = parallel._draw_levels
+
+        def slow_draw(*args):
+            time.sleep(0.008)
+            return draw_levels(*args)
 
         def recording_forked(work, jobs, workers, describe):
             assert os.getpid() == parent, "a sweep worker forked"
@@ -521,6 +531,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(parallel, "forked", recording_forked)
         monkeypatch.setattr(pipeline, "em_train", slow_em)
+        monkeypatch.setattr(parallel, "_draw_levels", slow_draw)
         steps = record_masks(monkeypatch, tmp_path / "steps")
         caplog.set_level(logging.INFO, logger="orthomap")
         code, _ = self.sweep(
@@ -781,11 +792,12 @@ class TestSweepWorkers:
                 f"keep-mask drawer {'on' if threads == 2 else 'off'}: {threads} worker"
                 f"{'s' if threads == 2 else ''}, BLAS threads 1, a one-tile stochastic loop "
                 "matrix of 200 x 200"
+                + ("; plans 41 masks for each of 1 phase seed (41 of 819 slots)" * (threads - 1))
             ]
             counts = mask_counts(caplog.messages)
             assert len(counts) == 2
-            if threads == 2:
-                assert all(ahead > 0 and inline == 0 for ahead, inline in counts)
+            if threads == 2:  # the 41 steps every loop takes, drawn ahead
+                assert all(ahead == 41 for ahead, inline in counts)
             runs[threads] = (
                 capsys.readouterr().out, (out / "sweep_report.tsv").read_bytes(), manifest
             )
@@ -1143,11 +1155,12 @@ class TestCli:
             ("sweep", ("--mode", "edit-dist", "--grid=-0.1,0.2")),
             ("sweep", ("--mode", "edit-dist", "--grid=0.2,abc")),
             ("sweep", ("--mode", "edit-dist", "--grid=nan")),
+            ("sweep", ("--mode", "edit-dist", "--grid=")),
             ("induce", ("--mode", "ortho-ext", "--scale", "nan")),
             ("induce", ("--mode", "ortho-ext", "--scale", "inf")),
             ("induce", ("--mode", "edit-dist", "--scale", "nan")),
         ],
-        ids=["grid-negative", "grid-unparsable", "grid-nan", "ortho-ext-scale-nan",
+        ids=["grid-negative", "grid-unparsable", "grid-nan", "grid-empty", "ortho-ext-scale-nan",
              "ortho-ext-scale-inf", "edit-dist-scale-nan"],
     )
     def test_bad_scale_exits_before_reading_input(
@@ -1258,12 +1271,21 @@ class TestCli:
         assert captured.err.startswith(f"error: {model}: ") and message in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize(
-        "table", ["", "\n", "ab\tα\t0.5\nba\tαα\t0.9\n"], ids=["empty", "blank", "one-char"]
-    )
-    def test_scorer_table_without_two_target_chars_exits_before_the_loop(
-        self, tiny_benchmark, tmp_path, monkeypatch, capsys, table
-    ):
+    def test_repeated_model_operation_exit_code(self, tmp_path, capsys):
+        # The repeated row would leave 0.5 + 0.25 + 0.25 = 1, but the rows
+        # sum to 1.9: the second is rejected, naming both lines.
+        model = tmp_path / "model.tsv"
+        rows = ["editmodel\tv1", "a\tb\t0.9", "a\t\t0.25", "\tb\t0.25", "a\tb\t0.5"]
+        model.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = self.run_cli("transliterate", "--model", model, "a")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: {model}:5: ") and "line 2" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def scorer_table_error(self, bench, tmp_path, monkeypatch, capsys, table):
+        """The exit code and stderr of an external-scorer induce with the
+        scorer table ``table``, asserting that no loop ran or wrote."""
         path = tmp_path / "scores.tsv"
         path.write_text(table, encoding="utf-8")
 
@@ -1273,16 +1295,33 @@ class TestCli:
         monkeypatch.setattr(pipeline, "init_dictionary_unsupervised", no_init)
         code = self.run_cli(
             "--threads", 1, "induce",
-            "--src-emb", tiny_benchmark.src_embeddings,
-            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--src-emb", bench.src_embeddings,
+            "--tgt-emb", bench.tgt_embeddings,
             "--output-dir", tmp_path / "out",
             "--mode", "external-scorer", "--scorer-table", path,
         )
         err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith(f"error: {path}: ") and "at least 2" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "lexicon.tsv").exists()
+        return code, err.removeprefix(f"error: {path}")
+
+    @pytest.mark.parametrize(
+        "table", ["", "\n", "ab\tα\t0.5\nba\tαα\t0.9\n"], ids=["empty", "blank", "one-char"]
+    )
+    def test_scorer_table_without_two_target_chars_exits_before_the_loop(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, table
+    ):
+        code, err = self.scorer_table_error(tiny_benchmark, tmp_path, monkeypatch, capsys, table)
+        assert code == 3
+        assert err.startswith(": ") and "at least 2" in err
+
+    def test_repeated_scorer_pair_exits_before_the_loop(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys
+    ):
+        table = "ab\tαβ\t0.5\nba\tβα\t0.9\nab\tαβ\t0.7\n"
+        code, err = self.scorer_table_error(tiny_benchmark, tmp_path, monkeypatch, capsys, table)
+        assert code == 3
+        assert err.startswith(":3: pair 'ab', 'αβ' repeats line 1")
 
 
 class TestInduceWorkers:

@@ -2,16 +2,14 @@
 
 import logging
 import math
-import mmap
 import re
-import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from orthomap import self_learning
+from orthomap import parallel, self_learning
 from orthomap.benchmark import generate_cipher_benchmark
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary, load_embeddings
 from orthomap.errors import ConvergenceError
@@ -923,12 +921,14 @@ def assert_same_run(got, expected):
     assert np.array_equal(bits(got.lexicon_cosine), bits(expected.lexicon_cosine))
 
 
-def drawn_masks(cfg, cutoff, readers, slots):
-    """KeepMasks with at most ``slots`` masks, all drawn and reported here,
-    before any loop reads them."""
-    stride = -(-cutoff * cutoff // mmap.PAGESIZE) * mmap.PAGESIZE
-    masks = KeepMasks(cfg, cutoff, readers, max_bytes=slots * stride)
-    assert masks.draw() == slots
+def drawn_masks(cfg, cutoff, readers, steps):
+    """KeepMasks whose plan is the first ``steps`` steps of each phase seed
+    of ``readers`` (the certain_steps of a loop that stalls after each
+    step), all drawn and reported here, before any loop reads them."""
+    masks = KeepMasks(replace(cfg, stall_window=steps, max_iterations=steps), cutoff, readers)
+    masks.draw()
+    masks._take_reports()
+    assert masks._reported == steps * len(readers)
     return masks
 
 
@@ -967,7 +967,7 @@ class TestLoopHelper:
         (ahead, inline), = mask_counts(caplog)
         assert ahead > 5 and inline == 0
         # Every mask had one reader, which released it after taking it.
-        assert set(masks._drawn) == {(cfg.rng_seed, i) for i in range(ahead + 1, 101)}
+        assert masks._reads == dict.fromkeys(range(ahead), 1)
         assert_same_run(helped, serial)
 
     @pytest.mark.parametrize("name", ["below-the-rule", "at-the-rule", "extended"])
@@ -1014,15 +1014,24 @@ class TestLoopHelper:
             m.stop()
         assert helped <= serial <= helped + 8 * cfg.train_cutoff**2
 
-    def test_masks_past_the_bound_or_not_reported_are_drawn_inline(self, caplog):
-        # Ten masks drawn, and the first three of them never reported:
-        # steps 1-3 and from 11 on draw inline, 4-10 take the drawn ones.
+    def test_masks_past_the_bound_or_not_reported_are_drawn_inline(self, monkeypatch, caplog):
+        # Ten masks planned, and the drawer failing after seven of them:
+        # steps 1-7 take the drawn masks, 8-10 and from 11 on draw inline.
         src, tgt, cfg, _, _ = helper_case("one-tile")
         serial = run_self_learning(src, tgt, cfg)
-        masks = drawn_masks(cfg, 70, {cfg.rng_seed: 1}, 10)
-        for iteration in (1, 2, 3):
-            masks._take_reports()
-            del masks._drawn[cfg.rng_seed, iteration]
+        masks = KeepMasks(replace(cfg, stall_window=10, max_iterations=10), 70, {cfg.rng_seed: 1})
+        draw_levels = self_learning._draw_levels
+        drawn = []
+
+        def failing_draw(*args):
+            if len(drawn) == 7:
+                raise FloatingPointError("drawer failed")
+            drawn.append(args)
+            return draw_levels(*args)
+
+        monkeypatch.setattr(parallel, "_draw_levels", failing_draw)
+        with pytest.raises(FloatingPointError):
+            masks.draw()
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
             helped = run_self_learning(src, tgt, cfg, masks=masks)
         masks.stop()
@@ -1032,16 +1041,18 @@ class TestLoopHelper:
 
     def test_shared_masks_released_by_their_last_reader(self, caplog):
         # Two loops of one phase seed read the same masks, and the second
-        # reader of each releases it; a loop of another cutoff, or of
-        # another schedule, reads none.
+        # reader of each releases it, so a third loop draws every mask
+        # inline; a loop of another cutoff, or of another schedule, reads
+        # none.
         src, tgt, cfg, _, _ = helper_case("one-tile")
         serial = run_self_learning(src, tgt, cfg)
         masks = drawn_masks(cfg, 70, {cfg.rng_seed: 2}, 100)
         with caplog.at_level(logging.INFO, logger="orthomap.self_learning"):
             first = run_self_learning(src, tgt, cfg, masks=masks)
-            assert masks._drawn and masks._finished[0] == 1
+            assert masks._reads and set(masks._reads.values()) == {1}
             second = run_self_learning(src, tgt, cfg, masks=masks)
-            assert masks._finished[0] == 2
+            assert set(masks._reads.values()) == {2}
+            third = run_self_learning(src, tgt, cfg, masks=masks)
             other_cutoff = replace(cfg, train_cutoff=69)
             run_self_learning(src, tgt, other_cutoff, masks=masks)
             other_schedule = replace(cfg, p_factor=3.0)
@@ -1049,54 +1060,29 @@ class TestLoopHelper:
         masks.stop()
         counts = mask_counts(caplog)
         assert counts[0] == counts[1] and counts[0][1] == 0
-        assert counts[2][0] == counts[3][0] == 0
-        assert set(masks._drawn) == {(cfg.rng_seed, i) for i in range(counts[0][0] + 1, 101)}
+        assert counts[2][0] == counts[3][0] == counts[4][0] == 0
+        assert masks._reads == dict.fromkeys(range(counts[0][0]), 2)
         assert_same_run(first, serial)
         assert_same_run(second, serial)
+        assert_same_run(third, serial)
 
-    def test_drawer_skips_started_steps_and_finished_phases(self):
-        # A phase whose loops have finished is not drawn, and a phase
-        # whose loop has started step 5 is drawn from step 6.
-        cfg = LoopConfig(train_cutoff=30, rng_seed=3)
-        masks = KeepMasks(cfg, 30, {3: 1, 4: 1, 5: 1}, max_bytes=6 * mmap.PAGESIZE)
-        masks._finished[0] = 1
-        masks._started[0] = 20  # its loop took 20 stochastic steps
-        masks._started[1] = 5
-        assert masks.draw() == 6
+    def test_drawer_draws_exactly_its_plan_in_order(self):
+        # certain_steps (9 at stall_window 2) of each phase seed, in the
+        # order of readers, each slot holding the levels of _row_uniforms'
+        # draws; no other step has a slot.
+        cfg = LoopConfig(train_cutoff=30, stall_window=2, rng_seed=3)
+        masks = KeepMasks(cfg, 30, {5: 1, 4: 2})
+        plan = [(seed, i) for seed in (5, 4) for i in range(1, 10)]
+        assert list(masks._slot_of.items()) == [(step, slot) for slot, step in enumerate(plan)]
+        masks.draw()
         masks._take_reports()
         masks.stop()
-        assert sorted(masks._drawn) == [(4, i) for i in range(6, 12)]
-        for (seed, iteration), slot in masks._drawn.items():
+        assert masks._reported == len(plan)
+        for (seed, iteration), slot in masks._slot_of.items():
             fill = self_learning._row_uniforms(seed, iteration)
             draws = fill(0, np.empty((30, 30)))
             for k, p in enumerate(masks.schedule):
                 assert np.array_equal(masks._slot(slot) > k, draws >= p)
-
-    def test_drawer_stays_within_the_steps_a_finished_loop_took(self):
-        # Phase 0's loop left its stochastic steps after 4 of them, so the
-        # forked drawer draws phase 1 at most 4 steps ahead of its loops:
-        # steps 1-4, then 5-7 once a loop has started step 3.
-        cfg = LoopConfig(train_cutoff=30, rng_seed=3)
-        masks = KeepMasks(cfg, 30, {3: 1, 4: 1}, max_bytes=20 * mmap.PAGESIZE)
-        masks._started[0] = 4
-        masks._finished[0] = 1
-
-        def drawn_after(last):
-            deadline = time.monotonic() + 30
-            while (4, last) not in masks._drawn and time.monotonic() < deadline:
-                masks._take_reports()
-                time.sleep(0.001)
-            time.sleep(0.2)  # room for a step too many
-            masks._take_reports()
-            return sorted(masks._drawn)
-
-        masks.start()
-        try:
-            assert drawn_after(4) == [(4, i) for i in range(1, 5)]
-            masks._started[1] = 3
-            assert drawn_after(7) == [(4, i) for i in range(1, 8)]
-        finally:
-            masks.stop()
 
     @pytest.mark.parametrize(
         "p_init, p_factor, expected",
@@ -1113,3 +1099,41 @@ class TestLoopHelper:
                 seen.append(p)
                 p = min(1.0, p * cfg.p_factor)
             assert seen == schedule
+
+    @pytest.mark.parametrize("stall_window", range(1, 7))
+    @pytest.mark.parametrize("objectives", ["random", "increasing", "constant"])
+    def test_every_run_takes_its_certain_steps(self, objectives, stall_window):
+        # A run that converges takes at least certain_steps stochastic
+        # steps, and a run that max_iterations ends before that bound takes
+        # exactly max_iterations; a constant objective stalls at once and
+        # meets the bound. Four keep probabilities at p_init 0.1, two at
+        # 0.3, none at 1.
+        rng = np.random.default_rng(stall_window)
+        bound = 1 + 4 * stall_window
+        for p_init, max_iterations in [(0.1, 500), (0.3, 500), (1.0, 500), (0.1, bound - 1)]:
+            cfg = LoopConfig(stall_window=stall_window, p_init=p_init, max_iterations=max_iterations)
+            certain = self_learning.certain_steps(cfg)
+            for _ in range(10):
+                objective = 0.0
+                stochastic = 0
+
+                def step(state):
+                    nonlocal objective, stochastic
+                    stochastic += state.p_keep < 1.0
+                    if objectives == "random":
+                        objective = rng.random()
+                    elif objectives == "increasing":
+                        objective += rng.uniform(0.0, 2.0) * cfg.objective_eps
+                    return objective
+
+                try:
+                    run_schedule(cfg, step)
+                except ConvergenceError:
+                    assert max_iterations < bound or objectives == "increasing"
+                    assert stochastic >= min(max_iterations, certain)
+                    continue
+                assert max_iterations >= bound and stochastic >= certain
+                if objectives == "constant":
+                    assert stochastic == certain
+            if max_iterations < bound:
+                assert certain == max_iterations
