@@ -196,10 +196,10 @@ def embedding_shape(path, max_vocab=None):
         return _read_header(fh, path, max_vocab)[1:]
 
 
-def load_embeddings(path, max_vocab=None, out=None):
+def load_embeddings(path, max_vocab=None):
     """Read a text embedding file into an EmbeddingMatrix (see
     parse_embeddings), warning of the duplicated words it dropped."""
-    emb, duplicates = parse_embeddings(path, max_vocab, out)
+    emb, duplicates = parse_embeddings(path, max_vocab)
     log_duplicates(path, duplicates)
     return emb
 

@@ -143,49 +143,22 @@ class SweepPoint:
     mean: float
 
 
-def select_scaling_constant(runner, grid, criterion, runs_per_c=1, seeds=None, dev=None):
-    """Pick the grid value maximizing the averaged selection criterion.
+def select_scaling_constant(values, criterion):
+    """The scaling constant whose runs have the highest mean criterion value.
 
-    ``runner(scale, seed)`` must return an object with a ``predictions``
-    word mapping and a ``mean_cosine`` float. The dev-accuracy criterion
-    scores predictions against ``dev``; the objective criterion uses the
-    mean cosine and reads no reference data at all. Ties go to the smaller
-    constant. A failing run is logged with its constant, and its exception
-    propagates unchanged so callers see the typed error.
+    ``values`` lists ``(c, [criterion value of each run])`` in ascending c,
+    one entry per grid value, so a repeated value keeps its own row; the
+    sweep (pipeline.run_sweep) runs the points and computes the values.
+    Returns the selected constant and one SweepPoint per entry; ties go to
+    the smaller constant. ``criterion`` names the values in the log line
+    of each mean.
     """
-    grid = sorted(grid)
-    if not grid:
-        raise ValueError("empty scaling grid")
-    if runs_per_c < 1:
-        raise ValueError("runs_per_c must be at least 1")
-    if criterion not in ("dev-accuracy", "objective"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if criterion == "dev-accuracy" and dev is None:
-        raise ValueError("dev-accuracy selection needs a dev lexicon")
-    if seeds is None:
-        seeds = list(range(runs_per_c))
-    if len(seeds) < runs_per_c:
-        raise ValueError("not enough seeds for runs_per_c")
-
     points = []
-    best_scale = None
-    best_mean = -math.inf
-    for scale in grid:
-        values = []
-        for run in range(runs_per_c):
-            try:
-                outcome = runner(scale, seeds[run])
-            except Exception:
-                logger.error("pipeline run failed at scale c=%g, seed %d", scale, seeds[run])
-                raise
-            if criterion == "dev-accuracy":
-                values.append(precision_at_1(outcome.predictions, dev).p_at_1)
-            else:
-                values.append(float(outcome.mean_cosine))
-        mean = fmean(values)
-        points.append(SweepPoint(scale, values, mean))
+    best_scale, best_mean = None, -math.inf
+    for scale, runs in values:
+        mean = fmean(runs)
+        points.append(SweepPoint(scale, runs, mean))
         logger.info("scale %.4g: %s mean %.6f", scale, criterion, mean)
         if mean > best_mean:
-            best_mean = mean
-            best_scale = scale
+            best_scale, best_mean = scale, mean
     return best_scale, points

@@ -7,21 +7,21 @@ pairs and boosts candidate similarities; "external-scorer" boosts the same
 candidates with file-fed conditional probabilities instead.
 
 A sweep over the scaling constant c loads the inputs once. In the boosted
-modes it also runs the stage that does not depend on c (main loop, edit
-model, candidates scored at c = 1) once per seed, then one boosted loop per
-(c, seed). Forked worker processes may share a stage's candidate scoring
-and run the boosted loops side by side. Given two or more workers, a run
-parses a large target embedding file in a forked worker while it parses
-the source file, and one forked drawer draws the keep masks of its loops'
-stochastic steps ahead of them; orthomap.parallel forks them all. Every
-output is the same for every worker count; both manifests record the
-worker count and the BLAS thread count, which can move the last bits of
-induce's cosines.
+modes it then builds the stage that does not depend on c (main loop, edit
+model, candidates scored at c = 1) once per seed, and runs one boosted
+loop per (c, seed). run_sweep alone orders these points; selection only
+reduces the values they give. Forked worker processes may share a
+stage's candidate scoring and run the boosted loops side by side. Given
+two or more workers, a run parses a large target embedding file in a
+forked worker while it parses the source file, and one forked drawer
+draws the keep masks of its loops' stochastic steps ahead of them;
+orthomap.parallel forks them all. Every output is the same for every
+worker count; both manifests record the worker count and the BLAS thread
+count, which can move the last bits of induce's cosines.
 """
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import logging
 import math
@@ -184,6 +184,8 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if for_sweep:
+            if self.mode == "baseline":
+                raise ConfigError("a baseline sweep has nothing to select: baseline ignores c")
             if not self.grid:
                 raise ConfigError("sweep requires a non-empty grid")
             bad = [c for c in self.grid if not _valid_scale(c)]
@@ -626,36 +628,20 @@ def _run_point(cfg, scale, seed, inputs, stages, masks):
     return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
 
 
-def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks):
+def _sweep_outcomes(cfg, inputs, points, stages, workers, masks):
     """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
 
-    Only the boosted modes fan out, over up to ``workers`` processes: an
-    ortho-ext or baseline point builds its own cutoff x cutoff initial
-    dictionary, so two at once may not fit in memory. There each seed's
-    BoostStage is built first, in this process, which splits its
-    candidates over as many slices as the sweep has workers for its
-    points; its seconds are appended to ``stage_seconds``. With more than
-    one such worker, ``masks.stop()`` ends the keep-mask drawer, and
-    forked processes run the points, each on one core; they inherit the
-    inputs, the stages and the masks drawn so far copy-on-write. Every
-    loop takes its masks from ``masks``, a KeepMasks or None. A failing
-    stage is raised at the first point of its seed, where it is first
-    needed. Closing the generator ends every worker.
+    ``stages`` holds each seed's BoostStage in the boosted modes. Only
+    those fan out, over up to ``workers`` processes, one point each: an
+    ortho-ext point builds its own cutoff x cutoff initial dictionary, so
+    two at once may not fit in memory. With more than one worker,
+    ``masks.stop()`` ends the keep-mask drawer, and forked processes run
+    the points, each on one core; they inherit the inputs, the stages and
+    the masks drawn so far copy-on-write. Every loop takes its masks from
+    ``masks``, a KeepMasks or None. Closing the generator ends every
+    worker.
     """
-    stages, failed = {}, None
-    fan_out = 1
-    if cfg.mode in BOOSTED_MODES:
-        fan_out = min(workers, len(points))
-        for seed in dict.fromkeys(seed for _, seed in points):
-            start = time.perf_counter()
-            try:
-                stages[seed] = boost_stage(*inputs, cfg, seed, workers=fan_out, masks=masks)
-            except Exception as exc:
-                failed = exc
-                break
-            stage_seconds.append(time.perf_counter() - start)
-        points = list(itertools.takewhile(lambda point: point[1] in stages, points))
-    fan_out = min(fan_out, len(points))
+    fan_out = min(workers, len(points)) if cfg.mode in BOOSTED_MODES else 1
     if fan_out > 1:
         if masks is not None:
             masks.stop()
@@ -667,52 +653,62 @@ def _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks):
     else:
         for scale, seed in points:
             yield _run_point(cfg, scale, seed, inputs, stages, masks)
-    if failed is not None:
-        raise failed
 
 
 def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
-    With ``workers`` above 1 a sweep may parse its target file in a forked
-    worker (see load_inputs), draws its loops' keep masks in another (see
-    parallel.keep_masks), and a boosted sweep splits each seed's candidate
-    filtering and scoring, and runs its (c, seed) points, over up to that
-    many processes; the report, the selection, and a failing point's error
-    and log line are those of the serial sweep. The manifest records
-    ``workers``, and the workers' peak RSS when any ran.
+    Points run in ascending c, then seed order; a repeated grid value is
+    its own row. The boosted modes first build each seed's BoostStage, on
+    ``workers`` slices (see boost_stage); a failing stage is logged with
+    its seed and raised before any point runs. A point's criterion value
+    is its P@1 on the dev lexicon or its mean cosine. With ``workers``
+    above 1 the target file may be parsed in a forked worker (see
+    load_inputs), keep masks are drawn in another (see
+    parallel.keep_masks) and points may run in others (see
+    _sweep_outcomes); every output, error and log line is the serial
+    sweep's. The manifest records ``workers``, and the workers' peak RSS
+    when any ran.
     """
     cfg.validate(for_sweep=True)
     if not cfg.output_dir:
         raise ConfigError("output_dir is required")
     dev = load_ref_lexicon(cfg.dev_lexicon) if cfg.dev_lexicon else None
 
-    # Only the scale varies between the runs of a sweep: the inputs and,
-    # in the boosted modes, each seed's c-independent stage are shared.
     forks = parallel.workers_forked
     inputs = load_inputs(cfg, workers)
-    seeds = sweep_seeds(cfg)
-    # The order in which select_scaling_constant asks for the points.
-    points = [(c, seed) for c in sorted(cfg.grid) for seed in seeds[: cfg.runs_per_c]]
-    stage_seconds, seconds = [], []
-
-    def runner(scale, seed):
-        outcome = next(outcomes)
-        seconds.append(outcome.seconds)
-        logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
-        return outcome
-
+    grid = sorted(cfg.grid)
+    seeds = sweep_seeds(cfg)[: cfg.runs_per_c]
+    points = [(c, seed) for c in grid for seed in seeds]
+    stages, stage_seconds, seconds, values = {}, [], [], []
     with _keep_masks(cfg, inputs, points, workers) as masks:
-        outcomes = _sweep_outcomes(cfg, inputs, points, workers, stage_seconds, masks)
+        if cfg.mode in BOOSTED_MODES:
+            for seed in dict.fromkeys(seeds):
+                start = time.perf_counter()
+                try:
+                    stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers, masks=masks)
+                except Exception:
+                    logger.error("pipeline stage failed for seed %d", seed)
+                    raise
+                stage_seconds.append(time.perf_counter() - start)
+        outcomes = _sweep_outcomes(cfg, inputs, points, stages, workers, masks)
         with contextlib.closing(outcomes):
-            best, report = select_scaling_constant(
-                runner,
-                cfg.grid,
-                cfg.criterion,
-                runs_per_c=cfg.runs_per_c,
-                seeds=seeds,
-                dev=dev,
-            )
+            for scale, seed in points:
+                try:
+                    outcome = next(outcomes)
+                except Exception:
+                    logger.error("pipeline run failed at scale c=%g, seed %d", scale, seed)
+                    raise
+                seconds.append(outcome.seconds)
+                logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
+                if cfg.criterion == "dev-accuracy":
+                    values.append(precision_at_1(outcome.predictions, dev).p_at_1)
+                else:
+                    values.append(outcome.mean_cosine)
+    runs = len(seeds)
+    best, report = select_scaling_constant(
+        [(c, values[k * runs : (k + 1) * runs]) for k, c in enumerate(grid)], cfg.criterion
+    )
     forked = parallel.workers_forked > forks
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

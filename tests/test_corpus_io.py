@@ -210,7 +210,8 @@ class TestForkedLoad:
 
     def run(self, bench, tmp_path, threads, tgt, name, command="induce"):
         out = tmp_path / name
-        sweep = ["--grid", "0.1,0.2", "--criterion", "objective"] if command == "sweep" else []
+        sweep = ["--mode", "ortho-ext", "--grid", "0.1,0.2", "--criterion", "objective"]
+        sweep = sweep if command == "sweep" else []
         code = main([
             "--threads", str(threads), command,
             "--src-emb", str(bench.src_embeddings), "--tgt-emb", str(tgt),

@@ -1,12 +1,12 @@
 """Precision@1, the external-scorer boost, and scaling-constant selection."""
 
 import math
-from dataclasses import dataclass
 
 import pytest
 
+from orthomap import pipeline
 from orthomap.corpus_io import RefLexicon
-from orthomap.errors import ConvergenceError, InputFormatError
+from orthomap.errors import ConfigError, ConvergenceError, InputFormatError
 from orthomap.evaluation import (
     ScorerTable,
     external_scorer_boost,
@@ -15,6 +15,7 @@ from orthomap.evaluation import (
     scorer_boost_value,
     select_scaling_constant,
 )
+from orthomap.pipeline import RunConfig, run_sweep
 
 
 class TestPrecisionAt1:
@@ -105,12 +106,6 @@ class TestScorerBoost:
             load_scorer_table(path)
 
 
-@dataclass
-class FakeOutcome:
-    predictions: dict
-    mean_cosine: float
-
-
 class Poison:
     """Blows up on any attribute access; guards reference-free paths."""
 
@@ -118,65 +113,88 @@ class Poison:
         raise AssertionError(f"reference data was read (attribute {name!r})")
 
 
+def sweep_config(bench, out_dir, **overrides):
+    cfg = dict(
+        src_embeddings=str(bench.src_embeddings),
+        tgt_embeddings=str(bench.tgt_embeddings),
+        output_dir=str(out_dir),
+        mode="ortho-ext",
+        criterion="objective",
+        seeds=[4],
+        stall_window=5,
+    )
+    cfg.update(overrides)
+    return RunConfig(**cfg)
+
+
 class TestSelection:
+    """select_scaling_constant reduces (c, [value of each run]) rows. The
+    sweep that runs the points and computes their values, and the
+    configuration check that vets its grid and criterion, are
+    pipeline.run_sweep and RunConfig.validate(for_sweep=True)."""
+
     def test_dev_accuracy_picks_best(self):
-        dev = RefLexicon({"w": {"right"}})
-        quality = {0.1: "wrong", 0.2: "right", 0.3: "wrong"}
-
-        def runner(scale, seed):
-            return FakeOutcome({"w": quality[scale]}, 0.0)
-
-        best, points = select_scaling_constant(runner, [0.1, 0.2, 0.3], "dev-accuracy", dev=dev)
+        best, points = select_scaling_constant(
+            [(0.1, [0.0]), (0.2, [1.0]), (0.3, [0.0])], "dev-accuracy"
+        )
         assert best == 0.2
         assert [p.mean for p in points] == [0.0, 1.0, 0.0]
 
     def test_tie_breaks_toward_smaller_scale(self):
-        def runner(scale, seed):
-            return FakeOutcome({}, 0.5)
-
-        best, _ = select_scaling_constant(runner, [0.4, 0.1, 0.2], "objective")
+        best, _ = select_scaling_constant([(0.1, [0.5]), (0.2, [0.5]), (0.4, [0.5])], "objective")
         assert best == 0.1
 
-    def test_objective_path_reads_no_reference(self):
-        def runner(scale, seed):
-            return FakeOutcome({}, scale)
+    def test_repeated_grid_value_keeps_its_own_row(self):
+        rows = [(0.3, [0.2]), (0.3, [0.4]), (0.6, [0.4])]
+        best, points = select_scaling_constant(rows, "objective")
+        assert [(p.scale, p.values, p.mean) for p in points] == [
+            (0.3, [0.2], 0.2), (0.3, [0.4], 0.4), (0.6, [0.4], 0.4)
+        ]
+        assert best == 0.3
 
-        best, _ = select_scaling_constant(runner, [0.1, 0.9], "objective", dev=Poison())
-        assert best == 0.9
+    def test_objective_path_reads_no_reference(self, tiny_benchmark, tmp_path, monkeypatch):
+        # The sweep loads the dev lexicon it is given, but the objective
+        # criterion never reads it.
+        monkeypatch.setattr(pipeline, "load_ref_lexicon", lambda path: Poison())
+        cfg = sweep_config(
+            tiny_benchmark, tmp_path / "sweep", dev_lexicon=str(tiny_benchmark.gold_lexicon),
+            grid=[0.1, 0.9],
+        )
+        best, points = run_sweep(cfg)
+        assert best in (0.1, 0.9) and [p.scale for p in points] == [0.1, 0.9]
 
     def test_averaging_over_seeded_runs(self):
-        def runner(scale, seed):
-            return FakeOutcome({}, scale + 0.1 * seed)
-
         best, points = select_scaling_constant(
-            runner, [0.1, 0.5], "objective", runs_per_c=3, seeds=[0, 1, 2]
+            [(0.1, [0.1, 0.2, 0.3]), (0.5, [0.5, 0.6, 0.7])], "objective"
         )
         assert best == 0.5
         assert points[1].values == [0.5, 0.6, 0.7]
+        assert points[1].mean == pytest.approx(0.6)
 
-    def test_runner_failure_names_the_scale(self, caplog):
-        # The typed error propagates unchanged (the CLI maps it to its exit
-        # code); the log names the failing constant.
-        def runner(scale, seed):
+    def test_runner_failure_names_the_scale(self, tiny_benchmark, tmp_path, monkeypatch, caplog):
+        # A failing run's typed error leaves the sweep unchanged (the CLI
+        # maps it to its exit code); the log names the failing point.
+        def failing(*args):
             raise ConvergenceError("boom")
 
+        monkeypatch.setattr(pipeline, "execute_run", failing)
         with pytest.raises(ConvergenceError, match="boom"):
-            select_scaling_constant(runner, [0.3], "objective")
-        assert "c=0.3" in caplog.text
+            run_sweep(sweep_config(tiny_benchmark, tmp_path / "sweep", grid=[0.3]))
+        assert "pipeline run failed at scale c=0.3, seed 4" in caplog.text
+        assert not (tmp_path / "sweep").exists()
 
     def test_reproducible_selection(self):
-        def runner(scale, seed):
-            return FakeOutcome({}, scale * (seed + 1))
+        rows = [(0.2, [0.3, 0.1]), (0.4, [0.2, 0.2])]
+        first = select_scaling_constant(rows, "objective")
+        second = select_scaling_constant(rows, "objective")
+        assert first == second
+        assert rows == [(0.2, [0.3, 0.1]), (0.4, [0.2, 0.2])]
 
-        first = select_scaling_constant(runner, [0.2, 0.4], "objective", seeds=[7])
-        second = select_scaling_constant(runner, [0.2, 0.4], "objective", seeds=[7])
-        assert first[0] == second[0]
-        assert [p.mean for p in first[1]] == [p.mean for p in second[1]]
+    def test_empty_grid_rejected(self, tiny_benchmark, tmp_path):
+        with pytest.raises(ConfigError, match="non-empty grid"):
+            sweep_config(tiny_benchmark, tmp_path, grid=[]).validate(for_sweep=True)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            select_scaling_constant(lambda c, s: None, [], "objective")
-
-    def test_dev_required_for_accuracy(self):
-        with pytest.raises(ValueError):
-            select_scaling_constant(lambda c, s: None, [0.1], "dev-accuracy")
+    def test_dev_required_for_accuracy(self, tiny_benchmark, tmp_path):
+        cfg = sweep_config(tiny_benchmark, tmp_path, criterion="dev-accuracy")
+        with pytest.raises(ConfigError, match="dev lexicon"):
+            cfg.validate(for_sweep=True)

@@ -207,8 +207,8 @@ class TestRunPipeline:
         run_pipeline(base_config(tiny_benchmark, tmp_path / "run", stall_window=5))
         run_sweep(
             base_config(
-                tiny_benchmark, tmp_path / "sweep", criterion="objective", grid=[0.1],
-                stall_window=5,
+                tiny_benchmark, tmp_path / "sweep", mode="ortho-ext", criterion="objective",
+                grid=[0.1], stall_window=5,
             )
         )
         for out in ("run", "sweep"):
@@ -361,11 +361,14 @@ class TestSweep:
             tmp_path / "sweep",
             mode="ortho-ext",
             criterion="objective",
-            grid=[0.1, 0.2],
+            grid=[0.2, 0.1, 0.2],
         )
         best, points = run_sweep(cfg)
         assert best in (0.1, 0.2)
         assert all(len(p.values) == 1 for p in points)
+        # A repeated grid value is run and reported again, in its own row.
+        assert [p.scale for p in points] == [0.1, 0.2, 0.2]
+        assert points[1] == points[2]
 
 
 class TestStagedSweep:
@@ -407,13 +410,14 @@ class TestStagedSweep:
             assert got.extras.pop("edit_model").theta == outcome.extras.pop("edit_model").theta
             assert got.extras == outcome.extras
         assert swept[0.0, 4].extras["boosted_pairs"] == 0 < fresh[0.4, 4].extras["boosted_pairs"]
+        dev = load_ref_lexicon(cfg.dev_lexicon)
         _, expected = select_scaling_constant(
-            lambda c, seed: fresh[c, seed],
-            cfg.grid,
+            [
+                (c, [precision_at_1(fresh[c, seed].predictions, dev).p_at_1
+                     for seed in sweep_seeds(cfg)])
+                for c in sorted(cfg.grid)
+            ],
             cfg.criterion,
-            runs_per_c=2,
-            seeds=sweep_seeds(cfg),
-            dev=load_ref_lexicon(cfg.dev_lexicon),
         )
         assert points == expected
 
@@ -565,18 +569,19 @@ class TestSweepWorkers:
             expected = [(4, 0, 2), (5, 0, 2)]
         assert list(readers.items()) == [(derive_seed(s, p), n) for s, p, n in expected]
 
-    def test_one_point_grid_forks_nothing(self, tiny_benchmark, tmp_path, monkeypatch):
-        # No slice or point worker: the one point runs in this process, and
-        # its stage's candidates in one slice. The keep-mask drawer, which
-        # the sweep's two workers allow, serves the stage's main loop and
-        # the point's boosted loop.
+    def test_one_point_grid_forks_one_slice(self, tiny_benchmark, tmp_path, monkeypatch):
+        # No point worker: the one point runs in this process. Its stage
+        # scores its candidates in two slices, as induce's does at two
+        # workers. The keep-mask drawer, which the sweep's two workers
+        # allow, serves the stage's main loop and the point's boosted loop.
+        forks = []
         forked = parallel.forked
 
-        def drawer_only(work, jobs, workers, describe):
-            assert describe(jobs[0]) == "drawing keep masks", "a one-point sweep forked"
+        def recording(work, jobs, workers, describe):
+            forks.append([describe(job) for job in jobs])
             return forked(work, jobs, workers, describe)
 
-        monkeypatch.setattr(parallel, "forked", drawer_only)
+        monkeypatch.setattr(parallel, "forked", recording)
         steps = record_masks(monkeypatch, tmp_path / "steps")
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "one", 2,
@@ -587,6 +592,9 @@ class TestSweepWorkers:
         assert manifest["workers"] == 2  # the sweep's, as induce records it
         assert manifest["worker_peak_rss_mb"] > 0  # the drawer's
         assert len(manifest["point_seconds"]) == 1
+        assert forks == [
+            ["drawing keep masks"], ["scoring slice 2 of 2 of seed 4's candidates"]
+        ]
         assert steps() == {(str(os.getpid()), "drawn"): sum(steps().values())}
 
     def test_point_seconds_logged(self, tiny_benchmark, tmp_path, caplog):
@@ -627,11 +635,11 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_failing_stage_raised_at_its_first_point(
+    def test_failing_stage_raised_before_any_point(
         self, tiny_benchmark, tmp_path, monkeypatch, capsys, caplog, threads
     ):
-        # Seeds 4 and 5 run their first points (in two workers at two
-        # threads) before seed 6's stage fails at its first point.
+        # Seeds 4 and 5 build their stages; seed 6's fails, and the sweep
+        # ends there, before any point runs.
         caplog.set_level(logging.INFO, logger="orthomap")
         stage = pipeline.boost_stage
 
@@ -641,16 +649,18 @@ class TestSweepWorkers:
             return stage(src, tgt, cfg, seed, **kwargs)
 
         monkeypatch.setattr(pipeline, "boost_stage", failing)
-        code, _ = self.sweep(
+        code, out = self.sweep(
             tiny_benchmark, tmp_path, "stage", threads,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.5,0.2",
             "--runs-per-c", 3,
         )
-        assert code == CandidateError.exit_code
+        assert code == CandidateError.exit_code == 5
         assert capsys.readouterr().err == "error: candidate filtering produced no pairs\n"
-        assert "c=0.2, seed 4: " in caplog.text and "c=0.2, seed 5: " in caplog.text
-        assert "pipeline run failed at scale c=0.2, seed 6" in caplog.text
-        assert "c=0.5" not in caplog.text
+        stages = [m.split(" stage: ")[0] for m in caplog.messages if " stage: " in m]
+        assert stages == ["seed 4", "seed 5"]
+        assert "pipeline stage failed for seed 6" in caplog.text
+        assert not re.search(r"c=[\d.]+, seed \d", caplog.text)
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1180,6 +1190,28 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", [None, "baseline"], ids=["default-mode", "baseline"])
+    def test_baseline_sweep_exits_2_before_reading_input(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, mode
+    ):
+        # Baseline runs never read c, so every point of such a sweep would
+        # rerun one identical loop.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input read before the configuration was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        code = self.run_cli(
+            "sweep",
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "out",
+            "--criterion", "objective",
+            *(["--mode", mode] if mode else []),
+        )
+        assert code == ConfigError.exit_code == 2
+        assert capsys.readouterr().err.startswith("error: a baseline sweep has nothing to select")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
