@@ -47,7 +47,7 @@ def _add_run_options(parser):
     parser.add_argument("--delete-k", type=int, help="max deletions for candidates")
     parser.add_argument("--alphabet-k", type=int, help="n-grams per language and order")
     parser.add_argument(
-        "--oov-mode", choices=("skip", "count-wrong"), help="handling of OOV test words"
+        "--oov-mode", choices=("skip", "count-wrong"), help="handling of OOV dev and test words"
     )
     parser.add_argument("--config", help="JSON config file; explicit flags win")
 
@@ -163,7 +163,7 @@ def _cmd_transliterate(args):
 
 
 def _cmd_train_edit_model(args):
-    from .corpus_io import load_embeddings
+    from .corpus_io import load_embeddings, read_rows
     from .edit_model import build_edit_alphabets, em_train
     from .errors import ConfigError, InputFormatError
 
@@ -174,15 +174,7 @@ def _cmd_train_edit_model(args):
         raise ConfigError(
             f"missing {missing}: --src-vocab and --tgt-vocab are given together or not at all"
         )
-    pairs = []
-    with open(args.pairs, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise InputFormatError(f"{args.pairs}:{lineno}: expected 2 fields")
-            pairs.append((tokens[0], tokens[1]))
+    pairs = [(x, z) for _, (x, z) in read_rows(args.pairs, 2)]
     if not pairs:
         raise InputFormatError(f"{args.pairs}: no word pairs")
     if args.src_vocab:

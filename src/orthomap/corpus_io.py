@@ -3,6 +3,9 @@
 Embedding files follow the common text format: a "count dim" header line,
 then one word per line followed by `dim` decimal numbers. Lexicon files are
 "source target" pairs, one per line, whitespace separated.
+
+read_rows reads every row file (lexicons, EM training pairs, scorer tables,
+edit models) by the same rules.
 """
 
 import itertools
@@ -291,25 +294,52 @@ def write_embeddings(emb, path):
             fh.write(word + " " + " ".join(format(v, ".17g") for v in row) + "\n")
 
 
+def read_rows(path, width, sep=None, skip=0):
+    """(line number, fields) of each non-blank line of ``path`` past its
+    first ``skip``, split at ``sep`` (at whitespace when None); a line of
+    other than ``width`` fields raises InputFormatError naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, skip, None), start=skip + 1):
+            if not line.strip():
+                continue
+            fields = line.split() if sep is None else line.rstrip("\n").split(sep)
+            if len(fields) != width:
+                raise InputFormatError(
+                    f"{path}:{lineno}: expected {width} fields, found {len(fields)}"
+                )
+            yield lineno, fields
+
+
+def read_probabilities(path, noun, skip=0):
+    """(line number, source, target, p) of each row of a tab-separated
+    probability table; a bad number, or a pair (named ``noun``) that
+    repeats an earlier line, raises InputFormatError."""
+    lines = {}  # pair -> the line that gave its probability
+    for lineno, (src, tgt, raw) in read_rows(path, 3, "\t", skip):
+        try:
+            p = float(raw)
+        except ValueError:
+            raise InputFormatError(f"{path}:{lineno}: bad probability") from None
+        if (src, tgt) in lines:
+            raise InputFormatError(
+                f"{path}:{lineno}: {noun} {src!r}, {tgt!r} repeats line {lines[src, tgt]}"
+            )
+        lines[src, tgt] = lineno
+        yield lineno, src, tgt, p
+
+
 def load_ref_lexicon(path):
     """Read a reference lexicon, grouping translations by source word.
 
     Every entry is kept whatever the embedding vocabularies hold; evaluation
     decides how to count sources without a prediction. Duplicate lines
-    collapse to one entry.
+    collapse to one entry; a file without entries is rejected.
     """
     pairs = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected 2 fields, found {len(tokens)}"
-                )
-            src, tgt = tokens
-            pairs.setdefault(src, set()).add(tgt)
+    for _, (src, tgt) in read_rows(path, 2):
+        pairs.setdefault(src, set()).add(tgt)
+    if not pairs:
+        raise InputFormatError(f"{path}: no lexicon entries")
     return RefLexicon(pairs)
 
 

@@ -6,6 +6,9 @@ a source n-gram and a target n-gram simultaneously; either side may be the
 empty string but not both. Trained on automatically induced word pairs, the
 model yields a similarity boost for plausibly related spellings and a
 max-probability transliteration used for candidate filtering.
+
+A saved model, a version line and then one row per operation, is read by
+corpus_io.read_probabilities, as the external scorer's table is.
 """
 
 import logging
@@ -16,6 +19,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .corpus_io import read_probabilities
 from .errors import (
     AlphabetCoverageError,
     EmTrainingError,
@@ -169,36 +173,14 @@ class EditModel:
     def load(cls, path):
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             version = fh.readline().rstrip("\n")
-            if version != _MODEL_FORMAT_VERSION:
-                raise InputFormatError(f"{path}: unsupported model format {version!r}")
-            theta = {}
-            lines = {}  # operation -> the line that gave its probability
-            src_items = []
-            tgt_items = []
-            src_seen = set()
-            tgt_seen = set()
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 3:
-                    raise InputFormatError(f"{path}:{lineno}: expected 3 fields")
-                a_src, a_tgt, raw = fields
-                try:
-                    p = float(raw)
-                except ValueError:
-                    raise InputFormatError(f"{path}:{lineno}: bad probability") from None
-                if a_src and a_src not in src_seen:
-                    src_seen.add(a_src)
-                    src_items.append(a_src)
-                if a_tgt and a_tgt not in tgt_seen:
-                    tgt_seen.add(a_tgt)
-                    tgt_items.append(a_tgt)
-                if (a_src, a_tgt) in lines:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: operation {a_src!r}, {a_tgt!r} repeats line "
-                        f"{lines[a_src, a_tgt]}"
-                    )
-                lines[a_src, a_tgt] = lineno
-                theta[(a_src, a_tgt)] = p
+        if version != _MODEL_FORMAT_VERSION:
+            raise InputFormatError(f"{path}: unsupported model format {version!r}")
+        theta = {
+            (a_src, a_tgt): p
+            for _, a_src, a_tgt, p in read_probabilities(path, "operation", skip=1)
+        }
+        src_items = [a for a in dict.fromkeys(a for a, _ in theta) if a]
+        tgt_items = [a for a in dict.fromkeys(a for _, a in theta) if a]
         try:
             alphabets = EditAlphabets(NgramAlphabet(src_items), NgramAlphabet(tgt_items))
             return cls(alphabets, theta)

@@ -1,10 +1,15 @@
-"""Accuracy measurement, external-scorer boost, scaling-constant selection."""
+"""Accuracy measurement, external-scorer boost, scaling-constant selection.
+
+The external scorer's table is read by corpus_io.read_probabilities, as
+saved edit models are.
+"""
 
 import logging
 import math
 from dataclasses import dataclass
 from statistics import fmean
 
+from .corpus_io import read_probabilities
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -82,36 +87,19 @@ class ScorerTable:
 
 
 def load_scorer_table(path):
-    """Read a "source<TAB>target<TAB>probability" table.
+    """Read a "source<TAB>target<TAB>probability" table (see
+    corpus_io.read_probabilities) whose probabilities lie in (0, 1].
 
     The unigram count is the number of distinct characters of the table's
     target words; a table with fewer than two is rejected, since the boost
     formula divides by the logarithm of that count.
     """
     scores = {}
-    lines = {}  # pair -> the line that gave its score
-    chars = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise InputFormatError(f"{path}:{lineno}: expected 3 fields")
-            src, tgt, raw = fields
-            try:
-                p = float(raw)
-            except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: bad probability") from None
-            if not 0.0 < p <= 1.0:
-                raise InputFormatError(f"{path}:{lineno}: probability {p} outside (0, 1]")
-            if (src, tgt) in lines:
-                raise InputFormatError(
-                    f"{path}:{lineno}: pair {src!r}, {tgt!r} repeats line {lines[src, tgt]}"
-                )
-            lines[src, tgt] = lineno
-            scores[(src, tgt)] = p
-            chars.update(tgt)
+    for lineno, src, tgt, p in read_probabilities(path, "pair"):
+        if not 0.0 < p <= 1.0:
+            raise InputFormatError(f"{path}:{lineno}: probability {p} outside (0, 1]")
+        scores[src, tgt] = p
+    chars = set().union(*(tgt for _, tgt in scores))
     if len(chars) < 2:
         raise InputFormatError(
             f"{path}: target words use {len(chars)} distinct characters, at least 2 needed"

@@ -197,6 +197,10 @@ class RunConfig:
                 raise ConfigError("dev-accuracy selection requires a dev lexicon")
             if self.runs_per_c < 1:
                 raise ConfigError("runs_per_c must be at least 1")
+            seeds = sweep_seeds(self)
+            for k, seed in enumerate(seeds):
+                if seed in seeds[:k]:
+                    raise ConfigError(f"seed {seed} repeats in the sweep's seeds {seeds}")
 
     def to_manifest(self, **outputs):
         """The manifest of a run: this configuration as one "config" object,
@@ -265,7 +269,8 @@ def load_inputs(cfg, workers=1):
     source file; a malformed file raises the error a serial load raises.
     ortho-ext appends its c-scaled n-gram columns before normalizing, so it
     keeps the matrices as loaded; every other mode normalizes here. The
-    initial dictionary matches at least two words per side.
+    initial dictionary matches at least two words per side, and the maps
+    need one width on both.
     """
     shape = None
     try:
@@ -282,6 +287,11 @@ def load_inputs(cfg, workers=1):
     for path, emb in ((cfg.src_embeddings, src), (cfg.tgt_embeddings, tgt)):
         if len(emb.vocab) < 2:
             raise InputFormatError(f"{path}: at least 2 words needed, found {len(emb.vocab)}")
+    if src.dim != tgt.dim:
+        raise InputFormatError(
+            f"{cfg.src_embeddings} has {src.dim} values per word, "
+            f"{cfg.tgt_embeddings} has {tgt.dim}"
+        )
     if cfg.mode != "ortho-ext":
         # Into copies, as normalize_embeddings leaves its argument alone. The
         # loaded arrays' memory goes back to the heap for the loop's arrays;
@@ -606,11 +616,12 @@ def run_pipeline(cfg, workers=1):
 
 
 def sweep_seeds(cfg):
-    """Seeds for the averaged runs, extending the list when it is short."""
+    """The seeds of the averaged runs: the first runs_per_c of cfg.seeds,
+    a short list extended by counting up from its last seed."""
     seeds = list(cfg.seeds)
     while len(seeds) < cfg.runs_per_c:
         seeds.append(seeds[-1] + 1)
-    return seeds
+    return seeds[: cfg.runs_per_c]
 
 
 @dataclass
@@ -662,9 +673,9 @@ def run_sweep(cfg, workers=1):
     its own row. The boosted modes first build each seed's BoostStage, on
     ``workers`` slices (see boost_stage); a failing stage is logged with
     its seed and raised before any point runs. A point's criterion value
-    is its P@1 on the dev lexicon or its mean cosine. With ``workers``
-    above 1 the target file may be parsed in a forked worker (see
-    load_inputs), keep masks are drawn in another (see
+    is its P@1 on the dev lexicon under cfg.oov_mode, or its mean cosine.
+    With ``workers`` above 1 the target file may be parsed in a forked
+    worker (see load_inputs), keep masks are drawn in another (see
     parallel.keep_masks) and points may run in others (see
     _sweep_outcomes); every output, error and log line is the serial
     sweep's. The manifest records ``workers``, and the workers' peak RSS
@@ -678,12 +689,12 @@ def run_sweep(cfg, workers=1):
     forks = parallel.workers_forked
     inputs = load_inputs(cfg, workers)
     grid = sorted(cfg.grid)
-    seeds = sweep_seeds(cfg)[: cfg.runs_per_c]
+    seeds = sweep_seeds(cfg)
     points = [(c, seed) for c in grid for seed in seeds]
     stages, stage_seconds, seconds, values = {}, [], [], []
     with _keep_masks(cfg, inputs, points, workers) as masks:
         if cfg.mode in BOOSTED_MODES:
-            for seed in dict.fromkeys(seeds):
+            for seed in seeds:
                 start = time.perf_counter()
                 try:
                     stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers, masks=masks)
@@ -702,7 +713,7 @@ def run_sweep(cfg, workers=1):
                 seconds.append(outcome.seconds)
                 logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
                 if cfg.criterion == "dev-accuracy":
-                    values.append(precision_at_1(outcome.predictions, dev).p_at_1)
+                    values.append(precision_at_1(outcome.predictions, dev, cfg.oov_mode).p_at_1)
                 else:
                     values.append(outcome.mean_cosine)
     runs = len(seeds)

@@ -8,7 +8,7 @@ import pytest
 from oracles import reference_load_embeddings
 
 from orthomap import corpus_io, pipeline
-from orthomap.cli import main
+from orthomap.cli import build_parser, main
 from orthomap.corpus_io import (
     EmbeddingMatrix,
     RefLexicon,
@@ -21,7 +21,9 @@ from orthomap.corpus_io import (
     write_embeddings,
     write_lexicon,
 )
+from orthomap.edit_model import EditModel, build_edit_alphabets, edit_operations
 from orthomap.errors import InputFormatError
+from orthomap.evaluation import load_scorer_table
 
 
 def write(path, text):
@@ -304,9 +306,13 @@ class TestRefLexicon:
         ref = load_ref_lexicon(p)
         assert ref.pairs == {"dog": {"собака"}}
 
-    def test_empty_file_gives_empty_lexicon(self, tmp_path):
-        p = write(tmp_path / "l.txt", "")
-        assert load_ref_lexicon(p).pairs == {}
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank"])
+    def test_empty_file_is_rejected(self, tmp_path, text):
+        # No evaluation can run on it, so it is refused before any run.
+        p = write(tmp_path / "l.txt", text)
+        with pytest.raises(InputFormatError) as excinfo:
+            load_ref_lexicon(p)
+        assert str(excinfo.value) == f"{p}: no lexicon entries"
 
     def test_field_count_error(self, tmp_path):
         p = write(tmp_path / "l.txt", "dog собака пёс\n")
@@ -316,6 +322,90 @@ class TestRefLexicon:
     def test_every_source_kept(self, tmp_path):
         p = write(tmp_path / "l.txt", "dog собака\ncat кот\n")
         assert set(load_ref_lexicon(p).pairs) == {"dog", "cat"}
+
+
+def _train_on_pairs(path):
+    """The model file train-edit-model writes from the pairs file ``path``;
+    its typed error raised, not turned into an exit code."""
+    out = path.with_name(path.name + ".model")
+    args = build_parser().parse_args(["train-edit-model", "--pairs", str(path),
+                                      "--output", str(out)])
+    args.func(args)
+    return out.read_bytes()
+
+
+def _model_rows():
+    alphabets = build_edit_alphabets(["ab"], ["xy"])
+    ops = list(edit_operations(alphabets))
+    return [f"{a}\t{b}\t{1 / len(ops)!r}" for a, b in ops]
+
+
+# name: (reader, header lines, valid rows, fields per row, separator, noun
+# of a repeated row or None where repeats are allowed)
+ROW_FILES = {
+    "lexicon": (lambda p: load_ref_lexicon(p).pairs, [], ["ab xy", "ba yx", "ab yx"], 2, " ",
+                None),
+    "pairs": (_train_on_pairs, [], ["ab xy", "ba yx", "abba xyyx"], 2, " ", None),
+    "scorer": (lambda p: load_scorer_table(p).scores, [],
+               ["ab\tx\t0.5", "ba\tyx\t0.9", "b\ty\t1"], 3, "\t", "pair"),
+    "model": (lambda p: EditModel.load(p).theta, ["editmodel\tv1"], _model_rows(), 3, "\t",
+              "operation"),
+}
+
+
+def _row_cases():
+    for name, (*_, noun) in ROW_FILES.items():
+        for case in ("extra-field-first", "missing-field-last", "blank-lines"):
+            yield pytest.param(name, case, id=f"{name}-{case}")
+        if noun is not None:
+            for case in ("repeated-row", "bad-probability"):
+                yield pytest.param(name, case, id=f"{name}-{case}")
+
+
+class TestRowFiles:
+    """The four row files (reference lexicons, EM training pairs, scorer
+    tables, edit models) are read by corpus_io.read_rows, so each case
+    below reads the same through each of their readers."""
+
+    @pytest.mark.parametrize("name, case", _row_cases())
+    def test_case_table(self, tmp_path, name, case):
+        read, header, rows, width, sep, noun = ROW_FILES[name]
+        first, last = len(header) + 1, len(header) + len(rows)
+        path = tmp_path / f"{name}.txt"
+
+        def lines(*body):
+            return write(path, "\n".join([*header, *body]) + "\n")
+
+        if case == "blank-lines":
+            expected = read(lines(*rows))
+            lines("", rows[0], "   ", "\t", *rows[1:], " \t ", "")
+            assert read(path) == expected
+            return
+        if case == "extra-field-first":
+            lines(rows[0] + sep + "extra", *rows[1:])
+            message = f"{path}:{first}: expected {width} fields, found {width + 1}"
+        elif case == "missing-field-last":
+            lines(*rows[:-1], sep.join(rows[-1].split(sep)[:-1]))
+            message = f"{path}:{last}: expected {width} fields, found {width - 1}"
+        elif case == "repeated-row":
+            lines(*rows, rows[0])
+            src, tgt, _ = rows[0].split(sep)
+            message = f"{path}:{last + 1}: {noun} {src!r}, {tgt!r} repeats line {first}"
+        else:
+            lines(rows[0].rsplit(sep, 1)[0] + sep + "half", *rows[1:])
+            message = f"{path}:{first}: bad probability"
+        with pytest.raises(InputFormatError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("sep, skip, text, rows", [
+        (None, 0, "a  b\r\n", [(1, ["a", "b"])]),
+        ("\t", 0, "a\t\t0.5\n", [(1, ["a", "", "0.5"])]),
+        ("\t", 1, "x\ty\n\nx\ty\t1\n", [(3, ["x", "y", "1"])]),
+    ], ids=["whitespace", "empty-tab-field", "skipped-line-unchecked"])
+    def test_read_rows_splits_and_numbers_lines(self, tmp_path, sep, skip, text, rows):
+        path = write(tmp_path / "rows.txt", text)
+        assert list(corpus_io.read_rows(path, len(rows[0][1]), sep, skip)) == rows
 
 
 class TestPivotLexicon:

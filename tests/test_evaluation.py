@@ -171,6 +171,22 @@ class TestSelection:
         assert points[1].values == [0.5, 0.6, 0.7]
         assert points[1].mean == pytest.approx(0.6)
 
+    def test_dev_accuracy_follows_oov_mode(self, tiny_benchmark, tmp_path):
+        # One dev word is in no vocabulary: "skip" leaves it out of the
+        # denominator, "count-wrong" counts it as a miss.
+        dev = tmp_path / "dev.tsv"
+        gold = tiny_benchmark.gold_lexicon.read_text(encoding="utf-8")
+        dev.write_text(gold + "unseen невиданный\n", encoding="utf-8")
+        values = {}
+        for mode in ("skip", "count-wrong"):
+            cfg = sweep_config(tiny_benchmark, tmp_path / mode, criterion="dev-accuracy",
+                               dev_lexicon=str(dev), grid=[0.1], oov_mode=mode)
+            (point,) = run_sweep(cfg)[1]
+            values[mode] = point.mean
+        n = len(gold.splitlines())
+        assert values["skip"] > 0
+        assert values["count-wrong"] == pytest.approx(values["skip"] * n / (n + 1))
+
     def test_runner_failure_names_the_scale(self, tiny_benchmark, tmp_path, monkeypatch, caplog):
         # A failing run's typed error leaves the sweep unchanged (the CLI
         # maps it to its exit code); the log names the failing point.

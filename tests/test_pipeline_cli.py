@@ -39,6 +39,7 @@ from orthomap.errors import (
     CandidateError,
     ConfigError,
     ConvergenceError,
+    InputFormatError,
     NoTransliterationPath,
 )
 from orthomap.evaluation import precision_at_1, select_scaling_constant
@@ -1354,6 +1355,138 @@ class TestCli:
         code, err = self.scorer_table_error(tiny_benchmark, tmp_path, monkeypatch, capsys, table)
         assert code == 3
         assert err.startswith(":3: pair 'ab', 'αβ' repeats line 1")
+
+    @pytest.mark.parametrize(
+        "rows, argv, width",
+        [
+            ("ab xy\nba yx zz\n",
+             ("evaluate", "--lexicon", "{tmp}/lexicon.tsv", "--reference", "{bad}"), 2),
+            ("ab xy\nba yx zz\n",
+             ("train-edit-model", "--pairs", "{bad}", "--output", "{tmp}/out"), 2),
+            ("ab\tαβ\t0.5\nba\tβα\t0.9\tzz\n",
+             ("--threads", 1, "induce", "--src-emb", "{src}", "--tgt-emb", "{tgt}",
+              "--output-dir", "{tmp}/out", "--mode", "external-scorer",
+              "--scorer-table", "{bad}"), 3),
+            ("editmodel\tv1\na\tx\t1\tzz\n", ("transliterate", "--model", "{bad}", "a"), 3),
+        ],
+        ids=["evaluate", "train-edit-model", "induce-external-scorer", "transliterate"],
+    )
+    def test_malformed_row_file_exits_3(self, tiny_benchmark, tmp_path, capsys, rows, argv, width):
+        # Each command reads one row file, whose second row has a field too
+        # many; all four name the line alike.
+        bad = tmp_path / "rows.tsv"
+        bad.write_text(rows, encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text("ab\txy\t1\n", encoding="utf-8")
+        names = dict(tmp=tmp_path, bad=bad, src=tiny_benchmark.src_embeddings,
+                     tgt=tiny_benchmark.tgt_embeddings)
+        code = self.run_cli(*(str(a).format(**names) for a in argv))
+        captured = capsys.readouterr()
+        assert code == InputFormatError.exit_code == 3
+        assert captured.err == f"error: {bad}:2: expected {width} fields, found {width + 1}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("induce", "--test", "{empty}"),
+            ("sweep", "--mode", "edit-dist", "--dev", "{empty}"),
+            ("evaluate", "--lexicon", "{tmp}/lexicon.tsv", "--reference", "{empty}"),
+        ],
+        ids=["induce-test", "sweep-dev", "evaluate-reference"],
+    )
+    def test_empty_lexicon_exits_3_before_any_loop(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, argv
+    ):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("embeddings read before the lexicon was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n", encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text("ab\txy\t1\n", encoding="utf-8")
+        embeddings = ("--src-emb", tiny_benchmark.src_embeddings,
+                      "--tgt-emb", tiny_benchmark.tgt_embeddings,
+                      "--output-dir", tmp_path / "out")
+        argv = [str(a).format(tmp=tmp_path, empty=empty) for a in argv]
+        code = self.run_cli(*argv, *(embeddings if argv[0] != "evaluate" else ()))
+        captured = capsys.readouterr()
+        assert code == InputFormatError.exit_code == 3
+        assert captured.err == f"error: {empty}: no lexicon entries\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [("induce",), ("sweep", "--mode", "edit-dist", "--criterion", "objective")],
+        ids=["induce", "sweep"],
+    )
+    def test_embedding_widths_differ_exits_3_before_the_init(
+        self, tiny_benchmark, tmp_path, monkeypatch, caplog, capsys, argv, workers
+    ):
+        # At two workers the target file is parsed by a forked worker.
+        header, *rows = Path(tiny_benchmark.tgt_embeddings).read_text().splitlines()
+        narrow = tmp_path / "narrow.vec"
+        rows = [" ".join(row.split()[:7]) for row in rows]  # the word and 6 values
+        narrow.write_text("\n".join([f"{header.split()[0]} 6", *rows]) + "\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run went on past loading")
+
+        monkeypatch.setattr(pipeline, "_FORK_LOAD_BYTES", 0)
+        monkeypatch.setattr(pipeline, "_keep_masks", no_run)
+        with caplog.at_level(logging.INFO, logger="orthomap.pipeline"):
+            code = self.run_cli(
+                "--threads", workers, *argv,
+                "--src-emb", tiny_benchmark.src_embeddings, "--tgt-emb", narrow,
+                "--output-dir", tmp_path / "out",
+            )
+        err = capsys.readouterr().err
+        assert code == InputFormatError.exit_code == 3
+        assert err == (
+            f"error: {tiny_benchmark.src_embeddings} has 10 values per word, {narrow} has 6\n"
+        )
+        processes = "1 process" if workers == 1 else "2 processes"
+        assert f"inputs parsed by {processes}" in caplog.messages
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, runs, swept", [([4, 4], 2, [4, 4]), ([5, 4], 3, [5, 4, 5])],
+        ids=["given-twice", "extension-repeats"],
+    )
+    def test_repeated_sweep_seed_exits_2_before_reading_input(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, seeds, runs, swept
+    ):
+        # Two runs of one seed give the same value, so the mean would count
+        # it twice for the cost of two runs.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input read before the configuration was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seeds": seeds}), encoding="utf-8")
+        code = self.run_cli(
+            "sweep", "--config", config, "--runs-per-c", runs,
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "out",
+            "--mode", "edit-dist", "--criterion", "objective",
+        )
+        assert code == ConfigError.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: seed {swept[-1]} repeats in the sweep's seeds {swept}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "seeds, runs, swept", [([5, 2], 3, [5, 2, 3]), ([4, 4], 1, [4]), ([7], 2, [7, 8])]
+    )
+    def test_sweep_seeds_extend_and_truncate(self, tiny_benchmark, tmp_path, seeds, runs, swept):
+        cfg = base_config(tiny_benchmark, tmp_path, mode="edit-dist", criterion="objective",
+                          seeds=seeds, runs_per_c=runs)
+        cfg.validate(for_sweep=True)
+        assert sweep_seeds(cfg) == swept
 
 
 class TestInduceWorkers:
