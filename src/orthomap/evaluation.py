@@ -14,6 +14,8 @@ from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
 
+OOV_MODES = ("skip", "count-wrong")
+
 
 @dataclass
 class EvalReport:
@@ -42,7 +44,7 @@ def precision_at_1(predicted, ref, oov_mode="skip"):
     Source words without a prediction are out of vocabulary: "skip" drops
     them from the denominator, "count-wrong" keeps them in it.
     """
-    if oov_mode not in ("skip", "count-wrong"):
+    if oov_mode not in OOV_MODES:
         raise ValueError(f"unknown oov_mode {oov_mode!r}")
     if not ref.pairs:
         raise ValueError("empty reference lexicon")

@@ -6,12 +6,15 @@ n-gram counts; "edit-dist" learns a stochastic edit distance on induced
 pairs and boosts candidate similarities; "external-scorer" boosts the same
 candidates with file-fed conditional probabilities instead.
 
-A sweep over the scaling constant c loads the inputs once. In the boosted
-modes it then builds the stage that does not depend on c (main loop, edit
-model, candidates scored at c = 1) once per seed, and runs one boosted
-loop per (c, seed). run_sweep alone orders these points; selection only
-reduces the values they give. Forked worker processes may share a
-stage's candidate scoring and run the boosted loops side by side. Given
+A run's shared products have one owner, _prepared: for the (c, seed)
+points of a run or sweep it loads the inputs once, opens the keep-mask
+drawer and, in the boosted modes, builds the stage that does not depend
+on c (main loop, edit model, candidates scored at c = 1) once per seed.
+execute_run then runs one point on those products. induce is the
+one-point case (its scale, its first seed); a sweep runs its grid x
+seeds, and run_sweep alone orders these points; selection only reduces
+the values they give. Forked worker processes may share a stage's
+candidate scoring and run the boosted loops side by side. Given
 two or more workers, a run parses a large target embedding file in a
 forked worker while it parses the source file, and one forked drawer
 draws the keep masks of its loops' stochastic steps ahead of them;
@@ -27,6 +30,7 @@ import logging
 import math
 import time
 import typing
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -48,6 +52,7 @@ from .corpus_io import (
 from .edit_model import build_edit_alphabets, edit_similarity_boost, em_train
 from .errors import CandidateError, ConfigError, InputFormatError
 from .evaluation import (
+    OOV_MODES,
     external_scorer_boost,
     load_scorer_table,
     precision_at_1,
@@ -149,6 +154,8 @@ class RunConfig:
         )
 
     def validate(self, for_sweep=False):
+        """Raise ConfigError where a run, or with ``for_sweep`` a sweep,
+        cannot use this configuration; both check it before any input."""
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not _valid_scale(self.scale):
@@ -157,7 +164,7 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
-        if self.oov_mode not in ("skip", "count-wrong"):
+        if self.oov_mode not in OOV_MODES:
             raise ConfigError(f"unknown oov_mode {self.oov_mode!r}")
         for name in ("src_embeddings", "tgt_embeddings"):
             path = getattr(self, name)
@@ -201,6 +208,8 @@ class RunConfig:
             for k, seed in enumerate(seeds):
                 if seed in seeds[:k]:
                     raise ConfigError(f"seed {seed} repeats in the sweep's seeds {seeds}")
+        if not self.output_dir:
+            raise ConfigError("output_dir is required")
 
     def to_manifest(self, **outputs):
         """The manifest of a run: this configuration as one "config" object,
@@ -333,38 +342,13 @@ def _mask_readers(cfg, points):
         loops += [(seed, _PHASE_BOOSTED) for seed in seeds]
     else:
         loops = [(seed, _PHASE_MAIN) for seed in seeds]
-    readers = {}
-    for seed, phase in loops:
-        key = derive_seed(seed, phase)
-        readers[key] = readers.get(key, 0) + 1
-    return readers
+    return Counter(derive_seed(seed, phase) for seed, phase in loops)
 
 
 def _keep_masks(cfg, inputs, points, workers):
     return parallel.keep_masks(
         cfg.loop_config(0), training_cutoff(*inputs, cfg), _mask_readers(cfg, points), workers
     )
-
-
-def _run_plain(src, tgt, cfg, seed, masks):
-    loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(src, tgt, loop_cfg, masks=masks)
-
-
-def _run_extended(src_raw, tgt_raw, cfg, seed, extras, masks):
-    cutoff = training_cutoff(src_raw, tgt_raw, cfg)
-    alphabet = build_ngram_alphabet(
-        src_raw.vocab.top(cutoff), tgt_raw.vocab.top(cutoff), cfg.alphabet_k
-    )
-    extras["alphabet_size"] = len(alphabet)
-    src = extend_embeddings(
-        src_raw, extension_matrix(src_raw.vocab.words, alphabet, cfg.scale)
-    )
-    tgt = extend_embeddings(
-        tgt_raw, extension_matrix(tgt_raw.vocab.words, alphabet, cfg.scale)
-    )
-    loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_MAIN))
-    return run_self_learning(src, tgt, loop_cfg, n_extension_cols=len(alphabet), masks=masks)
 
 
 def _synthetic_pairs(loop, src_vocab, tgt_vocab, n):
@@ -471,44 +455,64 @@ def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
     return BoostStage(cands[:, 0], cands[:, 1], unit, extras, init)
 
 
-def _run_boosted(src, tgt, cfg, seed, stage, extras, masks):
-    values = cfg.scale * stage.unit
-    keep = values > 0.0
-    extras.update(stage.extras, boosted_pairs=int(keep.sum()))
-    boost = SimilarityBoost(stage.src[keep], stage.tgt[keep], values[keep])
-    loop_cfg = cfg.loop_config(derive_seed(seed, _PHASE_BOOSTED))
-    return run_self_learning(src, tgt, loop_cfg, boost=boost, init=stage.init, masks=masks)
+@contextlib.contextmanager
+def _prepared(cfg, points, workers):
+    """The products the (c, seed) ``points`` of a run or sweep share, as
+    (inputs, stages, masks, stage_seconds).
 
-
-def execute_run(cfg, seed, inputs=None, stage=None, masks=None, workers=1):
-    """Run the configured mode and return the in-memory outcome.
-
-    A sweep passes ``inputs``, the pair ``load_inputs(cfg)`` returns, in
-    the boosted modes ``stage``, the seed's BoostStage, and ``masks``, its
-    KeepMasks or None, so that calls differing only in ``cfg.scale`` load
-    the inputs once and run the c-independent stages once per seed. Without
-    inputs everything is computed afresh, the keep masks by a drawer of the
-    run's own. ``workers`` is the number of cores the run may use (see
-    load_inputs, parallel.keep_masks and boost_stage); the outcome is the
-    same for every count.
+    In order: the pair load_inputs returns; the keep-mask drawer's
+    KeepMasks or None, open until the block ends; in the boosted modes
+    each distinct seed's BoostStage, in seed order, on ``workers`` slices
+    (see boost_stage), with its seconds. A failing stage is logged with its
+    seed and raised before any point runs.
     """
-    if inputs is not None:
-        return _outcome(cfg, seed, *inputs, stage, workers, masks)
     inputs = load_inputs(cfg, workers)
-    with _keep_masks(cfg, inputs, [(cfg.scale, seed)], workers) as masks:
-        return _outcome(cfg, seed, *inputs, stage, workers, masks)
+    with _keep_masks(cfg, inputs, points, workers) as masks:
+        stages, seconds = {}, []
+        if cfg.mode in BOOSTED_MODES:
+            for seed in dict.fromkeys(seed for _, seed in points):
+                start = time.perf_counter()
+                try:
+                    stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers, masks=masks)
+                except Exception:
+                    logger.error("pipeline stage failed for seed %d", seed)
+                    raise
+                seconds.append(time.perf_counter() - start)
+        yield inputs, stages, masks, seconds
 
 
-def _outcome(cfg, seed, src, tgt, stage, workers, masks):
-    extras = {}
-    if cfg.mode == "baseline":
-        result = _run_plain(src, tgt, cfg, seed, masks)
-    elif cfg.mode == "ortho-ext":
-        result = _run_extended(src, tgt, cfg, seed, extras, masks)
-    else:
-        if stage is None:
-            stage = boost_stage(src, tgt, cfg, seed, workers=workers, masks=masks)
-        result = _run_boosted(src, tgt, cfg, seed, stage, extras, masks)
+def execute_run(cfg, seed, inputs, stage, masks):
+    """Run the point (cfg.scale, seed) on the products _prepared gives:
+    ``inputs``, ``stage``, the seed's BoostStage in the boosted modes and
+    None otherwise, and ``masks``. Returns the in-memory outcome.
+
+    The mode only picks the arguments of its one self-learning run:
+    ortho-ext appends its c-scaled n-gram columns to both sides; a boosted
+    mode scales the stage's unit boosts by c, keeps those ``> 0.0`` and
+    starts from the stage's initial dictionary on its own phase seed.
+    """
+    src, tgt = inputs
+    loop_inputs, phase, extras, options = inputs, _PHASE_MAIN, {}, {}
+    if cfg.mode == "ortho-ext":
+        cutoff = training_cutoff(src, tgt, cfg)
+        alphabet = build_ngram_alphabet(
+            src.vocab.top(cutoff), tgt.vocab.top(cutoff), cfg.alphabet_k
+        )
+        extras["alphabet_size"] = len(alphabet)
+        loop_inputs = [
+            extend_embeddings(emb, extension_matrix(emb.vocab.words, alphabet, cfg.scale))
+            for emb in inputs
+        ]
+        options["n_extension_cols"] = len(alphabet)
+    elif cfg.mode in BOOSTED_MODES:
+        values = cfg.scale * stage.unit
+        keep = values > 0.0
+        extras.update(stage.extras, boosted_pairs=int(keep.sum()))
+        options["boost"] = SimilarityBoost(stage.src[keep], stage.tgt[keep], values[keep])
+        options["init"] = stage.init
+        phase = _PHASE_BOOSTED
+    loop_cfg = cfg.loop_config(derive_seed(seed, phase))
+    result = run_self_learning(*loop_inputs, loop_cfg, masks=masks, **options)
     src_words = src.vocab.words
     tgt_words = tgt.vocab.words
     predictions = {
@@ -523,6 +527,22 @@ def _outcome(cfg, seed, src, tgt, stage, workers, masks):
         tgt_vocab=tgt.vocab,
         extras=extras,
     )
+
+
+def _write_manifest(cfg, out_dir, workers, forks, **outputs):
+    """manifest.json: the configuration, ``outputs`` and the process
+    fields, among them the peak RSS of the workers when any was forked
+    since ``parallel.workers_forked`` read ``forks``."""
+    forked = parallel.workers_forked > forks
+    manifest = cfg.to_manifest(
+        **outputs,
+        peak_rss_mb=peak_rss_mb(),
+        workers=workers,
+        blas_threads=blas_threads(),
+        worker_peak_rss_mb=peak_rss_mb(children=True) if forked else None,
+    )
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def _ensure_disjoint(dev, test):
@@ -551,13 +571,13 @@ def run_pipeline(cfg, workers=1):
 
     Artifacts: lexicon.tsv, trace.tsv, manifest.json, edit_model.tsv for the
     boosted modes, and an evaluation report when a test lexicon is given.
-    Nothing is written when validation fails. ``workers`` is as in
-    execute_run and recorded in the manifest; the other artifacts do not
-    depend on it.
+    Nothing is written when validation fails. The run is the one point
+    (cfg.scale, first seed) of _prepared's products. ``workers`` is the
+    number of cores it may use (see load_inputs, parallel.keep_masks and
+    boost_stage) and is recorded in the manifest; the other artifacts do
+    not depend on it.
     """
     cfg.validate()
-    if not cfg.output_dir:
-        raise ConfigError("output_dir is required")
     dev = test = None
     if cfg.dev_lexicon:
         dev = load_ref_lexicon(cfg.dev_lexicon)
@@ -568,8 +588,8 @@ def run_pipeline(cfg, workers=1):
 
     seed = cfg.seeds[0]
     forks = parallel.workers_forked
-    outcome = execute_run(cfg, seed, workers=workers)
-    forked = parallel.workers_forked > forks
+    with _prepared(cfg, [(cfg.scale, seed)], workers) as (inputs, stages, masks, _):
+        outcome = execute_run(cfg, seed, inputs, stages.get(seed), masks)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -592,10 +612,6 @@ def run_pipeline(cfg, workers=1):
         "iterations": result.state.iteration,
         "final_objective": result.state.objective,
         "mean_cosine": outcome.mean_cosine,
-        "peak_rss_mb": peak_rss_mb(),
-        "workers": workers,
-        "blas_threads": blas_threads(),
-        "worker_peak_rss_mb": peak_rss_mb(children=True) if forked else None,
     }
     outputs.update(
         {k: v for k, v in outcome.extras.items() if isinstance(v, (int, float, str))}
@@ -610,8 +626,7 @@ def run_pipeline(cfg, workers=1):
         write_predictions_tsv(report, out_dir / "predictions.tsv")
         logger.info("test %s", report.summary())
 
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_manifest(**outputs), fh, indent=2, sort_keys=True)
+    _write_manifest(cfg, out_dir, workers, forks, **outputs)
     return outcome
 
 
@@ -669,39 +684,25 @@ def _sweep_outcomes(cfg, inputs, points, stages, workers, masks):
 def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
-    Points run in ascending c, then seed order; a repeated grid value is
-    its own row. The boosted modes first build each seed's BoostStage, on
-    ``workers`` slices (see boost_stage); a failing stage is logged with
-    its seed and raised before any point runs. A point's criterion value
-    is its P@1 on the dev lexicon under cfg.oov_mode, or its mean cosine.
-    With ``workers`` above 1 the target file may be parsed in a forked
-    worker (see load_inputs), keep masks are drawn in another (see
-    parallel.keep_masks) and points may run in others (see
-    _sweep_outcomes); every output, error and log line is the serial
-    sweep's. The manifest records ``workers``, and the workers' peak RSS
-    when any ran.
+    Points run in ascending c, then seed order, on _prepared's products;
+    a repeated grid value is its own row. A point's criterion value is its
+    P@1 on the dev lexicon under cfg.oov_mode, or its mean cosine. With
+    ``workers`` above 1 the target file may be parsed in a forked worker
+    (see load_inputs), keep masks are drawn in another (see
+    parallel.keep_masks), stages score on ``workers`` slices (see
+    boost_stage) and points may run in others (see _sweep_outcomes);
+    every output, error and log line is the serial sweep's. The manifest
+    records ``workers``, and the workers' peak RSS when any ran.
     """
     cfg.validate(for_sweep=True)
-    if not cfg.output_dir:
-        raise ConfigError("output_dir is required")
     dev = load_ref_lexicon(cfg.dev_lexicon) if cfg.dev_lexicon else None
 
     forks = parallel.workers_forked
-    inputs = load_inputs(cfg, workers)
     grid = sorted(cfg.grid)
     seeds = sweep_seeds(cfg)
     points = [(c, seed) for c in grid for seed in seeds]
-    stages, stage_seconds, seconds, values = {}, [], [], []
-    with _keep_masks(cfg, inputs, points, workers) as masks:
-        if cfg.mode in BOOSTED_MODES:
-            for seed in seeds:
-                start = time.perf_counter()
-                try:
-                    stages[seed] = boost_stage(*inputs, cfg, seed, workers=workers, masks=masks)
-                except Exception:
-                    logger.error("pipeline stage failed for seed %d", seed)
-                    raise
-                stage_seconds.append(time.perf_counter() - start)
+    seconds, values = [], []
+    with _prepared(cfg, points, workers) as (inputs, stages, masks, stage_seconds):
         outcomes = _sweep_outcomes(cfg, inputs, points, stages, workers, masks)
         with contextlib.closing(outcomes):
             for scale, seed in points:
@@ -720,7 +721,6 @@ def run_sweep(cfg, workers=1):
     best, report = select_scaling_constant(
         [(c, values[k * runs : (k + 1) * runs]) for k, c in enumerate(grid)], cfg.criterion
     )
-    forked = parallel.workers_forked > forks
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_report.tsv", "w", encoding="utf-8") as fh:
@@ -728,16 +728,9 @@ def run_sweep(cfg, workers=1):
         for point in report:
             runs = ",".join(f"{v:.6f}" for v in point.values)
             fh.write(f"{point.scale:g}\t{point.mean:.6f}\t{runs}\n")
-    manifest = cfg.to_manifest(
-        selected_scale=best,
-        peak_rss_mb=peak_rss_mb(),
-        workers=workers,
-        blas_threads=blas_threads(),
-        stage_seconds=stage_seconds,
-        point_seconds=seconds,
-        worker_peak_rss_mb=peak_rss_mb(children=True) if forked else None,
+    _write_manifest(
+        cfg, out_dir, workers, forks,
+        selected_scale=best, stage_seconds=stage_seconds, point_seconds=seconds,
     )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
     logger.info("selected scaling constant c=%g by %s", best, cfg.criterion)
     return best, report

@@ -71,10 +71,10 @@ class LoopConfig:
             raise ValueError("loop counts must be positive")
         if not 0.0 < self.p_init <= 1.0:
             raise ValueError("p_init must lie in (0, 1]")
-        if self.p_factor <= 1.0:
-            raise ValueError("p_factor must exceed 1")
-        if self.objective_eps <= 0.0:
-            raise ValueError("objective_eps must be positive")
+        if not 1.0 < self.p_factor < math.inf:
+            raise ValueError("p_factor must be finite and exceed 1")
+        if not 0.0 < self.objective_eps < math.inf:
+            raise ValueError("objective_eps must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 

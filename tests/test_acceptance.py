@@ -26,8 +26,9 @@ from orthomap.edit_model import (
 from orthomap.evaluation import precision_at_1, scorer_boost_value
 from orthomap.numerics import compute_whitening, weighted_cross_svd
 from orthomap.ortho_extension import NgramAlphabet
-from orthomap.pipeline import RunConfig, _synthetic_pairs, execute_run, run_sweep
+from orthomap.pipeline import RunConfig, _synthetic_pairs, run_sweep
 from orthomap.self_learning import LoopConfig, run_schedule
+from conftest import fresh_run
 from oracles import (
     brute_force_candidates,
     enumerate_edit_probability,
@@ -61,7 +62,7 @@ def baseline_run(cipher_bench):
         seeds=[1],
     )
     started = time.perf_counter()
-    outcome = execute_run(cfg, seed=1)
+    outcome = fresh_run(cfg, 1)
     duration = time.perf_counter() - started
     return outcome, duration
 
@@ -244,8 +245,8 @@ def test_09_zero_extension_reduces_to_baseline(tmp_path_factory):
         tgt_embeddings=str(bench.tgt_embeddings),
         seeds=[3],
     )
-    plain = execute_run(RunConfig(mode="baseline", **shared), seed=3)
-    zero = execute_run(RunConfig(mode="ortho-ext", scale=0.0, **shared), seed=3)
+    plain = fresh_run(RunConfig(mode="baseline", **shared), 3)
+    zero = fresh_run(RunConfig(mode="ortho-ext", scale=0.0, **shared), 3)
     check(
         9,
         "ortho-ext with c=0 is lexicon-identical to baseline",
@@ -310,7 +311,7 @@ def test_12_sweep_beats_zero_scale_baseline(tmp_path_factory):
         tgt_embeddings=str(bench.tgt_embeddings),
         seeds=[0],
     )
-    plain = execute_run(RunConfig(mode="baseline", **shared), seed=0)
+    plain = fresh_run(RunConfig(mode="baseline", **shared), 0)
     baseline_acc = precision_at_1(plain.predictions, gold).p_at_1
     cfg = RunConfig(
         mode="ortho-ext",

@@ -42,7 +42,7 @@ from orthomap.errors import (
     InputFormatError,
     NoTransliterationPath,
 )
-from orthomap.evaluation import precision_at_1, select_scaling_constant
+from orthomap.evaluation import OOV_MODES, precision_at_1, select_scaling_constant
 from orthomap.pipeline import (
     DEFAULT_GRID,
     RunConfig,
@@ -53,6 +53,7 @@ from orthomap.pipeline import (
     sweep_seeds,
 )
 from orthomap.parallel import KeepMasks
+from conftest import fresh_run
 from oracles import reference_em_train
 
 
@@ -279,10 +280,9 @@ class TestRunPipeline:
                 return _records[-1]
 
             monkeypatch.setattr(pipeline, name, recording)
-        execute_run(base_config(tiny_benchmark, tmp_path / "a"), seed=9)
-        edit = execute_run(
-            base_config(tiny_benchmark, tmp_path / "b", mode="edit-dist", scale=0.3),
-            seed=9,
+        fresh_run(base_config(tiny_benchmark, tmp_path / "a"), 9)
+        edit = fresh_run(
+            base_config(tiny_benchmark, tmp_path / "b", mode="edit-dist", scale=0.3), 9
         )
         assert len(runs) == 2 and len(loops) == 1 and edit.extras["synthetic_pairs"] > 0
         base, main = runs[0], loops[0]
@@ -302,7 +302,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "em_train", recording_em)
         cfg = base_config(tiny_benchmark, tmp_path, mode="edit-dist", scale=0.3)
-        execute_run(cfg, seed=9)
+        fresh_run(cfg, 9)
         src, tgt = pipeline.load_inputs(cfg)
         init = self_learning.init_dictionary_unsupervised(src, tgt, len(src.vocab))
         main = self_learning.run_self_learning(
@@ -319,7 +319,7 @@ class TestRunPipeline:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(self_learning, name, counting)
-        execute_run(base_config(tiny_benchmark, tmp_path, mode="edit-dist", scale=0.3), seed=9)
+        fresh_run(base_config(tiny_benchmark, tmp_path, mode="edit-dist", scale=0.3), 9)
         assert calls == {"retrieve_lexicon": 1, "compute_whitening": 2}
 
     def test_degenerate_whitening_fails_in_boosted_final_pass(
@@ -337,7 +337,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "em_train", recording_em)
         for mode in ("baseline", "edit-dist"):
             with pytest.raises(ConvergenceError, match="covariance has no positive eigenvalue"):
-                execute_run(base_config(tiny_benchmark, tmp_path, mode=mode, scale=0.3), seed=9)
+                fresh_run(base_config(tiny_benchmark, tmp_path, mode=mode, scale=0.3), 9)
         assert len(trained) == 1  # the edit-dist run failed after EM
 
 
@@ -395,9 +395,10 @@ class TestStagedSweep:
 
         monkeypatch.setattr(pipeline, "execute_run", recording_run)
         _, points = run_sweep(cfg)
+        monkeypatch.undo()
 
         fresh = {
-            (c, seed): execute_run(replace(cfg, scale=c), seed)
+            (c, seed): fresh_run(replace(cfg, scale=c), seed)
             for c in cfg.grid
             for seed in sweep_seeds(cfg)
         }
@@ -616,14 +617,12 @@ class TestSweepWorkers:
     ):
         # Points after the first fail, each with its own message: the sweep
         # ends on the first failing point in grid order, as a serial one.
-        run_boosted = pipeline._run_boosted
-
-        def failing(src, tgt, cfg, *args):
+        def failing(cfg, *args):
             if cfg.scale > 0.3:
                 raise CandidateError(f"no pairs at c={cfg.scale:g}")
-            return run_boosted(src, tgt, cfg, *args)
+            return execute_run(cfg, *args)
 
-        monkeypatch.setattr(pipeline, "_run_boosted", failing)
+        monkeypatch.setattr(pipeline, "execute_run", failing)
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "fail", threads,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.8,0.2,0.5",
@@ -1160,6 +1159,26 @@ class TestCli:
         assert code == 4
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_induce_failing_stage_exits_5_naming_its_seed(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, caplog, threads
+    ):
+        # No candidate on any slice: the stage raises after EM, and induce
+        # logs the seed whose stage failed, as a sweep does.
+        monkeypatch.setattr(pipeline, "candidate_pairs", lambda *args: (set(), 0))
+        code = self.run_cli(
+            "--threads", threads, "induce",
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "out",
+            "--mode", "edit-dist", "--seed", 4, "--stall-window", 5,
+        )
+        assert code == CandidateError.exit_code == 5
+        assert capsys.readouterr().err == "error: candidate filtering produced no pairs\n"
+        assert "pipeline stage failed for seed 4" in caplog.text
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "command, options",
         [
@@ -1191,6 +1210,32 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--p-factor", "p_factor must be finite and exceed 1"),
+         ("--objective-eps", "objective_eps must be finite and positive")],
+    )
+    def test_non_finite_loop_constant_exits_2_before_reading_input(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys, option, message, value
+    ):
+        # Accepted, a NaN ran a whole loop and wrote a bare NaN, which is
+        # not JSON, into the manifest.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("input read before the configuration was checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        code = self.run_cli(
+            "induce",
+            "--src-emb", tiny_benchmark.src_embeddings,
+            "--tgt-emb", tiny_benchmark.tgt_embeddings,
+            "--output-dir", tmp_path / "out",
+            option, value,
+        )
+        assert code == ConfigError.exit_code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", [None, "baseline"], ids=["default-mode", "baseline"])
@@ -1817,6 +1862,22 @@ def test_bad_thread_count_exits_2_before_reading_input(
     assert err.startswith("error: ") and "must be" in err
     assert calls == [] and not (tmp_path / "out").exists()
     assert [os.environ[var] for var in blas_vars] == ["2"] * 3
+
+
+def test_parser_choices_are_the_packages_lists():
+    # cli lists the choices itself, as it may not import the numpy-backed
+    # modules that define them before it sets the BLAS threads.
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+
+    def choices(command, dest):
+        (action,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+        return tuple(action.choices)
+
+    for command in ("induce", "sweep"):
+        assert choices(command, "mode") == pipeline.MODES
+        assert choices(command, "oov_mode") == OOV_MODES
+    assert choices("sweep", "criterion") == pipeline.CRITERIA
+    assert choices("evaluate", "oov_mode") == OOV_MODES
 
 
 def test_cli_import_leaves_numpy_unloaded():

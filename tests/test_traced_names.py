@@ -18,6 +18,7 @@ from orthomap.corpus_io import EmbeddingMatrix, Vocabulary, load_embeddings
 from orthomap.numerics import normalize_embeddings
 from orthomap.ortho_extension import build_ngram_alphabet
 from orthomap.self_learning import LoopConfig
+from conftest import fresh_run
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -111,7 +112,7 @@ def test_boosted_run_traces_its_one_init(tiny_benchmark, monkeypatch):
         scale=0.3,
         stall_window=5,
     )
-    extras = pipeline.execute_run(cfg, 0).extras
+    extras = fresh_run(cfg, 0).extras
     names = [span[0] for span in tracer.spans]
     metrics = spans.layer_metrics(tracer.spans)
     assert names.count("self_learning.init_dictionary_unsupervised") == 1
@@ -136,7 +137,7 @@ def test_extended_run_solves_over_used_columns(tiny_benchmark, monkeypatch, capl
         stall_window=5,
     )
     with caplog.at_level("INFO", logger="orthomap.self_learning"):
-        outcome = pipeline.execute_run(cfg, 0)
+        outcome = fresh_run(cfg, 0)
     metrics = spans.layer_metrics(tracer.spans)
 
     src = load_embeddings(cfg.src_embeddings)
