@@ -53,17 +53,16 @@ class DeleteIndex:
         return index
 
 
-def candidate_pairs(src_words, tgt_words, model, k=2, index=None):
-    """Pairs whose transliteration and target share a deletion variant.
+def candidate_pairs(src_words, model, index):
+    """Pairs whose transliteration and target share a deletion variant of
+    at most ``index.k`` deletions, ``index`` being the DeleteIndex of the
+    target words.
 
     Returns (pairs, skipped) where skipped counts source words without a
     transliteration path; the caller reports them. A transliteration
     identical to a target word is always a candidate (the zero-deletion
-    variant matches). ``index``, the DeleteIndex of ``tgt_words`` at k, is
-    built when not given.
+    variant matches).
     """
-    if index is None:
-        index = DeleteIndex.build(tgt_words, k)
     pairs = set()
     skipped = 0
     for i, word in enumerate(src_words):
@@ -73,7 +72,7 @@ def candidate_pairs(src_words, tgt_words, model, k=2, index=None):
             skipped += 1
             continue
         hits = set()
-        for variant in delete_variants(rendered, k):
+        for variant in delete_variants(rendered, index.k):
             found = index.map.get(variant)
             if found:
                 hits |= found

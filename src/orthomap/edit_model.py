@@ -276,10 +276,10 @@ def _log_forward_table(x, z, model, beta=None, visits=None):
     return table
 
 
-def _backward_table(x, z, model, forward=_forward_table):
-    """Suffix-pair generation probabilities: the ``forward`` table of the
-    reversed strings under the reversed model, read back to front."""
-    table = forward(x[::-1], z[::-1], model.reversed())
+def _log_backward_table(x, z, model):
+    """Suffix-pair generation log probabilities: the _log_forward_table of
+    the reversed strings under the reversed model, read back to front."""
+    table = _log_forward_table(x[::-1], z[::-1], model.reversed())
     return [row[::-1] for row in table[::-1]]
 
 
@@ -484,7 +484,7 @@ def _log_posteriors(x, z, model):
     """log p(x, z) and the (op, log weight) visits of the log-space tables,
     for a pair whose linear probability underflows to zero."""
     visits = []
-    beta = _backward_table(x, z, model, _log_forward_table)
+    beta = _log_backward_table(x, z, model)
     log_p = _log_forward_table(x, z, model, beta, visits)[len(x)][len(z)]
     return log_p, visits
 
@@ -581,22 +581,21 @@ def em_train(pairs, alphabets, iterations=3):
     return EditModel(alphabets, dict(zip(ops, theta.tolist())), training_stats=stats)
 
 
-def boost_from_log_prob(log_p, max_len, src_size, tgt_size, scale):
-    """Boost value from a log joint probability and the word-pair length.
+def boost_from_log_prob(log_p, max_len, src_size, tgt_size):
+    """Boost value at c = 1 from a log joint probability and the word-pair
+    length; lies in [0, 1].
 
     Zero exactly when the per-operation log probability sits at chance
-    level, -log((1 + src_size) * (1 + tgt_size)); equals scale at p = 1.
+    level, -log((1 + src_size) * (1 + tgt_size)); equals 1 at p = 1.
     """
     if log_p == -math.inf:
         return 0.0
     chance = math.log((1 + src_size) * (1 + tgt_size))
-    return scale * max(0.0, 1.0 + (log_p / max_len) / chance)
+    return max(0.0, 1.0 + (log_p / max_len) / chance)
 
 
-def edit_similarity_boost(x, z, model, scale):
-    """Similarity addend for a word pair; lies in [0, scale]."""
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+def edit_similarity_boost(x, z, model):
+    """Similarity addend for a word pair at c = 1; lies in [0, 1]."""
     if not x or not z:
         raise ValueError("boost requires non-empty words")
     log_p = log_edit_probability(x, z, model)
@@ -605,7 +604,6 @@ def edit_similarity_boost(x, z, model, scale):
         max(len(x), len(z)),
         len(model.alphabets.src),
         len(model.alphabets.tgt),
-        scale,
     )
 
 

@@ -109,19 +109,19 @@ def load_scorer_table(path):
     return ScorerTable(scores, len(chars))
 
 
-def scorer_boost_value(p, tgt_unigram_count, scale):
-    """Boost formula on a raw conditional probability; lies in [0, scale]."""
-    return scale * max(0.0, 1.0 + math.log(p) / math.log(tgt_unigram_count))
+def scorer_boost_value(p, tgt_unigram_count):
+    """Boost formula at c = 1 on a raw conditional probability; lies in
+    [0, 1]."""
+    return max(0.0, 1.0 + math.log(p) / math.log(tgt_unigram_count))
 
 
-def external_scorer_boost(x, z, table, scale):
-    """Similarity addend for a pair; pairs absent from the table give 0."""
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+def external_scorer_boost(x, z, table):
+    """Similarity addend for a pair at c = 1; pairs absent from the table
+    give 0."""
     p = table.scores.get((x, z))
     if p is None:
         return 0.0
-    return scorer_boost_value(p, table.tgt_unigram_count, scale)
+    return scorer_boost_value(p, table.tgt_unigram_count)
 
 
 @dataclass

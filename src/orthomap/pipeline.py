@@ -6,15 +6,17 @@ n-gram counts; "edit-dist" learns a stochastic edit distance on induced
 pairs and boosts candidate similarities; "external-scorer" boosts the same
 candidates with file-fed conditional probabilities instead.
 
-A run's shared products have one owner, _prepared: for the (c, seed)
-points of a run or sweep it loads the inputs once, opens the keep-mask
-drawer and, in the boosted modes, builds the stage that does not depend
-on c (main loop, edit model, candidates scored at c = 1) once per seed.
-execute_run then runs one point on those products. induce is the
-one-point case (its scale, its first seed); a sweep runs its grid x
-seeds, and run_sweep alone orders these points; selection only reduces
-the values they give. Forked worker processes may share a stage's
-candidate scoring and run the boosted loops side by side. Given
+A run's points have one runner, _prepared: for the (c, seed) points of
+a run or sweep it reads the dev and test lexicons, which must not share
+a pair, loads the inputs once, opens the keep-mask drawer and, in the
+boosted modes, builds the stage that does not depend on c (main loop,
+edit model, candidates scored at c = 1) once per seed. Its runner then
+runs each point with execute_run and gives what the caller reads of the
+outcome. induce is the one-point case (its scale, its first seed) and
+reads the whole outcome; a sweep runs its grid x seeds, run_sweep alone
+orders these points, and each gives only its criterion value, which
+selection reduces. Forked worker processes may share a stage's
+candidate scoring and run the boosted points side by side. Given
 two or more workers, a run parses a large target embedding file in a
 forked worker while it parses the source file, and one forked drawer
 draws the keep masks of its loops' stochastic steps ahead of them;
@@ -365,10 +367,9 @@ def _synthetic_pairs(loop, src_vocab, tgt_vocab, n):
 class BoostStage:
     """The part of a boosted run that does not depend on the scaling constant.
 
-    Candidate pairs in sorted order with their boost at c = 1. Both boost
-    formulas end in ``scale * max(0.0, ...)``, so the boost at c is
-    ``c * unit``, bit for bit. ``init`` is the initial dictionary, which
-    both loops of the seed share.
+    Candidate pairs in sorted order with their boost at c = 1, ``unit``;
+    a point's boost at c is ``c * unit``. ``init`` is the initial
+    dictionary, which both loops of the seed share.
     """
 
     src: np.ndarray
@@ -378,17 +379,17 @@ class BoostStage:
     init: SparseDictionary
 
 
-def _score_slice(src_words, tgt_words, model, cfg, index, table, lo, hi):
+def _score_slice(src_words, tgt_words, model, index, table, lo, hi):
     """Candidates of the source words lo..hi-1 in sorted order, as an
     (n, 2) array of (source, target) indices, with their boosts at c = 1
     and the count of those words without a transliteration path."""
-    cands, skipped = candidate_pairs(src_words[lo:hi], tgt_words, model, cfg.delete_k, index)
+    cands, skipped = candidate_pairs(src_words[lo:hi], model, index)
     cands = sorted(cands)
     words = [(src_words[lo + i], tgt_words[j]) for i, j in cands]
     if table is None:
-        unit = [edit_similarity_boost(x, z, model, 1.0) for x, z in words]
+        unit = [edit_similarity_boost(x, z, model) for x, z in words]
     else:
-        unit = [external_scorer_boost(x, z, table, 1.0) for x, z in words]
+        unit = [external_scorer_boost(x, z, table) for x, z in words]
     pairs = np.array(cands, np.int64).reshape(-1, 2)
     pairs[:, 0] += lo
     return pairs, np.array(unit, float), skipped
@@ -428,7 +429,7 @@ def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
     bounds = [len(src_words) * w // workers for w in range(workers + 1)]
 
     def score(w):
-        return _score_slice(src_words, tgt_words, model, cfg, index, table, *bounds[w : w + 2])
+        return _score_slice(src_words, tgt_words, model, index, table, *bounds[w : w + 2])
 
     if workers > 1:
         with parallel.forked(
@@ -455,20 +456,48 @@ def boost_stage(src, tgt, cfg, seed, workers=1, masks=None):
     return BoostStage(cands[:, 0], cands[:, 1], unit, extras, init)
 
 
+def _read_lexicons(cfg):
+    """The run's (dev, test) reference lexicons, None where not given;
+    a pair they share is a ConfigError, since c is selected on dev."""
+    dev, test = (load_ref_lexicon(path) if path else None
+                 for path in (cfg.dev_lexicon, cfg.test_lexicon))
+    if dev is not None and test is not None:
+        overlap = [
+            (s, t) for s, targets in dev.pairs.items() for t in targets
+            if t in test.pairs.get(s, ())
+        ]
+        if overlap:
+            raise ConfigError(
+                f"dev and test lexicons share {len(overlap)} pairs, e.g. {overlap[0]}"
+            )
+    return dev, test
+
+
 @contextlib.contextmanager
 def _prepared(cfg, points, workers):
-    """The products the (c, seed) ``points`` of a run or sweep share, as
-    (inputs, stages, masks, stage_seconds).
+    """A run's or sweep's lexicons and the runner of its (c, seed)
+    ``points``, as ((dev, test), run, stage_seconds).
 
-    In order: the pair load_inputs returns; the keep-mask drawer's
+    In order: _read_lexicons; load_inputs; the keep-mask drawer's
     KeepMasks or None, open until the block ends; in the boosted modes
     each distinct seed's BoostStage, in seed order, on ``workers`` slices
     (see boost_stage), with its seconds. A failing stage is logged with its
     seed and raised before any point runs.
+
+    ``run(read)`` yields ``(read(outcome), seconds)`` of each point in the
+    order of ``points``, ``seconds`` timing its execute_run. Only the
+    boosted modes fan out, over up to ``workers`` processes, one point
+    each: an ortho-ext point builds its own cutoff x cutoff initial
+    dictionary, so two at once may not fit in memory. With more than one
+    worker the drawer is stopped, and forked processes run the points,
+    each on one core; they inherit the products and the masks drawn so
+    far copy-on-write and send back only what ``read`` returns. Closing
+    the generator ends every worker.
     """
+    lexicons = _read_lexicons(cfg)
     inputs = load_inputs(cfg, workers)
     with _keep_masks(cfg, inputs, points, workers) as masks:
-        stages, seconds = {}, []
+        stages, stage_seconds = {}, []
         if cfg.mode in BOOSTED_MODES:
             for seed in dict.fromkeys(seed for _, seed in points):
                 start = time.perf_counter()
@@ -477,8 +506,30 @@ def _prepared(cfg, points, workers):
                 except Exception:
                     logger.error("pipeline stage failed for seed %d", seed)
                     raise
-                seconds.append(time.perf_counter() - start)
-        yield inputs, stages, masks, seconds
+                stage_seconds.append(time.perf_counter() - start)
+
+        def run(read):
+            def timed(point):
+                scale, seed = point
+                start = time.perf_counter()
+                outcome = execute_run(
+                    replace(cfg, scale=scale), seed, inputs, stages.get(seed), masks
+                )
+                seconds = time.perf_counter() - start
+                return read(outcome), seconds
+
+            fan_out = min(workers, len(points)) if cfg.mode in BOOSTED_MODES else 1
+            if fan_out == 1:
+                yield from map(timed, points)
+                return
+            if masks is not None:
+                masks.stop()
+            with parallel.forked(
+                timed, points, fan_out, lambda p: f"running c={p[0]:g}, seed {p[1]}"
+            ) as results:
+                yield from results
+
+        yield lexicons, run, stage_seconds
 
 
 def execute_run(cfg, seed, inputs, stage, masks):
@@ -545,17 +596,6 @@ def _write_manifest(cfg, out_dir, workers, forks, **outputs):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _ensure_disjoint(dev, test):
-    overlap = [
-        (s, t) for s, targets in dev.pairs.items() for t in targets
-        if t in test.pairs.get(s, ())
-    ]
-    if overlap:
-        raise ConfigError(
-            f"dev and test lexicons share {len(overlap)} pairs, e.g. {overlap[0]}"
-        )
-
-
 def _write_trace(trace, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration\tp_keep\tobjective\tdict_size\tmutual_pairs\tchurn\n")
@@ -578,18 +618,10 @@ def run_pipeline(cfg, workers=1):
     not depend on it.
     """
     cfg.validate()
-    dev = test = None
-    if cfg.dev_lexicon:
-        dev = load_ref_lexicon(cfg.dev_lexicon)
-    if cfg.test_lexicon:
-        test = load_ref_lexicon(cfg.test_lexicon)
-    if dev is not None and test is not None:
-        _ensure_disjoint(dev, test)
-
     seed = cfg.seeds[0]
     forks = parallel.workers_forked
-    with _prepared(cfg, [(cfg.scale, seed)], workers) as (inputs, stages, masks, _):
-        outcome = execute_run(cfg, seed, inputs, stages.get(seed), masks)
+    with _prepared(cfg, [(cfg.scale, seed)], workers) as ((_, test), run, _):
+        [(outcome, _)] = run(lambda outcome: outcome)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -639,84 +671,43 @@ def sweep_seeds(cfg):
     return seeds[: cfg.runs_per_c]
 
 
-@dataclass
-class PointOutcome:
-    """What selection reads of one (c, seed) run, and the run's seconds."""
-
-    predictions: dict
-    mean_cosine: float
-    seconds: float
-
-
-def _run_point(cfg, scale, seed, inputs, stages, masks):
-    start = time.perf_counter()
-    outcome = execute_run(replace(cfg, scale=scale), seed, inputs, stages.get(seed), masks)
-    return PointOutcome(outcome.predictions, outcome.mean_cosine, time.perf_counter() - start)
-
-
-def _sweep_outcomes(cfg, inputs, points, stages, workers, masks):
-    """PointOutcomes of a sweep's (c, seed) points, in the order of ``points``.
-
-    ``stages`` holds each seed's BoostStage in the boosted modes. Only
-    those fan out, over up to ``workers`` processes, one point each: an
-    ortho-ext point builds its own cutoff x cutoff initial dictionary, so
-    two at once may not fit in memory. With more than one worker,
-    ``masks.stop()`` ends the keep-mask drawer, and forked processes run
-    the points, each on one core; they inherit the inputs, the stages and
-    the masks drawn so far copy-on-write. Every loop takes its masks from
-    ``masks``, a KeepMasks or None. Closing the generator ends every
-    worker.
-    """
-    fan_out = min(workers, len(points)) if cfg.mode in BOOSTED_MODES else 1
-    if fan_out > 1:
-        if masks is not None:
-            masks.stop()
-        with parallel.forked(
-            lambda point: _run_point(cfg, *point, inputs, stages, masks), points, fan_out,
-            lambda point: f"running c={point[0]:g}, seed {point[1]}",
-        ) as results:
-            yield from results
-    else:
-        for scale, seed in points:
-            yield _run_point(cfg, scale, seed, inputs, stages, masks)
-
-
 def run_sweep(cfg, workers=1):
     """Select the scaling constant over the grid and write a report.
 
-    Points run in ascending c, then seed order, on _prepared's products;
-    a repeated grid value is its own row. A point's criterion value is its
-    P@1 on the dev lexicon under cfg.oov_mode, or its mean cosine. With
-    ``workers`` above 1 the target file may be parsed in a forked worker
-    (see load_inputs), keep masks are drawn in another (see
+    Points run in ascending c, then seed order, on _prepared's runner; a
+    repeated grid value is its own row. A point gives only its criterion
+    value: its P@1 on the dev lexicon under cfg.oov_mode, or its mean
+    cosine. With ``workers`` above 1 the target file may be parsed in a
+    forked worker (see load_inputs), keep masks are drawn in another (see
     parallel.keep_masks), stages score on ``workers`` slices (see
-    boost_stage) and points may run in others (see _sweep_outcomes);
-    every output, error and log line is the serial sweep's. The manifest
+    boost_stage) and points may run in others (see _prepared); every
+    output, error and log line is the serial sweep's. The manifest
     records ``workers``, and the workers' peak RSS when any ran.
     """
     cfg.validate(for_sweep=True)
-    dev = load_ref_lexicon(cfg.dev_lexicon) if cfg.dev_lexicon else None
-
     forks = parallel.workers_forked
     grid = sorted(cfg.grid)
     seeds = sweep_seeds(cfg)
     points = [(c, seed) for c in grid for seed in seeds]
     seconds, values = [], []
-    with _prepared(cfg, points, workers) as (inputs, stages, masks, stage_seconds):
-        outcomes = _sweep_outcomes(cfg, inputs, points, stages, workers, masks)
-        with contextlib.closing(outcomes):
+    with _prepared(cfg, points, workers) as ((dev, _), run, stage_seconds):
+
+        def criterion(outcome):
+            if cfg.criterion == "dev-accuracy":
+                return precision_at_1(outcome.predictions, dev, cfg.oov_mode).p_at_1
+            return outcome.mean_cosine
+
+        results = run(criterion)
+        with contextlib.closing(results):
             for scale, seed in points:
                 try:
-                    outcome = next(outcomes)
+                    value, point_seconds = next(results)
                 except Exception:
                     logger.error("pipeline run failed at scale c=%g, seed %d", scale, seed)
                     raise
-                seconds.append(outcome.seconds)
-                logger.info("c=%g, seed %d: %.3f s", scale, seed, outcome.seconds)
-                if cfg.criterion == "dev-accuracy":
-                    values.append(precision_at_1(outcome.predictions, dev, cfg.oov_mode).p_at_1)
-                else:
-                    values.append(outcome.mean_cosine)
+                seconds.append(point_seconds)
+                logger.info("c=%g, seed %d: %.3f s", scale, seed, point_seconds)
+                values.append(value)
     runs = len(seeds)
     best, report = select_scaling_constant(
         [(c, values[k * runs : (k + 1) * runs]) for k, c in enumerate(grid)], cfg.criterion

@@ -11,8 +11,9 @@ from orthomap.benchmark import generate_cipher_benchmark
 def fresh_run(cfg, seed):
     """The point (cfg.scale, seed) on products of its own, as induce runs
     its one point."""
-    with pipeline._prepared(cfg, [(cfg.scale, seed)], 1) as (inputs, stages, masks, _):
-        return pipeline.execute_run(cfg, seed, inputs, stages.get(seed), masks)
+    with pipeline._prepared(cfg, [(cfg.scale, seed)], 1) as (_, run, _):
+        [(outcome, _)] = run(lambda outcome: outcome)
+    return outcome
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from orthomap.benchmark import generate_cipher_benchmark
-from orthomap.candidates import candidate_pairs
+from orthomap.candidates import DeleteIndex, candidate_pairs
 from orthomap.corpus_io import EmbeddingMatrix, SparseDictionary, Vocabulary, load_ref_lexicon
 from orthomap.edit_model import (
     EditAlphabets,
@@ -205,7 +205,7 @@ def test_07_symmetric_delete_matches_brute_force():
     alphabets = build_edit_alphabets(src, tgt)
     theta = {(c, c): 1.0 / len(chars) for c in chars}
     model = EditModel(alphabets, theta)
-    pairs, _ = candidate_pairs(src, tgt, model, k=2)
+    pairs, _ = candidate_pairs(src, model, DeleteIndex.build(tgt, 2))
     translits = [transliterate(w, model)[0] for w in src]
     expected = brute_force_candidates(translits, tgt, 2)
     check(
@@ -218,11 +218,11 @@ def test_07_symmetric_delete_matches_brute_force():
 
 def test_08_boost_boundary_behaviour():
     scale = 0.73
-    at_one_edit = boost_from_log_prob(0.0, 5, 40, 60, scale)
+    at_one_edit = scale * boost_from_log_prob(0.0, 5, 40, 60)
     chance = -3 * math.log((1 + 40) * (1 + 60))
-    at_chance_edit = boost_from_log_prob(chance, 3, 40, 60, scale)
-    at_one_scorer = scorer_boost_value(1.0, 37, scale)
-    at_chance_scorer = scorer_boost_value(0.5, 2, scale)
+    at_chance_edit = scale * boost_from_log_prob(chance, 3, 40, 60)
+    at_one_scorer = scale * scorer_boost_value(1.0, 37)
+    at_chance_scorer = scale * scorer_boost_value(0.5, 2)
     exact = (
         at_one_edit == scale
         and at_chance_edit == 0.0

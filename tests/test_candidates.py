@@ -54,23 +54,23 @@ class TestDeleteIndex:
 class TestCandidatePairs:
     def test_exact_transliteration_always_candidate(self):
         model = identity_model("abcd")
-        pairs, skipped = candidate_pairs(["abcd"], ["abcd", "dcba"], model, k=2)
+        pairs, skipped = candidate_pairs(["abcd"], model, DeleteIndex.build(["abcd", "dcba"], 2))
         assert (0, 0) in pairs
         assert skipped == 0
 
     def test_two_sided_deletions_match(self):
         model = identity_model("abcdxy")
-        pairs, _ = candidate_pairs(["abxcyd"], ["abcd"], model, k=2)
+        pairs, _ = candidate_pairs(["abxcyd"], model, DeleteIndex.build(["abcd"], 2))
         assert (0, 0) in pairs
 
     def test_too_distant_words_excluded(self):
         model = identity_model("abcdefgh")
-        pairs, _ = candidate_pairs(["aaaa"], ["hhhh"], model, k=2)
+        pairs, _ = candidate_pairs(["aaaa"], model, DeleteIndex.build(["hhhh"], 2))
         assert pairs == set()
 
     def test_untransliterable_words_counted(self):
         model = identity_model("ab")
-        pairs, skipped = candidate_pairs(["ab", "zz"], ["ab"], model, k=1)
+        pairs, skipped = candidate_pairs(["ab", "zz"], model, DeleteIndex.build(["ab"], 1))
         assert skipped == 1
         assert (0, 0) in pairs
 
@@ -82,7 +82,7 @@ class TestCandidatePairs:
         ]
         src, tgt = words(100), words(100)
         model = identity_model("abcde")
-        pairs, _ = candidate_pairs(src, tgt, model, k=2)
+        pairs, _ = candidate_pairs(src, model, DeleteIndex.build(tgt, 2))
         translits = [w for w in src]  # identity model keeps strings
         assert pairs == brute_force_candidates(translits, tgt, 2)
 
@@ -92,6 +92,6 @@ class TestCandidatePairs:
         src = ["".join(rng.choice(chars, size=4)) for _ in range(20)]
         tgt = ["".join(rng.choice(chars, size=4)) for _ in range(20)]
         model = identity_model("abc")
-        forward, _ = candidate_pairs(src, tgt, model, k=1)
-        backward, _ = candidate_pairs(tgt, src, model, k=1)
+        forward, _ = candidate_pairs(src, model, DeleteIndex.build(tgt, 1))
+        backward, _ = candidate_pairs(tgt, model, DeleteIndex.build(src, 1))
         assert forward == {(j, i) for i, j in backward}

@@ -10,9 +10,9 @@ from orthomap import edit_model
 from orthomap.edit_model import (
     EditAlphabets,
     EditModel,
-    _backward_table,
     _em_chunks,
     _forward_table,
+    _log_backward_table,
     _log_forward_table,
     boost_from_log_prob,
     build_edit_alphabets,
@@ -34,9 +34,9 @@ from oracles import (
     enumerate_posterior_stats,
     enumerate_transliteration_score,
     random_theta,
-    reference_backward_table,
     reference_em_train,
     reference_forward_table,
+    reference_log_backward_table,
 )
 
 
@@ -83,8 +83,8 @@ class TestForwardBackward:
     def test_empty_pair(self):
         model = uniform_ab_model()
         assert _forward_table("", "", model)[0][0] == 1.0
-        beta = _backward_table("", "", model)
-        assert beta[0][0] == 1.0
+        beta = _log_backward_table("", "", model)
+        assert beta[0][0] == 0.0
 
     def test_forced_single_path(self):
         alphabets = unigram_alphabets("a", "b")
@@ -94,11 +94,11 @@ class TestForwardBackward:
 
     def test_backward_table_values(self):
         model = uniform_ab_model()
-        beta = _backward_table("a", "b", model)
-        assert beta[1][1] == 1.0
-        assert beta[0][1] == pytest.approx(1 / 3, abs=1e-12)  # remaining ("a", "")
-        assert beta[1][0] == pytest.approx(1 / 3, abs=1e-12)
-        assert beta[0][0] == pytest.approx(5 / 9, abs=1e-12)
+        beta = _log_backward_table("a", "b", model)
+        assert beta[1][1] == 0.0
+        assert beta[0][1] == pytest.approx(math.log(1 / 3), abs=1e-12)  # remaining ("a", "")
+        assert beta[1][0] == pytest.approx(math.log(1 / 3), abs=1e-12)
+        assert beta[0][0] == pytest.approx(math.log(5 / 9), abs=1e-12)
 
     def test_backward_zero_equals_forward_full(self):
         rng = np.random.default_rng(0)
@@ -107,8 +107,8 @@ class TestForwardBackward:
         model = EditModel(alphabets, theta)
         for x, z in [("abc", "xy"), ("a", "zzz"), ("cab", "x"), ("", "zy")]:
             p = _forward_table(x, z, model)[len(x)][len(z)]
-            beta = _backward_table(x, z, model)
-            assert beta[0][0] == pytest.approx(p, abs=1e-12)
+            beta = _log_backward_table(x, z, model)
+            assert math.exp(beta[0][0]) == pytest.approx(p, abs=1e-12)
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(1)
@@ -163,7 +163,7 @@ class TestAgainstSeparatePasses:
         model = EditModel(alphabets, random_theta(np.random.default_rng(seed), alphabets))
         max_j, max_k = alphabets.max_src_len, alphabets.max_tgt_len
         for x, z in pairs[:-2]:  # neither the uncovered nor the long pair
-            assert _backward_table(x, z, model) == reference_backward_table(
+            assert _log_backward_table(x, z, model) == reference_log_backward_table(
                 x, z, model.theta, max_j, max_k
             )
             assert _forward_table(x, z, model) == reference_forward_table(
@@ -443,29 +443,29 @@ class TestBoost:
     def test_certainty_saturates_at_scale(self):
         alphabets = unigram_alphabets("a", "b")
         model = EditModel(alphabets, {("a", "b"): 1.0})
-        assert edit_similarity_boost("a", "b", model, 0.7) == 0.7
+        assert edit_similarity_boost("a", "b", model) == 1.0
 
     def test_chance_point_is_exactly_zero(self):
         # (1 + |src|)(1 + |tgt|) = 4 and p = 0.25, so the per-operation log
         # probability sits exactly at chance.
         alphabets = unigram_alphabets("a", "b")
         model = EditModel(alphabets, {("a", "b"): 0.25, ("a", ""): 0.75})
-        assert edit_similarity_boost("a", "b", model, 0.9) == 0.0
+        assert edit_similarity_boost("a", "b", model) == 0.0
 
     def test_formula_value(self):
         # Worked instance: alphabets of 99 items, so chance is log(10000);
         # five characters at log p = -23.0259 give half the maximum boost.
-        value = boost_from_log_prob(-23.0259, 5, 99, 99, scale=2.0)
+        value = 2.0 * boost_from_log_prob(-23.0259, 5, 99, 99)
         assert value == pytest.approx(1.0, abs=1e-4)
 
     def test_impossible_pair_gives_zero(self):
         alphabets = unigram_alphabets("a", "b")
         model = EditModel(alphabets, {("a", "b"): 1.0})
-        assert edit_similarity_boost("aa", "b", model, 0.5) == 0.0
+        assert edit_similarity_boost("aa", "b", model) == 0.0
 
     def test_monotone_in_probability(self):
         values = [
-            boost_from_log_prob(lp, 4, 30, 30, 1.0) for lp in (-30.0, -20.0, -10.0, -1.0)
+            boost_from_log_prob(lp, 4, 30, 30) for lp in (-30.0, -20.0, -10.0, -1.0)
         ]
         assert values == sorted(values)
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -474,26 +474,8 @@ class TestBoost:
         rng = np.random.default_rng(5)
         for _ in range(200):
             lp = -float(rng.uniform(0, 200))
-            v = boost_from_log_prob(lp, int(rng.integers(1, 9)), 50, 70, 0.8)
-            assert 0.0 <= v <= 0.8
-
-    def test_scale_factors_out_bitwise(self):
-        # A sweep scores each candidate once at c = 1 and multiplies by c;
-        # that must give the boost at c exactly, c = 0 included.
-        rng = np.random.default_rng(6)
-        cipher = dict(zip("abcdef", "uvwxyz"))
-        words = [
-            "".join(rng.choice(list("abcdef"), size=rng.integers(2, 7))) for _ in range(60)
-        ]
-        pairs = [(w, "".join(cipher[c] for c in w)) for w in words]
-        model = em_train(pairs, build_edit_alphabets(words, [z for _, z in pairs]), 2)
-        tests = pairs + [(x, z) for (x, _), (_, z) in zip(pairs, reversed(pairs))]
-        grid = [0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.4, 3.7]
-        units = [edit_similarity_boost(x, z, model, 1.0) for x, z in tests]
-        assert 0 < sum(u > 0.0 for u in units) < len(units)
-        for (x, z), unit in zip(tests, units):
-            for c in grid:
-                assert c * unit == edit_similarity_boost(x, z, model, c)
+            v = boost_from_log_prob(lp, int(rng.integers(1, 9)), 50, 70)
+            assert 0.0 <= v <= 1.0
 
 
 class TestTransliterate:

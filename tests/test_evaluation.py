@@ -62,35 +62,24 @@ class TestPrecisionAt1:
 class TestScorerBoost:
     def test_certainty_gives_scale(self):
         table = ScorerTable({("a", "b"): 1.0}, tgt_unigram_count=50)
-        assert external_scorer_boost("a", "b", table, 0.7) == 0.7
+        assert external_scorer_boost("a", "b", table) == 1.0
 
     def test_chance_point_exactly_zero(self):
         # log(0.5) is the exact negation of log(2), so the ratio is -1.
         table = ScorerTable({("a", "b"): 0.5}, tgt_unigram_count=2)
-        assert external_scorer_boost("a", "b", table, 0.9) == 0.0
+        assert external_scorer_boost("a", "b", table) == 0.0
 
     def test_worked_value(self):
         # 50 target unigrams, log p = -1.956: the ratio is one half.
-        assert scorer_boost_value(math.exp(-1.956), 50, 1.0) == pytest.approx(0.5, abs=1e-3)
+        assert scorer_boost_value(math.exp(-1.956), 50) == pytest.approx(0.5, abs=1e-3)
 
     def test_absent_pair_contributes_zero(self):
         table = ScorerTable({("a", "b"): 0.9}, tgt_unigram_count=10)
-        assert external_scorer_boost("a", "c", table, 1.0) == 0.0
+        assert external_scorer_boost("a", "c", table) == 0.0
 
     def test_bounds(self):
         table = ScorerTable({("a", "b"): 1e-12}, tgt_unigram_count=5)
-        assert external_scorer_boost("a", "b", table, 0.4) == 0.0
-
-    def test_scale_factors_out_bitwise(self):
-        # A sweep scores each candidate once at c = 1 and multiplies by c;
-        # that must give the boost at c exactly, c = 0 included.
-        probs = [1e-9, 0.01, 0.02, 0.1, 0.3, 0.5, 0.77, 0.9, 1.0]
-        for count in (2, 7, 50):
-            table = ScorerTable({("a", f"t{k}"): p for k, p in enumerate(probs)}, count)
-            for k in range(len(probs) + 1):  # t{len(probs)} is absent
-                unit = external_scorer_boost("a", f"t{k}", table, 1.0)
-                for c in (0.0, 1e-3, 0.05, 0.3, 0.7, 1.0, 1.4, 3.7):
-                    assert c * unit == external_scorer_boost("a", f"t{k}", table, c)
+        assert external_scorer_boost("a", "b", table) == 0.0
 
     def test_load_table(self, tmp_path):
         path = tmp_path / "scores.tsv"

@@ -1,5 +1,6 @@
 """Pipeline orchestration and the command-line surface."""
 
+import contextlib
 import json
 import logging
 import mmap
@@ -599,6 +600,36 @@ class TestSweepWorkers:
         ]
         assert steps() == {(str(os.getpid()), "drawn"): sum(steps().values())}
 
+    @pytest.mark.parametrize("criterion", ["objective", "dev-accuracy"])
+    def test_forked_point_sends_two_floats(
+        self, tiny_benchmark, tmp_path, monkeypatch, criterion
+    ):
+        # A forked point sends back its criterion value and its seconds,
+        # not its predictions.
+        received = []
+        forked = parallel.forked
+
+        @contextlib.contextmanager
+        def recording(work, jobs, workers, describe):
+            with forked(work, jobs, workers, describe) as results:
+                if describe(jobs[0]).startswith("running"):
+                    results = (received.append(r) or r for r in results)
+                yield results
+
+        monkeypatch.setattr(parallel, "forked", recording)
+        code, out = self.sweep(
+            tiny_benchmark, tmp_path, "floats", 2,
+            "--mode", "edit-dist", "--criterion", criterion, "--grid", "0.2,0.5",
+            "--dev", tiny_benchmark.gold_lexicon,
+        )
+        assert code == 0
+        assert len(received) == 2
+        assert all(
+            isinstance(r, tuple) and [type(v) for v in r] == [float, float] for r in received
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r[1] for r in received] == manifest["point_seconds"]
+
     def test_point_seconds_logged(self, tiny_benchmark, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="orthomap")
         code, out = self.sweep(
@@ -682,14 +713,12 @@ class TestSweepWorkers:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_an_error(self, tiny_benchmark, tmp_path, monkeypatch, capsys):
-        run_point = pipeline._run_point
-
-        def dying(cfg, scale, *args):
-            if scale > 0.3:
+        def dying(cfg, *args):
+            if cfg.scale > 0.3:
                 os._exit(9)
-            return run_point(cfg, scale, *args)
+            return execute_run(cfg, *args)
 
-        monkeypatch.setattr(pipeline, "_run_point", dying)
+        monkeypatch.setattr(pipeline, "execute_run", dying)
         code, out = self.sweep(
             tiny_benchmark, tmp_path, "dead", 2,
             "--mode", "edit-dist", "--criterion", "objective", "--grid", "0.2,0.5",
@@ -1436,9 +1465,10 @@ class TestCli:
         [
             ("induce", "--test", "{empty}"),
             ("sweep", "--mode", "edit-dist", "--dev", "{empty}"),
+            ("sweep", "--mode", "ortho-ext", "--criterion", "objective", "--test", "{empty}"),
             ("evaluate", "--lexicon", "{tmp}/lexicon.tsv", "--reference", "{empty}"),
         ],
-        ids=["induce-test", "sweep-dev", "evaluate-reference"],
+        ids=["induce-test", "sweep-dev", "sweep-test", "evaluate-reference"],
     )
     def test_empty_lexicon_exits_3_before_any_loop(
         self, tiny_benchmark, tmp_path, monkeypatch, capsys, argv
@@ -1459,6 +1489,32 @@ class TestCli:
         assert code == InputFormatError.exit_code == 3
         assert captured.err == f"error: {empty}: no lexicon entries\n"
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_dev_test_overlap_exits_2_before_loading(
+        self, tiny_benchmark, tmp_path, monkeypatch, capsys
+    ):
+        # A sweep selects c on --dev, so it refuses a --test that shares a
+        # pair with it, with induce's message and code.
+        def no_loading(*args, **kwargs):
+            raise AssertionError("embeddings read before the lexicons were checked")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_loading)
+        gold = tiny_benchmark.gold_lexicon
+        errors = {}
+        for command in (("induce",), ("sweep", "--mode", "ortho-ext", "--grid", "0.2")):
+            code = self.run_cli(
+                *command, "--dev", gold, "--test", gold,
+                "--src-emb", tiny_benchmark.src_embeddings,
+                "--tgt-emb", tiny_benchmark.tgt_embeddings,
+                "--output-dir", tmp_path / "out",
+            )
+            captured = capsys.readouterr()
+            assert code == ConfigError.exit_code == 2
+            assert captured.out == ""
+            errors[command[0]] = captured.err
+        assert errors["sweep"] == errors["induce"]
+        assert errors["sweep"].startswith("error: dev and test lexicons share 100 pairs, e.g. ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])

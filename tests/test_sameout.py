@@ -58,3 +58,18 @@ def test_output_directories_compared_byte_for_byte(tmp_path):
     assert sameout.differences(parent, parent) == []
     # A run that wrote nothing differs by every file of the other side.
     assert len(sameout.differences(tmp_path / "none", change)) == 3
+
+
+def test_runs_compare_stdout_and_exit_code(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sweep_report.tsv").write_text("scale\tmean\truns\n")
+    parent = (0, b"c=0.2\t1.000000\nselected c=0.2\n", out)
+    assert sameout.run_differences(parent, parent) == []
+    # A sweep that prints another mean, and one that fails, with the same files.
+    assert sameout.run_differences(parent, (0, b"c=0.2\t0.990000\nselected c=0.2\n", out)) == [
+        "stdout differs",
+    ]
+    assert sameout.run_differences(parent, (2, b"", out)) == [
+        "stdout differs", "exit code 0 -> 2",
+    ]

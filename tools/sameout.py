@@ -13,7 +13,8 @@ thread: numpy is loaded before the CLI sets its thread variables, so
 induce's cosines do not depend on ``--threads``. Both sides run on the
 same relative paths, so the paths the manifests record are equal.
 
-Every output file must be equal byte for byte, and manifest.json equal
+Every output file and each run's stdout (a sweep's per-c means and its
+"selected c=" line) must be equal byte for byte, and manifest.json equal
 but for VOLATILE, the fields that record the process rather than the
 result. Prints one line per (workload, threads) and the count of
 differences; exits 1 on any difference.
@@ -72,17 +73,30 @@ def differences(parent_dir, change_dir):
     return found
 
 
+def run_differences(parent, change):
+    """How two runs differ, each given as (exit code, stdout, output
+    directory): their outputs (see differences), their stdout byte for
+    byte, and their exit codes."""
+    (parent_code, parent_stdout, parent_dir), (code, stdout, out_dir) = parent, change
+    found = differences(parent_dir, out_dir)
+    if parent_stdout != stdout:
+        found.append("stdout differs")
+    if parent_code != code:
+        found.append(f"exit code {parent_code} -> {code}")
+    return found
+
+
 def run(copy, cwd, argv):
     """One CLI invocation of the commit in ``copy``, in ``cwd``; returns
-    its exit code."""
+    its exit code, its stdout and its output directory, ``cwd``/out."""
     cwd.mkdir(parents=True)
     env = {k: v for k, v in os.environ.items() if k != "ORTHOMAP_THREADS"}
     env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL)
-    return proc.returncode
+                          stdout=subprocess.PIPE)
+    return proc.returncode, proc.stdout, cwd / "out"
 
 
 def main(argv=None):
@@ -102,18 +116,15 @@ def main(argv=None):
         workloads.generate(workload.params, RUN_SEED, 0, inputs, work / "inputs" / f"{name}-base")
         seed = workloads.op_seed(RUN_SEED, 0)
         for threads in THREADS:
-            outs, codes = {}, {}
+            runs = {}
             for side in sides:
                 cwd = work / "runs" / side / f"{name}-{threads}"
                 relative = Path(os.path.relpath(inputs, cwd))
                 args = workloads.cli_argv(workload, relative, "out", seed)
-                codes[side] = run(copies[side], cwd, ["--threads", str(threads), *args])
-                outs[side] = cwd / "out"
-            found = differences(outs["parent"], outs["change"])
-            if codes["parent"] != codes["change"]:
-                found.append(f"exit code {codes['parent']} -> {codes['change']}")
+                runs[side] = run(copies[side], cwd, ["--threads", str(threads), *args])
+            found = run_differences(runs["parent"], runs["change"])
             total += len(found)
-            print(f"{name} at --threads {threads} (exit {codes['change']}): "
+            print(f"{name} at --threads {threads} (exit {runs['change'][0]}): "
                   f"{len(found)} differences", flush=True)
             for line in found:
                 print(f"  {line}")
